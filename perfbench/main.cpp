@@ -80,7 +80,9 @@ const std::vector<Workload>& workloads() {
   // resnet_a: the repo's default sensitivity set; the sweep dominates and
   // the IQP is tiny. vit_mini: a 16-sample set keeps its sweep short while
   // its IQP ladder does real branch-and-bound work (README.md, Workloads).
-  static const std::vector<Workload> all = {{"resnet_a", 64}, {"vit_mini", 16}};
+  // The batch times are plan.mixed.b8_ms on the reference host.
+  static const std::vector<Workload> all = {{"resnet_a", 64, 6.6},
+                                            {"vit_mini", 16, 3.5}};
   return all;
 }
 
@@ -234,6 +236,10 @@ int run(const Args& args) {
               "uds_clients=%d (busy at most %d of %d)\n",
               sweep_threads, gemm_threads, server_defaults.workers, uds_clients,
               std::max(sweep_threads, busy_serving), nproc);
+  std::printf("# traffic light=%.0f nominal=%.0f overload=%.0f req/s, best_effort share %.2f, "
+              "limit %.2f ms, overload deadline %.2f ms\n",
+              kLight.rps, kNominal.rps, kOverload.rps, kBestEffortShare, limit_ms(w),
+              deadline_ms(w));
   std::fflush(stdout);
 
   const double ref_start_ms = host_ref_ms();
@@ -271,20 +277,17 @@ int run(const Args& args) {
   const auto elapsed_s = [&] {
     return std::chrono::duration<double>(Clock::now() - measure_start).count();
   };
-  int cycle = 0;
-  // Whole cycles only: one more starts while the run ends nearer to
-  // --seconds with it than without it.
-  for (; cycle < kMinCycles || elapsed_s() * (1.0 + 0.5 / cycle) < args.seconds; ++cycle) {
-    const bool traced = args.trace && cycle % 2 == 0;
-    if (args.trace) clado::obs::set_trace_path(traced ? args.trace_file : "");
-    // Every cycle starts from a fresh stack, so set-up is sampled across
-    // the run like every other unit. Teardown is not set-up work.
+  // Set-up from scratch on a fresh stack (teardown is not set-up work).
+  // It runs twice per cycle, at its start and halfway through, so set-up
+  // is sampled across the run like every other unit.
+  const auto set_up = [&] {
     stack.reset();
     off.reset();
     clado::obs::Span setup("perfbench/setup");
     off = setup_offline(w, args.artifacts, sweep_threads, layers);
     stack = std::make_unique<ServingStack>(off->tm.model, off->served.bits, socket_path, layers);
     setup_s.add(setup.close());
+    ++units;
     const std::int64_t train_steps = clado::obs::counter("zoo.train_steps").value();
     const std::int64_t recoveries = clado::obs::counter("zoo.cache_recoveries").value();
     if (train_steps != 0 || recoveries != 0) {
@@ -298,19 +301,31 @@ int run(const Args& args) {
     if (served_bits.empty()) served_bits = off->served.bits;
     checks.expect(off->served.bits == served_bits, "every set-up serves the same assignment");
     // Warm the fresh serving path (code pages, plan arenas); not tallied.
-    open_loop_round(*stack, Rate{"warmup", 1000.0, 0.05, 0.0}, samples, args.seed, -1);
-
+    open_loop_round(*stack, w, Rate{"warmup", 1000.0, 0.05, false}, samples, args.seed, -1);
+  };
+  int cycle = 0;
+  // Whole cycles only: one more starts while the run ends nearer to
+  // --seconds with it than without it.
+  for (; cycle < kMinCycles || elapsed_s() * (1.0 + 0.5 / cycle) < args.seconds; ++cycle) {
+    const bool traced = args.trace && cycle % 2 == 0;
+    if (args.trace) clado::obs::set_trace_path(traced ? args.trace_file : "");
+    set_up();
     const double sweep = sweep_unit(*off, sweep_threads, layers, checks);
     sweep_s.add(sweep);
     (traced ? sweep_traced : sweep_plain).add(sweep);
-    light.merge(open_loop_round(*stack, kLight, samples, args.seed, 3 * cycle));
-    const Tally nom = open_loop_round(*stack, kNominal, samples, args.seed, 3 * cycle + 1);
+    // Solve units and overload rounds run twice per cycle too, so that
+    // their means sample more of the run.
+    solve_unit(*off, args.artifacts, w, layers, checks, solve_s);
+    overload.merge(open_loop_round(*stack, w, kOverload, samples, args.seed, 4 * cycle));
+    light.merge(open_loop_round(*stack, w, kLight, samples, args.seed, 4 * cycle + 1));
+    const Tally nom = open_loop_round(*stack, w, kNominal, samples, args.seed, 4 * cycle + 2);
     nominal.merge(nom);
     (traced ? nominal_traced : nominal_plain).merge(nom);
+    set_up();
     solve_unit(*off, args.artifacts, w, layers, checks, solve_s);
-    overload.merge(open_loop_round(*stack, kOverload, samples, args.seed, 3 * cycle + 2));
+    overload.merge(open_loop_round(*stack, w, kOverload, samples, args.seed, 4 * cycle + 3));
     uds_round(*stack, uds_clients, kUdsRoundS, samples, args.seed, cycle, uds);
-    units += 2;  // set-up, sweep; solve ladders are counted by solve_s
+    ++units;  // the sweep; set_up counts set-ups, solve_s the ladders
   }
   const double measured_s = elapsed_s();
 
@@ -355,6 +370,8 @@ int run(const Args& args) {
   layers.add("serve.batch_mean.light", light.batch.mean(), "req");
   layers.add("serve.batch_mean.nominal", nominal.batch.mean(), "req");
   layers.add("serve.batch_mean.overload", overload.batch.mean(), "req");
+  layers.add("serve.goodput_interactive_rps", overload.goodput_interactive_rps.mean(), "req/s");
+  layers.add("serve.goodput_best_effort_rps", overload.goodput_best_effort_rps.mean(), "req/s");
   layers.add("socket.overhead_p50_ms", uds.overhead_ms.median(), "ms");
   Samples late;
   for (const Tally* t : {&light, &nominal, &overload}) late.append(t->late_ms);

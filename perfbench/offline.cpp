@@ -172,18 +172,23 @@ double ptq_top1(Offline& off, Layers& layers) {
 }
 
 void prepare_model(const Workload& w, const std::string& artifacts) {
-  // The zoo caches weights as <dir>/<model>.bin (models/zoo.cpp).
-  const std::string weights = artifacts + "/" + w.model + ".bin";
+  std::filesystem::create_directories(artifacts);
   const std::string g_path = g_matrix_path(artifacts, w);
-  if (std::filesystem::exists(weights) && std::filesystem::exists(g_path)) {
-    std::printf("prepare: %s already cached\n", w.model);
-    return;
-  }
-  std::printf("prepare: %s (trains if uncached, then a serial G-hat sweep)\n", w.model);
-  std::fflush(stdout);
+  // Always through the zoo cache, so weights it cannot load are retrained;
+  // a Ĝ saved from earlier weights is then stale and measured again.
+  const std::int64_t trained0 =
+      counter_value("zoo.train_steps") + counter_value("zoo.cache_recoveries");
   clado::models::ZooConfig cfg = zoo_config(artifacts);
   cfg.verbose = true;
   clado::models::TrainedModel tm = clado::models::get_or_train(w.model, cfg);
+  const bool retrained =
+      counter_value("zoo.train_steps") + counter_value("zoo.cache_recoveries") != trained0;
+  if (!retrained && std::filesystem::exists(g_path)) {
+    std::printf("prepare: %s already cached\n", w.model);
+    return;
+  }
+  std::printf("prepare: %s serial G-hat sweep\n", w.model);
+  std::fflush(stdout);
   tm.model.calibrate_activations(tm.train_set.make_range_batch(0, 128));
   PipelineOptions options;
   options.sweep_threads = 1;  // the serial reference the timed sweeps must reproduce

@@ -7,25 +7,31 @@ One measured run (what the benchmark contract calls):
 
 builds the perfbench driver from ../src into .bench_build/ (incremental),
 runs the untimed prepare step (zoo training/caching and each model's saved
-G-hat; a no-op once done), then runs the workload with CLADO_NUM_THREADS=1.
+G-hat, in an artifacts directory named by a hash of the sources, so a
+source change never reuses files the previous code made), then runs the
+workload with CLADO_NUM_THREADS=1.
 The driver's report goes to stdout; its last line is one JSON object with
 the end-to-end metrics (--trace 0) or the per-layer metrics (--trace 1),
 checked here against BENCHMARK.json before anything is printed.
 
 Steadiness self-check:
 
-    python3 perfbench/run.py --selfcheck [--runs 10] [--traced 2]
+    python3 perfbench/run.py --selfcheck [--sets 2] [--runs 10] [--traced 2]
                              [--seconds 30] [--workload NAME ...]
 
-runs every (or each named) workload --runs times untraced with seeds
-1..runs, then --traced times traced, and prints for each end-to-end
-metric the median, quartiles and quartile spread against the metric's
-bound, plus the exactness checks (quality and count metrics identical
-across runs). A metric whose spread exceeds its bound is reported
-UNSTEADY and the exit code is 1.
+runs every (or each named) workload in --sets independent sets of --runs
+untraced runs (set k uses seeds 100k+1..100k+runs), then --traced traced
+runs, and prints for each end-to-end metric and set the median, quartiles
+and quartile spread against the metric's bound, then how far each later
+set's median lies from the first set's, plus the exactness checks
+(quality and count metrics identical across every run). A spread or a
+median difference above its bound is reported UNSTEADY, and then the
+exit code is 1.
 """
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import statistics
@@ -40,7 +46,11 @@ SPEC_PATH = ROOT / "BENCHMARK.json"
 # path short enough for sun_path.
 BUILD_DIR = Path(".bench_build")
 CMAKE_DIR = BUILD_DIR / "cmake"
-ARTIFACTS = BUILD_DIR / "artifacts"
+ARTIFACTS_ROOT = BUILD_DIR / "artifacts"
+# Everything the driver binary is built from: cached weights and G-hats
+# are only reused by the code that made them.
+SOURCE_DIRS = ("src", "perfbench")
+SOURCE_SUFFIXES = (".h", ".cpp", ".txt", ".cmake")
 BINARY = CMAKE_DIR / "perfbench"
 RUN_TIMEOUT_S = 170
 EXACT_METRICS = ("ptq_top1", "served_top1")
@@ -50,12 +60,28 @@ def log(msg):
     print(f"perfbench: {msg}", file=sys.stderr, flush=True)
 
 
+def source_key():
+    """Hash of every build input under SOURCE_DIRS (path and bytes)."""
+    digest = hashlib.sha256()
+    for top in SOURCE_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.is_file() and path.suffix in SOURCE_SUFFIXES:
+                digest.update(str(path.relative_to(ROOT)).encode() + b"\0")
+                digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+@functools.cache
+def artifacts():
+    return ARTIFACTS_ROOT / source_key()
+
+
 def child_env():
     """Environment for driver processes: no inherited CLADO_* setting except
     CLADO_KERNEL, a deliberate kernel choice the host fingerprint records."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("CLADO_") or k == "CLADO_KERNEL"}
-    env["CLADO_ARTIFACTS_DIR"] = str(ARTIFACTS)
+    env["CLADO_ARTIFACTS_DIR"] = str(artifacts())
     return env
 
 
@@ -78,7 +104,7 @@ def build():
 
 def prepare():
     """Untimed; training may use every core, so CLADO_NUM_THREADS stays unset."""
-    run_quiet([str(BINARY), "prepare", "--artifacts", str(ARTIFACTS)], env=child_env())
+    run_quiet([str(BINARY), "prepare", "--artifacts", str(artifacts())], env=child_env())
 
 
 def git_rev():
@@ -96,7 +122,7 @@ def run_workload(spec, workload, seed, seconds, trace):
     env["CLADO_NUM_THREADS"] = "1"
     cmd = [str(BINARY), "run", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if trace else "0",
-           "--artifacts", str(ARTIFACTS), "--git-rev", git_rev()]
+           "--artifacts", str(artifacts()), "--git-rev", git_rev()]
     if trace:
         trace_file = str(BUILD_DIR / f"trace-{workload}.json")
         env["CLADO_TRACE"] = trace_file
@@ -127,40 +153,59 @@ def validate(spec, result, trace):
         raise RuntimeError("nothing attempted")
 
 
+def verdict(size, bound):
+    if size <= bound / 3:
+        return "steady"
+    return "within bound, above a third of it" if size <= bound else "UNSTEADY"
+
+
 def selfcheck(spec, args):
     counts = sorted(m["name"] for m in spec["per_layer"] if m["unit"] == "count")
     names = args.workload or [w["name"] for w in spec["workloads"]]
     ok = True
     for workload in names:
-        runs = []
-        for seed in range(1, args.runs + 1):
-            runs.append(run_workload(spec, workload, seed, args.seconds, False)[1])
-            log(f"{workload} seed {seed} done")
+        sets = []
+        for k in range(args.sets):
+            runs = []
+            for seed in range(100 * k + 1, 100 * k + args.runs + 1):
+                lines, result = run_workload(spec, workload, seed, args.seconds, False)
+                runs.append(result)
+                log(f"{workload} set {k + 1} seed {seed} done")
+                for line in lines:
+                    if line.startswith(("# measured", "# setup", "# sweep", "# solve",
+                                        "# overload")):
+                        log(line)
+            sets.append(runs)
         traced = [run_workload(spec, workload, 1000 + k, args.seconds, True)[1]
                   for k in range(args.traced)]
-        print(f"== {workload}: {args.runs} untraced runs, {args.traced} traced, "
-              f"{args.seconds} s each")
-        print(f"{'metric':<14} {'q1':>12} {'median':>12} {'q3':>12} {'spread':>8} "
+        print(f"== {workload}: {args.sets} sets of {args.runs} untraced runs, "
+              f"{args.traced} traced, {args.seconds} s each")
+        print(f"{'metric (set)':<22} {'q1':>12} {'median':>12} {'q3':>12} {'spread':>8} "
               f"{'bound':>6}  verdict")
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
-            values = [r["metrics"][name]["value"] for r in runs]
-            q1, _, q3 = statistics.quantiles(values, n=4)
-            med = statistics.median(values)
-            spread = (q3 - q1) / med
-            if name in EXACT_METRICS:
-                verdict = "exact" if len(set(values)) == 1 else "NOT EXACT"
-            elif spread <= bound / 3:
-                verdict = "steady"
-            elif spread <= bound:
-                verdict = "within bound, above a third of it"
-            elif name == "setup_s":
-                verdict = "UNSTEADY (setup_s spread is reported, not gated)"
-            else:
-                verdict = "UNSTEADY"
-            ok = ok and verdict not in ("UNSTEADY", "NOT EXACT")
-            print(f"{name:<14} {q1:12.6g} {med:12.6g} {q3:12.6g} {spread:8.2%} "
-                  f"{bound:6.2f}  {verdict}")
+            medians = []
+            for k, runs in enumerate(sets):
+                values = [r["metrics"][name]["value"] for r in runs]
+                q1, _, q3 = statistics.quantiles(values, n=4)
+                med = statistics.median(values)
+                spread = (q3 - q1) / med
+                medians.append(med)
+                if name in EXACT_METRICS:
+                    v = "exact" if len(set(values)) == 1 else "NOT EXACT"
+                else:
+                    v = verdict(spread, bound)
+                ok = ok and v not in ("UNSTEADY", "NOT EXACT")
+                print(f"{name + f' ({k + 1})':<22} {q1:12.6g} {med:12.6g} {q3:12.6g} "
+                      f"{spread:8.2%} {bound:6.2f}  {v}")
+            for k, med in enumerate(medians[1:], start=2):
+                diff = abs(med - medians[0]) / medians[0]
+                v = verdict(diff, bound)
+                ok = ok and v != "UNSTEADY"
+                print(f"{name + f' median {k} vs 1':<22} {diff:51.2%} {bound:6.2f}  {v}")
+            if name in EXACT_METRICS and len(set(medians)) > 1:
+                ok = False
+                print(f"{name} differs between sets: {medians}")
         for name in counts:
             values = sorted({r["metrics"][name]["value"] for r in traced})
             if len(values) > 1:
@@ -170,7 +215,8 @@ def selfcheck(spec, args):
             vals = [r["metrics"][name]["value"] for r in traced]
             if vals:
                 print(f"{name}: {', '.join(f'{v:+.2f}%' for v in vals)}")
-        bad = sum(1 for r in runs + traced if not r["correct"] or r["failed"])
+        everything = [r for runs in sets for r in runs] + traced
+        bad = sum(1 for r in everything if not r["correct"] or r["failed"])
         if bad:
             ok = False
             print(f"{bad} runs reported correct=false or failed operations")
@@ -185,6 +231,7 @@ def main():
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selfcheck", action="store_true")
+    parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--traced", type=int, default=2)
     args = parser.parse_args()

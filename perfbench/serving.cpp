@@ -14,6 +14,7 @@
 namespace perfbench {
 
 using clado::serve::BackendMode;
+using clado::serve::DeadlineClass;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
 using clado::serve::Fusion;
@@ -97,18 +98,23 @@ void Tally::merge(const Tally& other) {
   batch.append(other.batch);
   late_ms.append(other.late_ms);
   goodput_rps.append(other.goodput_rps);
+  goodput_interactive_rps.append(other.goodput_interactive_rps);
+  goodput_best_effort_rps.append(other.goodput_best_effort_rps);
 }
 
-Tally open_loop_round(ServingStack& stack, const Rate& rate,
+Tally open_loop_round(ServingStack& stack, const Workload& w, const Rate& rate,
                       const std::vector<Tensor>& samples, std::uint64_t seed,
                       std::int64_t round_index) {
   Tally tally;
   const auto n = std::max<std::int64_t>(1, std::llround(rate.rps * rate.round_s));
   const auto interval = std::chrono::nanoseconds(std::llround(1e9 / rate.rps));
-  const auto deadline_us = std::llround(rate.deadline_ms * 1000.0);
+  const auto deadline_us = rate.deadline ? std::llround(deadline_ms(w) * 1000.0) : 0;
+  const auto best_effort_below = static_cast<std::uint64_t>(kBestEffortShare * 4294967296.0);
+  const auto round = static_cast<std::uint64_t>(round_index);
   std::vector<std::future<Response>> futures(static_cast<std::size_t>(n));
   std::vector<Clock::time_point> due(static_cast<std::size_t>(n));
   std::vector<Clock::time_point> sent(static_cast<std::size_t>(n));
+  std::vector<DeadlineClass> klass(static_cast<std::size_t>(n));
 
   const clado::obs::Span span(std::string("perfbench/open_loop_") + rate.name);
   const Clock::time_point start = Clock::now() + std::chrono::milliseconds(1);
@@ -116,13 +122,17 @@ Tally open_loop_round(ServingStack& stack, const Rate& rate,
     const auto k = static_cast<std::size_t>(i);
     due[k] = start + i * interval;
     std::this_thread::sleep_until(due[k]);
+    // The class hashes a stream apart from the sample's, as loadgen does.
+    klass[k] = (mix(seed, round | (1ULL << 41), static_cast<std::uint64_t>(i)) & 0xFFFFFFFFULL) <
+                       best_effort_below
+                   ? DeadlineClass::kBestEffort
+                   : DeadlineClass::kInteractive;
     sent[k] = Clock::now();
-    futures[k] = stack.server().submit(
-        pick(samples, seed, static_cast<std::uint64_t>(round_index), static_cast<std::uint64_t>(i)),
-        deadline_us);
+    futures[k] = stack.server().submit(pick(samples, seed, round, static_cast<std::uint64_t>(i)),
+                                       deadline_us, klass[k]);
   }
 
-  std::int64_t good = 0;
+  std::int64_t good[clado::serve::kNumDeadlineClasses] = {};
   for (std::int64_t i = 0; i < n; ++i) {
     const auto k = static_cast<std::size_t>(i);
     ++tally.sent;
@@ -138,7 +148,7 @@ Tally open_loop_round(ServingStack& stack, const Rate& rate,
       case Status::kOk: {
         const double latency = ms_between(due[k], sent[k]) + static_cast<double>(r.total_us) / 1e3;
         ++tally.ok;
-        if (latency <= kLimitMs) ++good;
+        if (latency <= limit_ms(w)) ++good[static_cast<std::size_t>(klass[k])];
         tally.latency_ms.add(latency);
         tally.queue_ms.add(static_cast<double>(r.queue_us) / 1e3);
         tally.exec_ms.add(static_cast<double>(r.total_us - r.queue_us) / 1e3);
@@ -150,7 +160,14 @@ Tally open_loop_round(ServingStack& stack, const Rate& rate,
       default: ++tally.errors; break;
     }
   }
-  tally.goodput_rps.add(static_cast<double>(good) * rate.rps / static_cast<double>(n));
+  const double per_request_rps = rate.rps / static_cast<double>(n);
+  const auto interactive =
+      static_cast<double>(good[static_cast<std::size_t>(DeadlineClass::kInteractive)]);
+  const auto best_effort =
+      static_cast<double>(good[static_cast<std::size_t>(DeadlineClass::kBestEffort)]);
+  tally.goodput_rps.add((interactive + best_effort) * per_request_rps);
+  tally.goodput_interactive_rps.add(interactive * per_request_rps);
+  tally.goodput_best_effort_rps.add(best_effort * per_request_rps);
   return tally;
 }
 
