@@ -155,10 +155,12 @@ class Server {
 
   std::int64_t now_us() const;
   void worker_loop(int worker);
-  /// `logits` is the worker's persistent output tensor: on fused engines
-  /// the batch is memcpy'd into the plan's pinned buffer and infer_pinned
-  /// writes logits in place, so steady-state batches allocate nothing.
-  void execute_batch(int worker, std::vector<Pending> batch, std::int64_t formed_us,
+  /// Runs one formed batch; worker_loop has already answered the expired
+  /// requests, so every entry of `live` reaches the engine. `logits` is the
+  /// worker's persistent output tensor: on fused engines the batch is
+  /// memcpy'd into the plan's pinned buffer and infer_pinned writes logits
+  /// in place, so steady-state batches allocate nothing.
+  void execute_batch(int worker, std::vector<Pending> live, std::int64_t formed_us,
                      Tensor& logits);
 
   std::shared_ptr<Engine> engine_;

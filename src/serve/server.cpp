@@ -241,6 +241,7 @@ void Server::worker_loop(int worker) {
   Tensor logits;
   while (true) {
     std::vector<Pending> batch;
+    std::vector<Pending> expired;
     std::int64_t formed_us = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
@@ -260,20 +261,37 @@ void Server::worker_loop(int worker) {
       }
       if (queue_.empty() || paused_) continue;  // another worker took the batch
 
-      const auto take = std::min<std::int64_t>(config_.max_batch,
-                                               static_cast<std::int64_t>(queue_.size()));
-      batch.reserve(static_cast<std::size_t>(take));
-      for (std::int64_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+      // Deadline admission happens at formation: a request that waited
+      // past its budget is set aside without taking a batch slot, so the
+      // batch fills with live requests from further back in the queue.
+      formed_us = now_us();
+      batch.reserve(static_cast<std::size_t>(
+          std::min<std::int64_t>(config_.max_batch, static_cast<std::int64_t>(queue_.size()))));
+      while (!queue_.empty() && static_cast<std::int64_t>(batch.size()) < config_.max_batch) {
+        Pending& p = queue_.front();
+        if (p.deadline_us > 0 && formed_us > p.deadline_us) {
+          expired.push_back(std::move(p));
+        } else {
+          batch.push_back(std::move(p));
+        }
         queue_.pop_front();
       }
-      inflight_ += static_cast<int>(batch.size());
-      formed_us = now_us();
+      inflight_ += static_cast<int>(batch.size() + expired.size());
       clado::obs::gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     }
 
-    const int took = static_cast<int>(batch.size());
-    execute_batch(worker, std::move(batch), formed_us, logits);
+    const int took = static_cast<int>(batch.size() + expired.size());
+    // Expired requests are answered outside the lock and never reach the
+    // engine.
+    for (Pending& p : expired) {
+      clado::obs::counter("serve.deadline_expired").add();
+      Response r;
+      r.status = Status::kDeadlineExpired;
+      r.queue_us = formed_us - p.enqueue_us;
+      r.total_us = r.queue_us;
+      p.promise.set_value(std::move(r));
+    }
+    if (!batch.empty()) execute_batch(worker, std::move(batch), formed_us, logits);
 
     {
       // inflight_ was incremented at formation; completion is what
@@ -285,26 +303,8 @@ void Server::worker_loop(int worker) {
   }
 }
 
-void Server::execute_batch(int worker, std::vector<Pending> batch, std::int64_t formed_us,
+void Server::execute_batch(int worker, std::vector<Pending> live, std::int64_t formed_us,
                            Tensor& logits) {
-  // Deadline admission happens at formation: a request that waited past
-  // its budget is answered without ever reaching the engine.
-  std::vector<Pending> live;
-  live.reserve(batch.size());
-  for (Pending& p : batch) {
-    if (p.deadline_us > 0 && formed_us > p.deadline_us) {
-      clado::obs::counter("serve.deadline_expired").add();
-      Response r;
-      r.status = Status::kDeadlineExpired;
-      r.queue_us = formed_us - p.enqueue_us;
-      r.total_us = r.queue_us;
-      p.promise.set_value(std::move(r));
-    } else {
-      live.push_back(std::move(p));
-    }
-  }
-  if (live.empty()) return;
-
   std::optional<clado::obs::TraceScope> scope;
   if (config_.capture_traces) scope.emplace();
 

@@ -33,13 +33,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Separable proxy of the quadratic objective: per-choice values from the
 /// diagonal of Ĝ (the Ω_ii sensitivities), costs copied verbatim.
 std::vector<ChoiceGroup> diagonal_groups(const QuadraticProblem& p) {
-  const std::int64_t n = p.total_choices();
+  const std::vector<std::int64_t> off = p.offsets();
+  const std::int64_t n = off.back();
   std::vector<ChoiceGroup> groups(p.cost.size());
   for (std::size_t g = 0; g < p.cost.size(); ++g) {
     groups[g].cost = p.cost[g];
     groups[g].value.resize(p.cost[g].size());
     for (std::size_t m = 0; m < p.cost[g].size(); ++m) {
-      const std::int64_t a = p.offset(g) + static_cast<std::int64_t>(m);
+      const std::int64_t a = off[g] + static_cast<std::int64_t>(m);
       groups[g].value[m] = static_cast<double>(p.G.data()[a * n + a]);
     }
   }
@@ -87,6 +88,8 @@ IqpResult solve_with_fallback(const QuadraticProblem& problem,
 
 IqpResult solve_with_fallback(const QuadraticProblem& problem, const IqpOptions& options) {
   problem.validate();
+  // A bad option is the caller's error, not a solver failure to degrade past.
+  options.fw.validate();
 
   // Tier 0: the exact solver. A proven-infeasible outcome also returns
   // here — when the search completes and finds nothing, no cheaper tier

@@ -27,8 +27,9 @@ struct QuadraticProblem {
 
   std::int64_t total_choices() const;
   std::int64_t num_groups() const { return static_cast<std::int64_t>(cost.size()); }
-  /// Flat offset of group g's first choice.
-  std::int64_t offset(std::size_t g) const;
+  /// Flat offsets: group g's choices are [offsets()[g], offsets()[g + 1]).
+  /// O(groups); solvers compute them once per solve.
+  std::vector<std::int64_t> offsets() const;
   /// Validates shape consistency; throws std::invalid_argument.
   void validate() const;
 
@@ -39,20 +40,57 @@ struct QuadraticProblem {
 };
 
 struct FwOptions {
-  int max_iters = 200;
+  int max_iters = 200;    ///< >= 1: the dual bound comes from the LP steps
   double gap_tol = 1e-8;  ///< stop when duality gap <= gap_tol * max(1, |f|)
+  /// Throws std::invalid_argument when max_iters < 1 (no LP step, hence no
+  /// dual bound) or gap_tol is negative or NaN.
+  void validate() const;
 };
 
 struct FwResult {
   std::vector<double> x;      ///< flat relaxed solution (empty if infeasible)
+  std::vector<double> gx;     ///< G·x at x, maintained incrementally (gradient = 2·gx)
   double objective = 0.0;
   double lower_bound = 0.0;   ///< best FW dual bound (valid when G is PSD)
   int iterations = 0;
+  bool converged = false;     ///< stopped on the gap test, not on max_iters
   bool feasible = false;
 };
 
-/// Runs Frank–Wolfe from a feasible integer warm start. `allowed` masks
-/// choices per group (empty = all allowed).
+/// Frank–Wolfe bound to one problem and reusable across masks (the
+/// branch-and-bound runs one per solve). It keeps g = G·x current instead
+/// of recomputing it: the LP vertex s has at most groups + 1 nonzeros, so
+/// G·s is a sum of that many rows of the symmetric G, each step updates
+/// g ← g + t·(G·s − g), and the line search and objective are inner
+/// products with g. An iteration costs O(n·(groups + 1)) plus one LP
+/// oracle call and allocates nothing.
+class FrankWolfe {
+ public:
+  /// `problem` must be valid (QuadraticProblem::validate) and outlive this.
+  explicit FrankWolfe(const QuadraticProblem& problem);
+
+  /// The LP / greedy oracle over the problem's costs. Its mask is the
+  /// feasible set run() optimizes over.
+  MckpOracle& oracle() { return oracle_; }
+
+  /// Runs Frank–Wolfe from a feasible integer warm start (greedy on
+  /// diag(G)) under the oracle's current mask. The result is overwritten by
+  /// the next run.
+  const FwResult& run(const FwOptions& options);
+
+ private:
+  const QuadraticProblem* problem_;
+  std::vector<std::int64_t> offsets_;
+  MckpOracle oracle_;
+  std::vector<double> diag_;
+  std::vector<int> choice_;
+  std::vector<double> s_;   // LP vertex
+  std::vector<double> gs_;  // G·s
+  FwResult result_;
+};
+
+/// One Frank–Wolfe run (FrankWolfe::run). `allowed` masks choices per
+/// group (empty = all allowed).
 FwResult frank_wolfe(const QuadraticProblem& problem, const FwOptions& options,
                      const std::vector<std::vector<char>>& allowed = {});
 

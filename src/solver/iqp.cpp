@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "clado/fault/fault.h"
 #include "clado/obs/obs.h"
@@ -15,15 +16,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Flat index of group g's choice m.
-std::int64_t flat_index(const QuadraticProblem& p, std::size_t g, int m) {
-  return p.offset(g) + m;
-}
-
 /// Incremental evaluation state: selected flat index per group and
 /// row-sum vector r[i] = Σ_h G[i][sel_h].
 struct IncrementalEval {
   const QuadraticProblem* problem;
+  std::int64_t n = 0;
+  std::vector<std::int64_t> offsets;
   std::vector<std::int64_t> sel;
   std::vector<double> rowsum;
   double objective = 0.0;
@@ -31,9 +29,10 @@ struct IncrementalEval {
 
   void reset(const QuadraticProblem& p, const std::vector<int>& choice) {
     problem = &p;
-    const std::int64_t n = p.total_choices();
+    offsets = p.offsets();
+    n = offsets.back();
     sel.clear();
-    for (std::size_t g = 0; g < p.cost.size(); ++g) sel.push_back(flat_index(p, g, choice[g]));
+    for (std::size_t g = 0; g < p.cost.size(); ++g) sel.push_back(flat_index(g, choice[g]));
     rowsum.assign(static_cast<std::size_t>(n), 0.0);
     for (std::int64_t i = 0; i < n; ++i) {
       const float* row = p.G.data() + i * n;
@@ -46,10 +45,12 @@ struct IncrementalEval {
     cost = p.integer_cost(choice);
   }
 
+  /// Flat index of group g's choice m.
+  std::int64_t flat_index(std::size_t g, int m) const { return offsets[g] + m; }
+
   /// Objective delta of moving group g from its current flat choice to
   /// flat index b (G symmetric).
   double move_delta(std::size_t g, std::int64_t b) const {
-    const std::int64_t n = problem->total_choices();
     const std::int64_t a = sel[g];
     if (a == b) return 0.0;
     const double gaa = problem->G.data()[a * n + a];
@@ -63,9 +64,8 @@ struct IncrementalEval {
   }
 
   void apply_move(std::size_t g, int m_new, double dcost) {
-    const std::int64_t n = problem->total_choices();
     const std::int64_t a = sel[g];
-    const std::int64_t b = flat_index(*problem, g, m_new);
+    const std::int64_t b = flat_index(g, m_new);
     objective += move_delta(g, b);
     cost += dcost;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -118,7 +118,7 @@ double local_search_1opt(const QuadraticProblem& problem, std::vector<int>& choi
         if (static_cast<int>(m) == current || !allowed_at(allowed, g, m)) continue;
         const double dcost = problem.cost[g][m] - problem.cost[g][static_cast<std::size_t>(current)];
         if (eval.cost + dcost > problem.budget + 1e-9) continue;
-        const double delta = eval.move_delta(g, flat_index(problem, g, static_cast<int>(m)));
+        const double delta = eval.move_delta(g, eval.flat_index(g, static_cast<int>(m)));
         if (delta < best_delta) {
           best_delta = delta;
           best_m = static_cast<int>(m);
@@ -140,40 +140,19 @@ double local_search_1opt(const QuadraticProblem& problem, std::vector<int>& choi
 
 namespace {
 
+/// A search node: the choice each group is fixed to, −1 where free.
 struct Node {
-  std::vector<std::vector<char>> allowed;
+  std::vector<int> fixed;
   double parent_bound;
 };
 
-std::vector<std::vector<char>> full_mask(const QuadraticProblem& p) {
-  std::vector<std::vector<char>> mask(p.cost.size());
-  for (std::size_t g = 0; g < p.cost.size(); ++g) mask[g].assign(p.cost[g].size(), 1);
-  return mask;
-}
-
 /// Rounds the relaxed point into a feasible integer incumbent: integer
-/// greedy on the gradient at x (captures curvature), then 1-opt.
-bool round_to_incumbent(const QuadraticProblem& p, const std::vector<double>& x,
-                        const std::vector<std::vector<char>>& allowed,
+/// greedy on the gradient at x (captures curvature), then 1-opt. The
+/// gradient is FW's maintained G·x; the greedy reads it without the ×2,
+/// which leaves its choices unchanged.
+bool round_to_incumbent(const QuadraticProblem& p, FrankWolfe& fw, const FwResult& relax,
                         std::vector<int>& choice, double& objective) {
-  const std::int64_t n = p.total_choices();
-  std::vector<double> grad(static_cast<std::size_t>(n), 0.0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = p.G.data() + i * n;
-    double acc = 0.0;
-    for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(row[j]) * x[static_cast<std::size_t>(j)];
-    grad[static_cast<std::size_t>(i)] = 2.0 * acc;
-  }
-  std::vector<ChoiceGroup> groups(p.cost.size());
-  std::size_t k = 0;
-  for (std::size_t g = 0; g < p.cost.size(); ++g) {
-    groups[g].cost = p.cost[g];
-    groups[g].value.resize(p.cost[g].size());
-    for (std::size_t m = 0; m < p.cost[g].size(); ++m) groups[g].value[m] = grad[k++];
-  }
-  const MckpSolution greedy = solve_mckp_greedy(groups, p.budget, allowed);
-  if (!greedy.feasible) return false;
-  choice = greedy.choice;
+  if (!fw.oracle().solve_greedy(relax.gx.data(), p.budget, choice.data()).feasible) return false;
   objective = local_search_1opt(p, choice);
   return true;
 }
@@ -182,15 +161,23 @@ bool round_to_incumbent(const QuadraticProblem& p, const std::vector<double>& x,
 
 IqpResult solve_iqp(const QuadraticProblem& problem, const IqpOptions& options) {
   problem.validate();
+  options.fw.validate();
   clado::obs::Span solve_span("solver/iqp");
   const auto t_start = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
   };
 
+  const std::vector<std::int64_t> off = problem.offsets();
+  const std::size_t groups = problem.cost.size();
+  FrankWolfe fw(problem);
+  std::vector<char> mask(static_cast<std::size_t>(off.back()));
+  std::vector<int> cand(groups);
+  std::vector<std::pair<double, int>> order;
+
   IqpResult result;
   std::vector<Node> stack;
-  stack.push_back({full_mask(problem), -kInf});
+  stack.push_back({std::vector<int>(groups, -1), -kInf});
 
   double incumbent = kInf;
   std::vector<int> incumbent_choice;
@@ -215,7 +202,13 @@ IqpResult solve_iqp(const QuadraticProblem& problem, const IqpOptions& options) 
       continue;
     }
 
-    const FwResult relax = frank_wolfe(problem, options.fw, node.allowed);
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::int64_t i = off[g]; i < off[g + 1]; ++i) {
+        mask[static_cast<std::size_t>(i)] = node.fixed[g] < 0 || node.fixed[g] == i - off[g];
+      }
+    }
+    fw.oracle().set_mask(mask.data());
+    const FwResult& relax = fw.run(options.fw);
     // Oracle accounting: frank_wolfe makes one greedy warm-start call plus
     // one LP call per iteration; rounding below adds one more greedy call.
     result.oracle_calls += 1 + relax.iterations;
@@ -226,10 +219,9 @@ IqpResult solve_iqp(const QuadraticProblem& problem, const IqpOptions& options) 
       continue;
     }
 
-    std::vector<int> cand;
     double cand_obj = 0.0;
     ++result.oracle_calls;
-    if (round_to_incumbent(problem, relax.x, node.allowed, cand, cand_obj)) {
+    if (round_to_incumbent(problem, fw, relax, cand, cand_obj)) {
       if (cand_obj < incumbent) {
         incumbent = cand_obj;
         incumbent_choice = cand;
@@ -237,43 +229,43 @@ IqpResult solve_iqp(const QuadraticProblem& problem, const IqpOptions& options) 
       }
     }
 
-    // Find the most fractional group.
-    std::size_t branch_group = 0;
-    double worst_intness = 1.0;
-    std::int64_t off = 0;
-    for (std::size_t g = 0; g < problem.cost.size(); ++g) {
+    // Find the most fractional of the groups that can still branch (fixed
+    // and single-choice groups sit at exactly 1).
+    std::size_t branch_group = groups;
+    double worst_intness = kInf;
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (node.fixed[g] >= 0 || off[g + 1] - off[g] < 2) continue;
       double mx = 0.0;
-      for (std::size_t m = 0; m < problem.cost[g].size(); ++m) {
-        mx = std::max(mx, relax.x[static_cast<std::size_t>(off) + m]);
+      for (std::int64_t i = off[g]; i < off[g + 1]; ++i) {
+        mx = std::max(mx, relax.x[static_cast<std::size_t>(i)]);
       }
       if (mx < worst_intness) {
         worst_intness = mx;
         branch_group = g;
       }
-      off += static_cast<std::int64_t>(problem.cost[g].size());
     }
-    if (worst_intness > 1.0 - 1e-7) {
+    if (branch_group == groups) continue;  // x is the node's only point
+    if (worst_intness > 1.0 - 1e-7 && (relax.converged || !options.objective_convex)) {
       // Relaxation is integral: its objective equals the bound; the
       // incumbent update above already captured it (rounding at an
-      // integral x reproduces x). Nothing to branch on.
+      // integral x reproduces x). Nothing to branch on. An integral x at
+      // which FW ran out of iterations proves nothing, so that node
+      // branches like a fractional one.
       continue;
     }
 
     // Children: fix branch_group to each allowed choice, most promising
     // (largest relaxed weight) explored first => push in ascending order.
-    const std::int64_t goff = problem.offset(branch_group);
-    std::vector<std::pair<double, int>> order;
-    for (std::size_t m = 0; m < problem.cost[branch_group].size(); ++m) {
-      if (!allowed_at(node.allowed, branch_group, m)) continue;
-      order.emplace_back(relax.x[static_cast<std::size_t>(goff) + m], static_cast<int>(m));
+    const std::int64_t goff = off[branch_group];
+    order.clear();
+    for (std::int64_t i = goff; i < off[branch_group + 1]; ++i) {
+      if (mask[static_cast<std::size_t>(i)] == 0) continue;
+      order.emplace_back(relax.x[static_cast<std::size_t>(i)], static_cast<int>(i - goff));
     }
     std::sort(order.begin(), order.end());  // ascending; top of stack = best
     for (const auto& [weight, m] : order) {
-      Node child;
-      child.allowed = node.allowed;
-      std::fill(child.allowed[branch_group].begin(), child.allowed[branch_group].end(), 0);
-      child.allowed[branch_group][static_cast<std::size_t>(m)] = 1;
-      child.parent_bound = bound;
+      Node child{node.fixed, bound};
+      child.fixed[branch_group] = m;
       stack.push_back(std::move(child));
     }
   }

@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace clado::solver {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool allowed_at(const std::vector<std::vector<char>>& allowed, std::size_t g, std::size_t m) {
-  if (allowed.empty()) return true;
-  return allowed[g][m] != 0;
-}
 
 void validate(const std::vector<ChoiceGroup>& groups) {
   for (const auto& g : groups) {
@@ -40,63 +38,6 @@ void validate(const std::vector<ChoiceGroup>& groups) {
 void validate_budget(double budget) {
   if (std::isnan(budget)) throw std::invalid_argument("mckp: budget is NaN");
 }
-
-/// Hull point: a surviving choice of one group after dominance filtering.
-struct HullPoint {
-  int index;     // original choice index
-  double cost;
-  double value;
-};
-
-/// Lower convex hull of a group's (cost, value) points: ascending cost,
-/// descending value, concave efficiency steps.
-std::vector<HullPoint> lower_hull(const ChoiceGroup& group,
-                                  const std::vector<std::vector<char>>& allowed,
-                                  std::size_t gi) {
-  std::vector<HullPoint> pts;
-  for (std::size_t m = 0; m < group.value.size(); ++m) {
-    if (!allowed_at(allowed, gi, m)) continue;
-    pts.push_back({static_cast<int>(m), group.cost[m], group.value[m]});
-  }
-  if (pts.empty()) return pts;
-  std::sort(pts.begin(), pts.end(), [](const HullPoint& a, const HullPoint& b) {
-    return a.cost < b.cost || (a.cost == b.cost && a.value < b.value);
-  });
-  // Dominance: drop any point whose value is not strictly below all cheaper
-  // kept points.
-  std::vector<HullPoint> kept;
-  for (const auto& p : pts) {
-    if (!kept.empty() && kept.back().cost == p.cost) continue;  // same cost, worse value
-    if (!kept.empty() && p.value >= kept.back().value) continue;
-    kept.push_back(p);
-  }
-  // Convexity: efficiencies (value drop per cost) must be decreasing.
-  std::vector<HullPoint> hull;
-  for (const auto& p : kept) {
-    while (hull.size() >= 2) {
-      const auto& a = hull[hull.size() - 2];
-      const auto& b = hull[hull.size() - 1];
-      const double e_ab = (a.value - b.value) / (b.cost - a.cost);
-      const double e_bp = (b.value - p.value) / (p.cost - b.cost);
-      if (e_bp >= e_ab) {
-        hull.pop_back();  // b is not on the lower hull
-      } else {
-        break;
-      }
-    }
-    hull.push_back(p);
-  }
-  return hull;
-}
-
-/// One efficiency step between consecutive hull points of a group.
-struct Step {
-  std::size_t group;
-  std::size_t hull_pos;  // step from hull_pos to hull_pos + 1
-  double efficiency;     // value drop per unit cost
-  double dcost;
-  double dvalue;         // negative
-};
 
 }  // namespace
 
@@ -220,109 +161,279 @@ MckpSolution solve_mckp_brute_force(const std::vector<ChoiceGroup>& groups, doub
   return best;
 }
 
-MckpLpSolution solve_mckp_lp(const std::vector<ChoiceGroup>& groups, double budget,
-                             const std::vector<std::vector<char>>& allowed) {
-  validate(groups);
-  validate_budget(budget);
-  const std::size_t n = groups.size();
-  MckpLpSolution sol;
-  sol.weight.resize(n);
-  for (std::size_t g = 0; g < n; ++g) sol.weight[g].assign(groups[g].value.size(), 0.0);
+MckpOracle::MckpOracle(const std::vector<std::vector<double>>& cost) {
+  offset_.reserve(cost.size() + 1);
+  offset_.push_back(0);
+  for (const auto& group : cost) {
+    if (group.empty()) throw std::invalid_argument("mckp: empty group");
+    for (double c : group) {
+      if (!std::isfinite(c)) throw std::invalid_argument("mckp: non-finite cost");
+      if (c < 0.0) throw std::invalid_argument("mckp: negative cost");
+      cost_.push_back(c);
+    }
+    offset_.push_back(static_cast<std::int64_t>(cost_.size()));
+  }
+  const std::size_t n = cost_.size();
+  const std::size_t groups = cost.size();
+  by_cost_.resize(n);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const auto begin = by_cost_.begin() + offset_[g];
+    const auto end = by_cost_.begin() + offset_[g + 1];
+    std::iota(begin, end, offset_[g]);
+    std::sort(begin, end, [this](std::int64_t a, std::int64_t b) {
+      const double ca = cost_[static_cast<std::size_t>(a)];
+      const double cb = cost_[static_cast<std::size_t>(b)];
+      return ca < cb || (ca == cb && a < b);
+    });
+  }
+  order_.resize(n);
+  order_end_.resize(groups);
+  hull_.resize(n);
+  hull_size_.resize(groups);
+  steps_.reserve(n);
+  at_.resize(groups);
+  frac_.resize(groups);
+  support_.reserve(groups + 1);
+  set_mask(nullptr);
+}
 
-  // Unconstrained-optimum shortcut: pick each group's min-value allowed
-  // choice; if that fits the budget it is LP-optimal.
-  {
-    double v = 0.0, c = 0.0;
-    bool ok = true;
-    std::vector<int> pick(n, -1);
-    for (std::size_t g = 0; g < n && ok; ++g) {
-      int best = -1;
-      for (std::size_t m = 0; m < groups[g].value.size(); ++m) {
-        if (!allowed_at(allowed, g, m)) continue;
-        if (best < 0 || groups[g].value[m] < groups[g].value[static_cast<std::size_t>(best)] ||
-            (groups[g].value[m] == groups[g].value[static_cast<std::size_t>(best)] &&
-             groups[g].cost[m] < groups[g].cost[static_cast<std::size_t>(best)])) {
-          best = static_cast<int>(m);
+template <typename Allowed>
+void MckpOracle::apply_mask(Allowed allowed) {
+  fully_masked_ = false;
+  std::size_t k = 0;
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    const std::size_t start = k;
+    for (std::int64_t i = offset_[g]; i < offset_[g + 1]; ++i) {
+      const std::int64_t m = by_cost_[static_cast<std::size_t>(i)];
+      if (allowed(g, m)) order_[k++] = m;
+    }
+    order_end_[g] = static_cast<std::int64_t>(k);
+    if (k == start) fully_masked_ = true;
+  }
+}
+
+void MckpOracle::set_mask(const char* allowed) {
+  apply_mask([allowed](std::size_t, std::int64_t m) { return allowed == nullptr || allowed[m] != 0; });
+}
+
+void MckpOracle::set_mask(const std::vector<std::vector<char>>& allowed) {
+  if (allowed.empty()) {
+    set_mask(nullptr);
+    return;
+  }
+  if (allowed.size() != num_groups()) {
+    throw std::invalid_argument("mckp: mask has " + std::to_string(allowed.size()) +
+                                " groups, instance has " + std::to_string(num_groups()));
+  }
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    if (static_cast<std::int64_t>(allowed[g].size()) != offset_[g + 1] - offset_[g]) {
+      throw std::invalid_argument("mckp: mask group " + std::to_string(g) +
+                                  " does not match its choice count");
+    }
+  }
+  apply_mask([this, &allowed](std::size_t g, std::int64_t m) {
+    return allowed[g][static_cast<std::size_t>(m - offset_[g])] != 0;
+  });
+}
+
+void MckpOracle::check_inputs(const double* value, double budget) const {
+  validate_budget(budget);
+  // A NaN value would reach the efficiency sort, where a comparator that
+  // answers false both ways violates strict weak ordering (UB in std::sort).
+  for (std::size_t i = 0; i < cost_.size(); ++i) {
+    if (!std::isfinite(value[i])) throw std::invalid_argument("mckp: non-finite value");
+  }
+}
+
+bool MckpOracle::build_hulls(const double* value, double budget, double& base_cost,
+                             double& base_value) {
+  base_cost = 0.0;
+  base_value = 0.0;
+  if (fully_masked_) return false;
+  std::size_t i = 0;
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    // Lower convex hull of the group's allowed (cost, value) points, walked
+    // in ascending cost: descending value, concave efficiency steps.
+    HullPoint* hull = hull_.data() + offset_[g];
+    std::int64_t size = 0;
+    const auto end = static_cast<std::size_t>(order_end_[g]);
+    while (i < end) {
+      // Of an equal-cost run only the lowest value (first index on ties)
+      // can be on the hull.
+      std::int64_t best = order_[i];
+      const double c = cost_[static_cast<std::size_t>(best)];
+      for (++i; i < end && cost_[static_cast<std::size_t>(order_[i])] == c; ++i) {
+        if (value[order_[i]] < value[best]) best = order_[i];
+      }
+      const HullPoint p{best, c, value[best]};
+      // Dominance: keep a point only if it is strictly below every cheaper
+      // kept point.
+      if (size > 0 && p.value >= hull[size - 1].value) continue;
+      // Convexity: efficiencies (value drop per cost) must be decreasing.
+      while (size >= 2) {
+        const HullPoint& a = hull[size - 2];
+        const HullPoint& b = hull[size - 1];
+        const double e_ab = (a.value - b.value) / (b.cost - a.cost);
+        const double e_bp = (b.value - p.value) / (p.cost - b.cost);
+        if (e_bp >= e_ab) {
+          --size;  // b is not on the lower hull
+        } else {
+          break;
         }
       }
-      if (best < 0) {
-        ok = false;
-      } else {
-        pick[g] = best;
-        v += groups[g].value[static_cast<std::size_t>(best)];
-        c += groups[g].cost[static_cast<std::size_t>(best)];
-      }
+      hull[size++] = p;
     }
-    if (!ok) return sol;  // a group has no allowed choice: infeasible
-    if (c <= budget) {
-      for (std::size_t g = 0; g < n; ++g) {
-        sol.weight[g][static_cast<std::size_t>(pick[g])] = 1.0;
-      }
-      sol.value = v;
-      sol.cost = c;
-      sol.feasible = true;
-      return sol;
-    }
+    hull_size_[g] = size;
+    base_cost += hull[0].cost;
+    base_value += hull[0].value;
   }
+  return base_cost <= budget + 1e-9;
+}
 
-  // Hulls + base (cheapest hull point per group).
-  std::vector<std::vector<HullPoint>> hulls(n);
-  double base_cost = 0.0, base_value = 0.0;
-  for (std::size_t g = 0; g < n; ++g) {
-    hulls[g] = lower_hull(groups[g], allowed, g);
-    if (hulls[g].empty()) return sol;
-    base_cost += hulls[g].front().cost;
-    base_value += hulls[g].front().value;
-  }
-  if (base_cost > budget + 1e-9) return sol;  // infeasible
-
-  std::vector<Step> steps;
-  for (std::size_t g = 0; g < n; ++g) {
-    for (std::size_t h = 0; h + 1 < hulls[g].size(); ++h) {
-      const double dc = hulls[g][h + 1].cost - hulls[g][h].cost;
-      const double dv = hulls[g][h + 1].value - hulls[g][h].value;  // < 0 on hull
-      steps.push_back({g, h, -dv / dc, dc, dv});
+void MckpOracle::build_steps() {
+  steps_.clear();
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    const HullPoint* hull = hull_.data() + offset_[g];
+    for (std::int64_t h = 0; h + 1 < hull_size_[g]; ++h) {
+      const double dc = hull[h + 1].cost - hull[h].cost;
+      const double dv = hull[h + 1].value - hull[h].value;  // < 0 on hull
+      steps_.push_back({-dv / dc, dc, dv, static_cast<std::int32_t>(g),
+                        static_cast<std::int32_t>(h)});
     }
   }
-  std::sort(steps.begin(), steps.end(),
+  std::sort(steps_.begin(), steps_.end(),
             [](const Step& a, const Step& b) { return a.efficiency > b.efficiency; });
+}
 
-  std::vector<std::size_t> at(n, 0);  // current hull position per group
-  std::vector<double> frac(n, 0.0);   // fraction moved into the next point
+MckpOutcome MckpOracle::solve_lp(const double* value, double budget, double* weight) {
+  check_inputs(value, budget);
+  std::fill(weight, weight + cost_.size(), 0.0);
+  support_.clear();
+  if (fully_masked_) return {};
+
+  // Unconstrained-optimum shortcut: pick each group's min-value allowed
+  // choice (ties: cheaper, then lower index); if that fits the budget it
+  // is LP-optimal.
+  {
+    double v = 0.0, c = 0.0;
+    std::size_t i = 0;
+    for (std::size_t g = 0; g < num_groups(); ++g) {
+      std::int64_t best = order_[i];
+      for (++i; i < static_cast<std::size_t>(order_end_[g]); ++i) {
+        if (value[order_[i]] < value[best]) best = order_[i];
+      }
+      support_.push_back(best);
+      v += value[best];
+      c += cost_[static_cast<std::size_t>(best)];
+    }
+    if (c <= budget) {
+      for (const std::int64_t j : support_) weight[j] = 1.0;
+      return {.value = v, .cost = c, .feasible = true};
+    }
+    support_.clear();
+  }
+
+  double base_cost = 0.0, value_sum = 0.0;
+  if (!build_hulls(value, budget, base_cost, value_sum)) return {};
+  build_steps();
+
+  std::fill(at_.begin(), at_.end(), 0);      // current hull position per group
+  std::fill(frac_.begin(), frac_.end(), 0.0);
   double rem = budget - base_cost;
-  double value = base_value;
-  for (const auto& s : steps) {
+  for (const Step& s : steps_) {
     if (s.efficiency <= 0.0) break;  // no further improvement possible
     if (rem <= 1e-15) break;
     if (s.dcost <= rem) {
       rem -= s.dcost;
-      value += s.dvalue;
-      at[s.group] = s.hull_pos + 1;
-      frac[s.group] = 0.0;
+      value_sum += s.dvalue;
+      at_[static_cast<std::size_t>(s.group)] = s.hull_pos + 1;
+      frac_[static_cast<std::size_t>(s.group)] = 0.0;
     } else {
       const double f = rem / s.dcost;
-      value += f * s.dvalue;
-      at[s.group] = s.hull_pos;
-      frac[s.group] = f;
+      value_sum += f * s.dvalue;
+      at_[static_cast<std::size_t>(s.group)] = s.hull_pos;
+      frac_[static_cast<std::size_t>(s.group)] = f;
       rem = 0.0;
       break;
     }
   }
 
-  double cost = budget - rem;
-  for (std::size_t g = 0; g < n; ++g) {
-    const auto& hull = hulls[g];
-    const std::size_t h = at[g];
-    if (frac[g] > 0.0) {
-      sol.weight[g][static_cast<std::size_t>(hull[h].index)] = 1.0 - frac[g];
-      sol.weight[g][static_cast<std::size_t>(hull[h + 1].index)] = frac[g];
-    } else {
-      sol.weight[g][static_cast<std::size_t>(hull[h].index)] = 1.0;
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    const HullPoint* hull = hull_.data() + offset_[g];
+    const std::int64_t h = at_[g];
+    weight[hull[h].index] = frac_[g] > 0.0 ? 1.0 - frac_[g] : 1.0;
+    support_.push_back(hull[h].index);
+    if (frac_[g] > 0.0) {
+      weight[hull[h + 1].index] = frac_[g];
+      support_.push_back(hull[h + 1].index);
     }
   }
-  sol.value = value;
-  sol.cost = cost;
-  sol.feasible = true;
+  return {.value = value_sum, .cost = budget - rem, .feasible = true};
+}
+
+MckpOutcome MckpOracle::solve_greedy(const double* value, double budget, int* choice) {
+  check_inputs(value, budget);
+  double cost = 0.0, value_sum = 0.0;
+  if (!build_hulls(value, budget, cost, value_sum)) return {};
+  build_steps();
+
+  std::fill(at_.begin(), at_.end(), 0);
+  double rem = budget - cost;
+  for (const Step& s : steps_) {
+    if (s.efficiency <= 0.0) break;
+    const auto g = static_cast<std::size_t>(s.group);
+    if (at_[g] != s.hull_pos) continue;  // earlier step skipped: keep order valid
+    if (s.dcost <= rem) {
+      rem -= s.dcost;
+      value_sum += s.dvalue;
+      at_[g] = s.hull_pos + 1;
+    }
+  }
+  for (std::size_t g = 0; g < num_groups(); ++g) {
+    choice[g] = static_cast<int>(hull_[static_cast<std::size_t>(offset_[g] + at_[g])].index -
+                                 offset_[g]);
+  }
+  return {.value = value_sum, .cost = budget - rem, .feasible = true};
+}
+
+namespace {
+
+std::vector<std::vector<double>> costs_of(const std::vector<ChoiceGroup>& groups) {
+  std::vector<std::vector<double>> cost;
+  cost.reserve(groups.size());
+  for (const auto& g : groups) cost.push_back(g.cost);
+  return cost;
+}
+
+std::vector<double> values_of(const std::vector<ChoiceGroup>& groups) {
+  std::vector<double> value;
+  for (const auto& g : groups) value.insert(value.end(), g.value.begin(), g.value.end());
+  return value;
+}
+
+}  // namespace
+
+MckpLpSolution solve_mckp_lp(const std::vector<ChoiceGroup>& groups, double budget,
+                             const std::vector<std::vector<char>>& allowed) {
+  validate(groups);
+  validate_budget(budget);
+  MckpOracle oracle(costs_of(groups));
+  oracle.set_mask(allowed);
+  const std::vector<double> value = values_of(groups);
+  std::vector<double> weight(value.size());
+  const MckpOutcome out = oracle.solve_lp(value.data(), budget, weight.data());
+
+  MckpLpSolution sol;
+  sol.weight.resize(groups.size());
+  auto it = weight.begin();
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto size = static_cast<std::ptrdiff_t>(groups[g].value.size());
+    sol.weight[g].assign(it, it + size);
+    it += size;
+  }
+  sol.value = out.value;
+  sol.cost = out.cost;
+  sol.feasible = out.feasible;
   return sol;
 }
 
@@ -330,50 +441,13 @@ MckpSolution solve_mckp_greedy(const std::vector<ChoiceGroup>& groups, double bu
                                const std::vector<std::vector<char>>& allowed) {
   validate(groups);
   validate_budget(budget);
-  const std::size_t n = groups.size();
-  MckpSolution sol;
-
-  std::vector<std::vector<HullPoint>> hulls(n);
-  double cost = 0.0, value = 0.0;
-  for (std::size_t g = 0; g < n; ++g) {
-    hulls[g] = lower_hull(groups[g], allowed, g);
-    if (hulls[g].empty()) return sol;
-    cost += hulls[g].front().cost;
-    value += hulls[g].front().value;
-  }
-  if (cost > budget + 1e-9) return sol;
-
-  std::vector<Step> steps;
-  for (std::size_t g = 0; g < n; ++g) {
-    for (std::size_t h = 0; h + 1 < hulls[g].size(); ++h) {
-      const double dc = hulls[g][h + 1].cost - hulls[g][h].cost;
-      const double dv = hulls[g][h + 1].value - hulls[g][h].value;
-      steps.push_back({g, h, -dv / dc, dc, dv});
-    }
-  }
-  std::sort(steps.begin(), steps.end(),
-            [](const Step& a, const Step& b) { return a.efficiency > b.efficiency; });
-
-  std::vector<std::size_t> at(n, 0);
-  double rem = budget - cost;
-  for (const auto& s : steps) {
-    if (s.efficiency <= 0.0) break;
-    if (at[s.group] != s.hull_pos) continue;  // earlier step skipped: keep order valid
-    if (s.dcost <= rem) {
-      rem -= s.dcost;
-      value += s.dvalue;
-      at[s.group] = s.hull_pos + 1;
-    }
-  }
-
-  sol.choice.assign(n, -1);
-  sol.value = value;
-  sol.cost = budget - rem;
-  sol.feasible = true;
-  for (std::size_t g = 0; g < n; ++g) {
-    sol.choice[g] = hulls[g][at[g]].index;
-  }
-  return sol;
+  MckpOracle oracle(costs_of(groups));
+  oracle.set_mask(allowed);
+  const std::vector<double> value = values_of(groups);
+  std::vector<int> choice(groups.size());
+  const MckpOutcome out = oracle.solve_greedy(value.data(), budget, choice.data());
+  if (!out.feasible) return {};
+  return {.choice = std::move(choice), .value = out.value, .cost = out.cost, .feasible = true};
 }
 
 }  // namespace clado::solver

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "clado/tensor/check.h"
 
@@ -15,9 +16,11 @@ std::int64_t QuadraticProblem::total_choices() const {
   return n;
 }
 
-std::int64_t QuadraticProblem::offset(std::size_t g) const {
-  std::int64_t off = 0;
-  for (std::size_t i = 0; i < g; ++i) off += static_cast<std::int64_t>(cost[i].size());
+std::vector<std::int64_t> QuadraticProblem::offsets() const {
+  std::vector<std::int64_t> off(cost.size() + 1, 0);
+  for (std::size_t g = 0; g < cost.size(); ++g) {
+    off[g + 1] = off[g] + static_cast<std::int64_t>(cost[g].size());
+  }
   return off;
 }
 
@@ -69,113 +72,96 @@ double QuadraticProblem::integer_cost(const std::vector<int>& choice) const {
   return acc;
 }
 
+void FwOptions::validate() const {
+  if (max_iters < 1) {
+    throw std::invalid_argument("FwOptions: max_iters must be >= 1 (got " +
+                                std::to_string(max_iters) +
+                                "); without an LP step there is no bound");
+  }
+  if (!(gap_tol >= 0.0)) throw std::invalid_argument("FwOptions: gap_tol must be >= 0");
+}
+
 namespace {
 
-/// Builds the oracle's per-group value arrays from a flat gradient.
-std::vector<ChoiceGroup> oracle_groups(const QuadraticProblem& p,
-                                       const std::vector<double>& grad) {
-  std::vector<ChoiceGroup> groups(p.cost.size());
-  std::size_t k = 0;
-  for (std::size_t g = 0; g < p.cost.size(); ++g) {
-    groups[g].cost = p.cost[g];
-    groups[g].value.resize(p.cost[g].size());
-    for (std::size_t m = 0; m < p.cost[g].size(); ++m) groups[g].value[m] = grad[k++];
-  }
-  return groups;
-}
-
-void flatten_lp(const MckpLpSolution& lp, std::vector<double>& out) {
-  std::size_t k = 0;
-  for (const auto& w : lp.weight) {
-    for (double v : w) out[k++] = v;
-  }
-}
-
-double quad(const Tensor& g_mat, const std::vector<double>& x) {
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  double acc = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (x[static_cast<std::size_t>(i)] == 0.0) continue;
-    double row = 0.0;
-    const float* r = g_mat.data() + i * n;
-    for (std::int64_t j = 0; j < n; ++j) row += static_cast<double>(r[j]) * x[static_cast<std::size_t>(j)];
-    acc += row * x[static_cast<std::size_t>(i)];
-  }
-  return acc;
-}
-
-void gradient(const Tensor& g_mat, const std::vector<double>& x, std::vector<double>& grad) {
-  const std::int64_t n = static_cast<std::int64_t>(x.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    const float* r = g_mat.data() + i * n;
-    for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(r[j]) * x[static_cast<std::size_t>(j)];
-    grad[static_cast<std::size_t>(i)] = 2.0 * acc;  // symmetric G
-  }
+/// out += w · (row j of G), which is column j as G is symmetric.
+void add_row(const Tensor& g_mat, std::size_t j, double w, std::vector<double>& out) {
+  const std::size_t n = out.size();
+  const float* row = g_mat.data() + j * n;
+  for (std::size_t i = 0; i < n; ++i) out[i] += w * static_cast<double>(row[i]);
 }
 
 }  // namespace
 
-FwResult frank_wolfe(const QuadraticProblem& problem, const FwOptions& options,
-                     const std::vector<std::vector<char>>& allowed) {
-  problem.validate();
-  const std::int64_t n = problem.total_choices();
-  FwResult res;
+FrankWolfe::FrankWolfe(const QuadraticProblem& problem)
+    : problem_(&problem), offsets_(problem.offsets()), oracle_(problem.cost) {
+  const auto n = static_cast<std::size_t>(offsets_.back());
+  diag_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) diag_[i] = problem.G.data()[i * n + i];
+  choice_.resize(problem.cost.size());
+  s_.resize(n);
+  gs_.resize(n);
+}
+
+const FwResult& FrankWolfe::run(const FwOptions& options) {
+  options.validate();
+  const QuadraticProblem& p = *problem_;
+  const auto n = static_cast<std::size_t>(offsets_.back());
+  FwResult& res = result_;
+  res.objective = 0.0;
+  res.lower_bound = 0.0;
+  res.iterations = 0;
+  res.converged = false;
+  res.feasible = false;
 
   // Warm start: integer greedy on the diagonal (always feasible when the
   // instance is).
-  std::vector<double> diag(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) diag[static_cast<std::size_t>(i)] = problem.G.data()[i * n + i];
-  const MckpSolution warm =
-      solve_mckp_greedy(oracle_groups(problem, diag), problem.budget, allowed);
-  if (!warm.feasible) return res;  // infeasible node
-
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  {
-    std::int64_t off = 0;
-    for (std::size_t g = 0; g < problem.cost.size(); ++g) {
-      x[static_cast<std::size_t>(off + warm.choice[g])] = 1.0;
-      off += static_cast<std::int64_t>(problem.cost[g].size());
-    }
+  if (!oracle_.solve_greedy(diag_.data(), p.budget, choice_.data()).feasible) {
+    res.x.clear();
+    res.gx.clear();
+    return res;  // infeasible node
   }
-
-  std::vector<double> grad(static_cast<std::size_t>(n));
-  std::vector<double> s(static_cast<std::size_t>(n));
-  std::vector<double> d(static_cast<std::size_t>(n));
-  double f = quad(problem.G, x);
+  std::vector<double>& x = res.x;
+  std::vector<double>& gx = res.gx;
+  x.assign(n, 0.0);
+  gx.assign(n, 0.0);
+  for (std::size_t g = 0; g < choice_.size(); ++g) {
+    const auto j = static_cast<std::size_t>(offsets_[g] + choice_[g]);
+    x[j] = 1.0;
+    add_row(p.G, j, 1.0, gx);
+  }
+  double f = 0.0;
+  for (std::size_t i = 0; i < n; ++i) f += x[i] * gx[i];
   double best_lb = -std::numeric_limits<double>::infinity();
 
   int it = 0;
   for (; it < options.max_iters; ++it) {
-    gradient(problem.G, x, grad);
-    const MckpLpSolution lp =
-        solve_mckp_lp(oracle_groups(problem, grad), problem.budget, allowed);
-    if (!lp.feasible) break;  // should not happen once warm start exists
-    flatten_lp(lp, s);
-
-    // FW duality gap and dual bound: f + gᵀ(s − x) <= f* for convex f.
-    double gap = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      gap += grad[static_cast<std::size_t>(i)] *
-             (x[static_cast<std::size_t>(i)] - s[static_cast<std::size_t>(i)]);
+    // The oracle's choices are invariant under the exact ×2 of the
+    // gradient 2·g, so it reads g directly.
+    // Cannot fail once the warm start fit: the LP has the same base.
+    if (!oracle_.solve_lp(gx.data(), p.budget, s_.data()).feasible) break;
+    std::fill(gs_.begin(), gs_.end(), 0.0);
+    for (const std::int64_t j : oracle_.support()) {
+      add_row(p.G, static_cast<std::size_t>(j), s_[static_cast<std::size_t>(j)], gs_);
     }
+    // With d = s − x: xgd = xᵀGd and dgd = dᵀGd, as G·d = G·s − g.
+    double xgd = 0.0, dgd = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = s_[i] - x[i];
+      xgd += gx[i] * d;
+      dgd += d * (gs_[i] - gx[i]);
+    }
+
+    // FW duality gap and dual bound: f + ∇fᵀ(s − x) <= f* for convex f.
+    const double gap = -2.0 * xgd;
     best_lb = std::max(best_lb, f - gap);
     if (gap <= options.gap_tol * std::max(1.0, std::abs(f))) {
+      res.converged = true;
       ++it;
       break;
     }
 
-    for (std::int64_t i = 0; i < n; ++i) {
-      d[static_cast<std::size_t>(i)] =
-          s[static_cast<std::size_t>(i)] - x[static_cast<std::size_t>(i)];
-    }
-    // Exact line search for quadratic objective: f(x + t d) minimized at
-    // t* = −(xᵀGd) / (dᵀGd) accounting for symmetry.
-    double dgd = quad(problem.G, d);
-    double xgd = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      xgd += 0.5 * grad[static_cast<std::size_t>(i)] * d[static_cast<std::size_t>(i)];
-    }
+    // Exact line search for the quadratic objective: f(x + t d) is
+    // minimized at t* = −(xᵀGd) / (dᵀGd).
     double t = 1.0;
     if (dgd > 1e-18) {
       t = std::clamp(-xgd / dgd, 0.0, 1.0);
@@ -185,18 +171,27 @@ FwResult frank_wolfe(const QuadraticProblem& problem, const FwOptions& options,
       t = (xgd + dgd <= 0.0) ? 1.0 : 0.0;
     }
     if (t == 0.0) break;
-    for (std::int64_t i = 0; i < n; ++i) {
-      x[static_cast<std::size_t>(i)] += t * d[static_cast<std::size_t>(i)];
+    f = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += t * (s_[i] - x[i]);
+      gx[i] += t * (gs_[i] - gx[i]);
+      f += x[i] * gx[i];
     }
-    f = quad(problem.G, x);
   }
 
-  res.x = std::move(x);
   res.objective = f;
-  res.lower_bound = best_lb == -std::numeric_limits<double>::infinity() ? f : best_lb;
+  res.lower_bound = best_lb;
   res.iterations = it;
   res.feasible = true;
   return res;
+}
+
+FwResult frank_wolfe(const QuadraticProblem& problem, const FwOptions& options,
+                     const std::vector<std::vector<char>>& allowed) {
+  problem.validate();
+  FrankWolfe fw(problem);
+  fw.oracle().set_mask(allowed);
+  return fw.run(options);
 }
 
 }  // namespace clado::solver

@@ -138,6 +138,41 @@ TEST(Iqp, TightBudgetForcesCheapestAssignment) {
   }
 }
 
+TEST(Iqp, ZeroFrankWolfeIterationsAreRejected) {
+  // With no LP step there is no dual bound. The warm start's objective is
+  // an upper bound, and taken as the root's bound it would let the
+  // integral warm start close the root with a false proof.
+  Rng rng(15);
+  const auto p = random_problem(6, 3, rng, 1.3);
+  IqpOptions opts;
+  opts.fw.max_iters = 0;
+  EXPECT_THROW(solve_iqp(p, opts), std::invalid_argument);
+  // A bad option is the caller's error: the fallback chain must not hide
+  // it behind a degraded assignment.
+  EXPECT_THROW(solve_with_fallback(p, opts), std::invalid_argument);
+}
+
+TEST(Iqp, ProvenOptimaMatchBruteForceAtLowIterationCaps) {
+  // Few FW iterations give weak bounds and may stop FW at an integral
+  // point it has not proven optimal; the search must still never call a
+  // suboptimal assignment proven.
+  for (const int iters : {1, 2}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      Rng rng(50 + static_cast<std::uint64_t>(trial));
+      const auto p = random_problem(6, 3, rng, 1.0 + 0.1 * (trial % 7));
+      IqpOptions opts;
+      opts.fw.max_iters = iters;
+      const auto bb = solve_iqp(p, opts);
+      const auto exact = solve_iqp_brute_force(p);
+      ASSERT_EQ(bb.feasible, exact.feasible) << "iters " << iters << " trial " << trial;
+      if (!exact.feasible) continue;
+      EXPECT_TRUE(bb.proven_optimal) << "iters " << iters << " trial " << trial;
+      EXPECT_NEAR(bb.objective, exact.objective, 1e-6 * std::max(1.0, std::abs(exact.objective)))
+          << "iters " << iters << " trial " << trial;
+    }
+  }
+}
+
 TEST(Iqp, CrossTermsChangeTheOptimum) {
   // Figure 1's motivating example as a unit test: two groups, two choices
   // ("quantize" with cost 1 / "keep" with cost 2), budget forces exactly

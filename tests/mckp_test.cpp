@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -293,6 +294,103 @@ TEST(Mckp, SingleChoiceGroupsAgreeWithBruteForce) {
       EXPECT_NEAR(greedy.value, bf.value, 1e-9) << "trial " << trial;
     }
   }
+}
+
+TEST(MckpOracle, ReuseAcrossValuesAndMasksMatchesFreshSolves) {
+  // One oracle serves every Frank–Wolfe iteration and every branch-and-
+  // bound node; no state from an earlier solve may leak into a later one.
+  // Values come from a coarse grid and costs repeat inside groups, so
+  // tied values, tied efficiencies, equal-cost runs and dominated choices
+  // all occur.
+  Rng rng(9);
+  const std::size_t groups = 6, choices = 4;
+  std::vector<std::vector<double>> cost(groups);
+  for (auto& g : cost) {
+    for (std::size_t m = 0; m < choices; ++m) g.push_back(0.25 * (1 + rng.uniform_int(4)));
+  }
+  MckpOracle oracle(cost);
+  const std::size_t n = groups * choices;
+  std::vector<double> weight(n), scaled(n), scaled_weight(n);
+  std::vector<int> choice(groups), scaled_choice(groups);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<ChoiceGroup> inst(groups);
+    std::vector<double> value;
+    for (std::size_t g = 0; g < groups; ++g) {
+      inst[g].cost = cost[g];
+      for (std::size_t m = 0; m < choices; ++m) {
+        inst[g].value.push_back(0.5 * static_cast<double>(rng.uniform_int(5)) - 1.0);
+        value.push_back(inst[g].value.back());
+      }
+    }
+    // No mask, a random mask, or a mask that empties one group.
+    std::vector<std::vector<char>> allowed;
+    if (trial % 3 != 0) {
+      allowed.assign(groups, std::vector<char>(choices, 0));
+      for (auto& g : allowed) {
+        for (auto& a : g) a = rng.uniform(0.0, 1.0) < 0.6 ? 1 : 0;
+        if (trial % 17 != 1) g[rng.uniform_int(choices)] = 1;
+      }
+    }
+    const double budget = min_total_cost(inst) * rng.uniform(0.9, 1.8);
+    oracle.set_mask(allowed);
+
+    const MckpOutcome lp = oracle.solve_lp(value.data(), budget, weight.data());
+    const auto fresh_lp = solve_mckp_lp(inst, budget, allowed);
+    ASSERT_EQ(lp.feasible, fresh_lp.feasible) << "trial " << trial;
+    EXPECT_EQ(lp.value, fresh_lp.value) << "trial " << trial;
+    EXPECT_EQ(lp.cost, fresh_lp.cost) << "trial " << trial;
+    std::size_t nonzero = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::size_t m = 0; m < choices; ++m) {
+        const double w = weight[g * choices + m];
+        EXPECT_EQ(w, fresh_lp.weight[g][m]) << "trial " << trial << " group " << g;
+        if (w == 0.0) continue;
+        ++nonzero;
+        const auto& sup = oracle.support();
+        EXPECT_NE(std::find(sup.begin(), sup.end(), static_cast<std::int64_t>(g * choices + m)),
+                  sup.end())
+            << "trial " << trial << ": nonzero weight missing from support";
+      }
+    }
+    EXPECT_LE(nonzero, groups + 1);
+    if (lp.feasible) {
+      EXPECT_LE(oracle.support().size(), groups + 1);
+    }
+
+    const MckpOutcome greedy = oracle.solve_greedy(value.data(), budget, choice.data());
+    const auto fresh_greedy = solve_mckp_greedy(inst, budget, allowed);
+    ASSERT_EQ(greedy.feasible, fresh_greedy.feasible) << "trial " << trial;
+    if (!greedy.feasible) continue;
+    EXPECT_EQ(choice, fresh_greedy.choice) << "trial " << trial;
+    EXPECT_EQ(greedy.value, fresh_greedy.value) << "trial " << trial;
+    EXPECT_EQ(greedy.cost, fresh_greedy.cost) << "trial " << trial;
+
+    // Frank–Wolfe feeds the oracle G·x rather than the gradient 2·G·x:
+    // doubling every value is exact, so no choice may change.
+    for (std::size_t i = 0; i < n; ++i) scaled[i] = 2.0 * value[i];
+    oracle.solve_lp(scaled.data(), budget, scaled_weight.data());
+    EXPECT_EQ(scaled_weight, weight) << "trial " << trial;
+    oracle.solve_greedy(scaled.data(), budget, scaled_choice.data());
+    EXPECT_EQ(scaled_choice, choice) << "trial " << trial;
+  }
+}
+
+TEST(MckpOracle, RejectsBadCostsValuesAndMasks) {
+  using Costs = std::vector<std::vector<double>>;
+  EXPECT_THROW(MckpOracle(Costs{{1.0}, {}}), std::invalid_argument);
+  EXPECT_THROW(MckpOracle(Costs{{1.0, -0.5}}), std::invalid_argument);
+  EXPECT_THROW(MckpOracle(Costs{{1.0, std::numeric_limits<double>::infinity()}}),
+               std::invalid_argument);
+  MckpOracle oracle(Costs{{1.0, 2.0}, {1.0}});
+  EXPECT_THROW(oracle.set_mask(std::vector<std::vector<char>>{{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(oracle.set_mask(std::vector<std::vector<char>>{{1}, {1}}), std::invalid_argument);
+  std::vector<double> weight(3);
+  std::vector<int> choice(2);
+  const std::vector<double> nan_value = {0.0, std::numeric_limits<double>::quiet_NaN(), 1.0};
+  EXPECT_THROW(oracle.solve_lp(nan_value.data(), 5.0, weight.data()), std::invalid_argument);
+  EXPECT_THROW(oracle.solve_greedy(nan_value.data(), 5.0, choice.data()), std::invalid_argument);
+  const std::vector<double> value = {0.0, -1.0, 1.0};
+  EXPECT_THROW(oracle.solve_lp(value.data(), std::nan(""), weight.data()), std::invalid_argument);
 }
 
 TEST(Mckp, EmptyInstanceIsTriviallyFeasible) {

@@ -42,6 +42,22 @@ QuadraticProblem random_problem(std::size_t groups, std::size_t choices, Rng& rn
   return p;
 }
 
+/// Dense G·x, and per row the scale Σ_j |G_ij·x_j| its rounding error is
+/// relative to.
+void dense_gx(const QuadraticProblem& p, const std::vector<double>& x, std::vector<double>& gx,
+              std::vector<double>& scale) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  gx.assign(x.size(), 0.0);
+  scale.assign(x.size(), 0.0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const double term = static_cast<double>(p.G.at({i, j})) * x[static_cast<std::size_t>(j)];
+      gx[static_cast<std::size_t>(i)] += term;
+      scale[static_cast<std::size_t>(i)] += std::abs(term);
+    }
+  }
+}
+
 TEST(QuadraticProblem, ValidationAndAccessors) {
   QuadraticProblem p;
   p.G = Tensor({4, 4});
@@ -50,8 +66,7 @@ TEST(QuadraticProblem, ValidationAndAccessors) {
   EXPECT_NO_THROW(p.validate());
   EXPECT_EQ(p.total_choices(), 4);
   EXPECT_EQ(p.num_groups(), 2);
-  EXPECT_EQ(p.offset(0), 0);
-  EXPECT_EQ(p.offset(1), 2);
+  EXPECT_EQ(p.offsets(), (std::vector<std::int64_t>{0, 2, 4}));
 
   p.G = Tensor({3, 3});
   EXPECT_THROW(p.validate(), std::invalid_argument);
@@ -168,6 +183,39 @@ TEST(FrankWolfe, RespectsAllowedMask) {
   const auto res = frank_wolfe(p, {}, allowed);
   ASSERT_TRUE(res.feasible);
   EXPECT_NEAR(res.x[1], 1.0, 1e-6);
+}
+
+TEST(FrankWolfe, RejectsZeroIterations) {
+  Rng rng(5);
+  const auto p = random_problem(4, 3, rng);
+  FwOptions opts;
+  opts.max_iters = 0;
+  EXPECT_THROW(frank_wolfe(p, opts), std::invalid_argument);
+  opts.max_iters = 1;
+  opts.gap_tol = -1.0;
+  EXPECT_THROW(frank_wolfe(p, opts), std::invalid_argument);
+}
+
+TEST(FrankWolfe, MaintainedGradientStaysExactOverLongRuns) {
+  // g = G·x is updated, never recomputed; a gap tolerance of 0 keeps FW
+  // stepping for the whole budget, the worst case for drift.
+  Rng rng(6);
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto p = random_problem(10, 4, rng, 1.3);
+    FwOptions opts;
+    opts.max_iters = 2000;
+    opts.gap_tol = 0.0;
+    const auto res = frank_wolfe(p, opts);
+    ASSERT_TRUE(res.feasible);
+    std::vector<double> gx, scale;
+    dense_gx(p, res.x, gx, scale);
+    for (std::size_t i = 0; i < gx.size(); ++i) {
+      EXPECT_NEAR(res.gx[i], gx[i], 1e-12 * scale[i]) << "trial " << trial << " row " << i;
+    }
+    double f = 0.0;
+    for (std::size_t i = 0; i < gx.size(); ++i) f += res.x[i] * gx[i];
+    EXPECT_NEAR(res.objective, f, 1e-12 * std::max(1.0, std::abs(f))) << "trial " << trial;
+  }
 }
 
 TEST(FrankWolfe, GapConvergesOnEasyProblem) {

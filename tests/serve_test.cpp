@@ -202,6 +202,28 @@ TEST(ServeServer, DeadlineExpiredRequestsNeverRun) {
   EXPECT_EQ(clado::obs::counter("serve.completed").value(), completed_before + 1);
 }
 
+TEST(ServeServer, ExpiredRequestsDoNotShortenTheBatch) {
+  // Two expired requests queued ahead of four live ones: formation must
+  // skip the expired pair and run the live four as one full batch, not
+  // two short batches with live work left waiting in the queue.
+  auto engine = make_engine({}, 1);
+  Server server(engine, paused_config(1, /*max_batch=*/4));
+  Rng rng(23);
+  std::vector<std::future<Response>> doomed;
+  for (int i = 0; i < 2; ++i) doomed.push_back(server.submit(make_sample(rng), /*deadline_us=*/1));
+  std::vector<std::future<Response>> alive;
+  for (int i = 0; i < 4; ++i) alive.push_back(server.submit(make_sample(rng)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.resume();
+
+  for (auto& f : doomed) EXPECT_EQ(f.get().status, Status::kDeadlineExpired);
+  for (auto& f : alive) {
+    const Response r = f.get();
+    EXPECT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(r.batch_size, 4) << "expired requests took slots of the live batch";
+  }
+}
+
 TEST(ServeServer, OverloadRejectsImmediately) {
   auto engine = make_engine({}, 1);
   ServerConfig cfg = paused_config(1, 8);

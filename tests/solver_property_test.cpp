@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "clado/solver/anneal.h"
 #include "clado/solver/iqp.h"
@@ -131,6 +132,50 @@ TEST_P(SeededSolverTest, MckpLpBoundsDp) {
   ASSERT_TRUE(lp.feasible);
   ASSERT_TRUE(dp.feasible);
   EXPECT_LE(lp.value, dp.value + 1e-6);
+}
+
+TEST_P(SeededSolverTest, FrankWolfeUnderRandomMasksKeepsExactGradientAndValidBound) {
+  // Branch-and-bound nodes are masks; at FW exit under any mask the
+  // maintained G·x must equal a dense recomputation, and the dual bound
+  // must not exceed the best masked integer assignment.
+  Rng rng(800 + GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto p = random_problem(6, 3, rng, 1.0 + 0.15 * (trial % 5));
+    std::vector<std::vector<char>> allowed(6, std::vector<char>(3, 0));
+    for (auto& group : allowed) {
+      for (auto& a : group) a = rng.uniform(0.0, 1.0) < 0.6 ? 1 : 0;
+      group[rng.uniform_int(3)] = 1;
+    }
+    FwOptions opts;
+    opts.max_iters = trial % 2 == 0 ? 200 : 1 + static_cast<int>(rng.uniform_int(20));
+
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<int> choice(6, 0);
+    while (true) {
+      bool ok = p.integer_cost(choice) <= p.budget;
+      for (std::size_t g = 0; g < 6; ++g) ok = ok && allowed[g][static_cast<std::size_t>(choice[g])];
+      if (ok) best = std::min(best, p.integer_objective(choice));
+      std::size_t g = 0;
+      while (g < 6 && ++choice[g] == 3) choice[g++] = 0;
+      if (g == 6) break;
+    }
+
+    const auto res = frank_wolfe(p, opts, allowed);
+    if (!std::isfinite(best)) continue;  // mask leaves nothing within budget
+    ASSERT_TRUE(res.feasible) << "trial " << trial;
+    const auto n = static_cast<std::int64_t>(res.x.size());
+    for (std::int64_t i = 0; i < n; ++i) {
+      double dense = 0.0, scale = 0.0;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const double term = static_cast<double>(p.G.at({i, j})) * res.x[static_cast<std::size_t>(j)];
+        dense += term;
+        scale += std::abs(term);
+      }
+      EXPECT_NEAR(res.gx[static_cast<std::size_t>(i)], dense, 1e-12 * scale)
+          << "trial " << trial << " row " << i;
+    }
+    EXPECT_LE(res.lower_bound, best + 1e-9 * std::max(1.0, std::abs(best))) << "trial " << trial;
+  }
 }
 
 TEST_P(SeededSolverTest, BudgetMonotonicity) {

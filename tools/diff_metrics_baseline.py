@@ -2,7 +2,7 @@
 """Diff a CLADO_METRICS dump against a checked-in counter baseline.
 
 Usage:
-    diff_metrics_baseline.py <baseline.json> <actual_metrics.json>
+    diff_metrics_baseline.py [--report] <baseline.json> <actual_metrics.json>
 
 The baseline holds only counters that are deterministic for a pinned
 configuration (fixed model list, fixed sensitivity set, fixed iteration
@@ -28,17 +28,53 @@ above it means a fused inference batch touched the heap.
 
 Exit status: 0 on match, 1 on any drift, floor/ceiling violation, or
 missing key.
+
+--report prints the delta instead of gating on it: one Markdown table row
+per baselined counter and gauge bound (baseline / actual / actual minus
+baseline) and exit status 0 whatever the values. Use it to see how far a
+change moved the work counters, and to write up a baseline refresh.
 """
 
 import json
 import sys
 
 
+def gauge_value(entry):
+    # Gauges dump as {"last": x, "max": y}; compare the final value.
+    return entry["last"] if isinstance(entry, dict) else entry
+
+
+def fmt(value, sign=""):
+    if isinstance(value, int):
+        return f"{value:{sign},}"
+    return f"{value:{sign},.6g}"
+
+
+def report(baseline_path, expected, floors, ceilings, got, got_gauges) -> int:
+    rows = [(name, want, got.get(name)) for name, want in sorted(expected.items())]
+    for label, bounds in (("floor", floors), ("ceiling", ceilings)):
+        for name, bound in sorted(bounds.items()):
+            have = gauge_value(got_gauges[name]) if name in got_gauges else None
+            rows.append((f"{name} ({label})", bound, have))
+    print(f"| metric | baseline ({baseline_path}) | actual | delta |")
+    print("|---|---:|---:|---:|")
+    for name, want, have in rows:
+        if have is None:
+            print(f"| {name} | {fmt(want)} | missing | |")
+        else:
+            print(f"| {name} | {fmt(want)} | {fmt(have)} | {fmt(have - want, '+')} |")
+    return 0
+
+
 def main() -> int:
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    report_mode = "--report" in args
+    if report_mode:
+        args.remove("--report")
+    if len(args) != 2:
         sys.stderr.write(__doc__)
         return 2
-    baseline_path, actual_path = sys.argv[1], sys.argv[2]
+    baseline_path, actual_path = args
 
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
@@ -55,6 +91,8 @@ def main() -> int:
         return 2
     got = actual.get("counters", {})
     got_gauges = actual.get("gauges", {})
+    if report_mode:
+        return report(baseline_path, expected, floors, ceilings, got, got_gauges)
 
     drifts = []
     for name, want in sorted(expected.items()):
@@ -66,17 +104,14 @@ def main() -> int:
         if name not in got_gauges:
             drifts.append(f"  {name}: gauge missing from {actual_path} (floor {floor})")
             continue
-        entry = got_gauges[name]
-        # Gauges dump as {"last": x, "max": y}; gate on the final value.
-        value = entry["last"] if isinstance(entry, dict) else entry
+        value = gauge_value(got_gauges[name])
         if value < floor:
             drifts.append(f"  {name}: {value} below baseline floor {floor}")
     for name, ceiling in sorted(ceilings.items()):
         if name not in got_gauges:
             drifts.append(f"  {name}: gauge missing from {actual_path} (ceiling {ceiling})")
             continue
-        entry = got_gauges[name]
-        value = entry["last"] if isinstance(entry, dict) else entry
+        value = gauge_value(got_gauges[name])
         if value > ceiling:
             drifts.append(f"  {name}: {value} above baseline ceiling {ceiling}")
 
