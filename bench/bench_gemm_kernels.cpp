@@ -1,6 +1,8 @@
 // GEMM kernel-level throughput: scalar reference vs the best runtime-
 // dispatched level (AVX2/FMA where the host has it), for the fp32 blocked
-// kernel and the int8 widening kernel.
+// kernel and the int8 widening kernel; and the batched conv entry
+// (kernels::conv2d_f32) vs the per-sample im2col + gemm route it replaced,
+// both at the dispatched level, on resnet_a's conv shapes.
 //
 // Two kinds of output, with different contracts:
 //   * Timings (GFLOP/s, GOP/s, speedup) — never baselined as wall clock,
@@ -8,18 +10,21 @@
 //     host is stable enough to gate: the baseline pins a minimum via the
 //     gauges_min section checked by tools/diff_metrics_baseline.py.
 //   * Work/correctness counters — deterministic; the vector level is
-//     re-verified against scalar on every timed shape, and any mismatch
-//     shows up as a nonzero kernels.bench.*_mismatches counter (baselined
-//     at zero).
+//     re-verified against scalar on every timed shape (the conv entry
+//     against the per-sample route, bit for bit), and any mismatch shows
+//     up as a nonzero kernels.bench.*_mismatches counter (baselined at
+//     zero).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "clado/obs/obs.h"
 #include "clado/tensor/kernels.h"
+#include "clado/tensor/ops.h"
 #include "clado/tensor/rng.h"
 
 namespace {
@@ -152,6 +157,83 @@ double bench_s8(Level best) {
   return speedup;
 }
 
+double bench_conv(Level level) {
+  // resnet_a's conv layers at the sensitivity sweep's batch (its 1x1
+  // downsamples take gemm's small path and so keep the per-sample route).
+  const std::vector<kernels::ConvGeometry> shapes = {
+      {3, 16, 16, 8, 3, 1, 1, 1},  {8, 16, 16, 8, 3, 1, 1, 1}, {8, 16, 16, 16, 3, 2, 1, 1},
+      {16, 8, 8, 16, 3, 1, 1, 1},  {16, 8, 8, 32, 3, 2, 1, 1}, {32, 4, 4, 32, 3, 1, 1, 1},
+  };
+  constexpr std::int64_t kBatch = 64;
+  Rng rng(777);
+  double per_sample_total = 0.0;
+  double entry_total = 0.0;
+  double flops_total = 0.0;
+  for (const kernels::ConvGeometry& g : shapes) {
+    const std::int64_t oh = clado::tensor::conv_out_size(g.height, g.kernel, g.stride, g.pad);
+    const std::int64_t ow = clado::tensor::conv_out_size(g.width, g.kernel, g.stride, g.pad);
+    const std::int64_t positions = oh * ow;
+    const std::int64_t patch = g.in_channels * g.kernel * g.kernel;
+    const std::int64_t image = g.in_channels * g.height * g.width;
+    std::vector<float> input(static_cast<std::size_t>(kBatch * image));
+    std::vector<float> weight(static_cast<std::size_t>(g.out_channels * patch));
+    std::vector<float> bias(static_cast<std::size_t>(g.out_channels));
+    for (auto& v : input) v = static_cast<float>(rng.normal());
+    for (auto& v : weight) v = static_cast<float>(rng.normal());
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    const std::size_t out_numel = static_cast<std::size_t>(kBatch * g.out_channels * positions);
+    std::vector<float> out_per_sample(out_numel);
+    std::vector<float> out_entry(out_numel);
+
+    std::vector<float> cols(static_cast<std::size_t>(positions * patch));
+    auto per_sample = [&] {
+      for (std::int64_t s = 0; s < kBatch; ++s) {
+        float* out = out_per_sample.data() + s * g.out_channels * positions;
+        clado::tensor::im2col(input.data() + s * image, g.in_channels, g.height, g.width,
+                              g.kernel, g.kernel, g.stride, g.pad, cols.data());
+        clado::tensor::gemm(level, false, true, g.out_channels, positions, patch, 1.0F,
+                            weight.data(), cols.data(), 0.0F, out);
+        for (std::int64_t c = 0; c < g.out_channels; ++c) {
+          for (std::int64_t p = 0; p < positions; ++p) out[c * positions + p] += bias[c];
+        }
+      }
+    };
+    const kernels::ConvWorkspace ws = kernels::conv2d_f32_workspace(level, g);
+    std::vector<float> floats(static_cast<std::size_t>(ws.floats));
+    std::vector<std::int32_t> indices(static_cast<std::size_t>(ws.indices));
+    auto entry = [&] {
+      kernels::conv2d_f32(level, g, kBatch, input.data(), weight.data(), bias.data(),
+                          floats.data(), indices.data(), out_entry.data());
+    };
+    const double t_per_sample = time_per_run(per_sample);
+    const double t_entry = time_per_run(entry);
+
+    std::int64_t mismatches = 0;
+    for (std::size_t i = 0; i < out_numel; ++i) {
+      if (std::memcmp(&out_per_sample[i], &out_entry[i], sizeof(float)) != 0) ++mismatches;
+    }
+    clado::obs::counter("kernels.bench.conv_cases").add();
+    clado::obs::counter("kernels.bench.conv_mismatches").add(mismatches);
+
+    const double flops = 2.0 * static_cast<double>(kBatch * g.out_channels * positions * patch);
+    per_sample_total += t_per_sample;
+    entry_total += t_entry;
+    flops_total += flops;
+    std::printf("  conv %2lldx%2lldx%2lld -> %2lld k%lld s%lld  per-sample %6.2f GFLOP/s   "
+                "entry %6.2f GFLOP/s   %5.2fx\n",
+                static_cast<long long>(g.in_channels), static_cast<long long>(g.height),
+                static_cast<long long>(g.width), static_cast<long long>(g.out_channels),
+                static_cast<long long>(g.kernel), static_cast<long long>(g.stride),
+                flops / t_per_sample * 1e-9, flops / t_entry * 1e-9, t_per_sample / t_entry);
+  }
+  const double speedup = per_sample_total / entry_total;
+  std::printf("  conv aggregate (batch %lld, %s): per-sample %.2f GFLOP/s, entry %.2f GFLOP/s, "
+              "speedup %.2fx\n",
+              static_cast<long long>(kBatch), kernels::level_name(level),
+              flops_total / per_sample_total * 1e-9, flops_total / entry_total * 1e-9, speedup);
+  return speedup;
+}
+
 }  // namespace
 
 int main() {
@@ -167,13 +249,17 @@ int main() {
     std::printf("active level is scalar; speedup gauges skipped\n\n");
     bench_f32(Level::kScalar);
     bench_s8(Level::kScalar);
+    bench_conv(Level::kScalar);
     return 0;
   }
 
   const double f32_speedup = bench_f32(best);
   std::printf("\n");
   const double s8_speedup = bench_s8(best);
+  std::printf("\n");
+  const double conv_speedup = bench_conv(best);
   clado::obs::gauge("kernels.bench.f32_speedup").set(f32_speedup);
   clado::obs::gauge("kernels.bench.s8_speedup").set(s8_speedup);
+  clado::obs::gauge("kernels.bench.conv_speedup").set(conv_speedup);
   return 0;
 }

@@ -28,7 +28,9 @@ const char* algorithm_name(Algorithm a) {
 }
 
 MpqPipeline::MpqPipeline(Model& model, Batch sensitivity_batch, PipelineOptions options)
-    : model_(model), options_(options), engine_(model, std::move(sensitivity_batch)) {}
+    : model_(model),
+      options_(options),
+      engine_(model, std::move(sensitivity_batch), options.sweep_threads) {}
 
 const Tensor& MpqPipeline::clado_matrix_raw() {
   if (!g_raw_) {

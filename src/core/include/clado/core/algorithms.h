@@ -36,7 +36,7 @@ struct PipelineOptions {
   int hawq_probes = 3;                 ///< Hutchinson probes per layer
   std::uint64_t hawq_seed = 7;
   double hvp_step = 1e-2;              ///< finite-difference step for HVPs
-  int sweep_threads = 0;               ///< full_matrix workers; 0 = CLADO_NUM_THREADS/hardware
+  int sweep_threads = 0;               ///< singles + sweep workers; 0 = CLADO_NUM_THREADS/hardware
   bool verbose = false;
 };
 

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
@@ -77,7 +78,9 @@ class SensitivityEngine {
   /// The model must already be activation-calibrated if activation
   /// quantization is desired (the paper quantizes activations to 8 bits
   /// for every algorithm). The batch is the sensitivity set.
-  SensitivityEngine(Model& model, Batch batch);
+  /// `num_threads` is the worker count of single_losses() (resolved as for
+  /// full_matrix: 0 = tensor::ThreadPool's count).
+  SensitivityEngine(Model& model, Batch batch, int num_threads = 0);
 
   /// L(w): clean loss on the sensitivity set.
   double base_loss() const { return base_loss_; }
@@ -85,7 +88,12 @@ class SensitivityEngine {
   /// Q(w^(i), b_m) − w^(i), precomputed at construction.
   const Tensor& delta(std::int64_t layer, std::int64_t bit_index) const;
 
-  /// Single-layer losses L(w + Δw_m^(i)) for all (i, m): [I][|B|].
+  /// Single-layer losses L(w + Δw_m^(i)) for all (i, m): [I][|B|],
+  /// measured once and cached. With more than one worker, each worker
+  /// measures whole layers on its own Model::clone() replica, as
+  /// full_matrix does, so the losses are bit-identical to the serial
+  /// ones. A loss still non-finite on re-measurement throws; the weights
+  /// are restored and the singles stay unmeasured.
   const std::vector<std::vector<double>>& single_losses();
 
   /// Layer-specific sensitivities Ω_ii (the diagonal of Ĝ): [I][|B|].
@@ -153,8 +161,25 @@ class SensitivityEngine {
   double eval_loss(Model& model, SensitivityStats& stats, std::size_t stage,
                    const Tensor& input, std::vector<Tensor>* record) const;
 
-  /// Loss of the primary model (marks its layer stashes dirty).
-  double loss_from(std::size_t stage, const Tensor& input, std::vector<Tensor>* record);
+  /// Failures of one parallel phase: the first worker's, and a pool-level
+  /// one (a worker skipped before its body ran).
+  struct ReplicaErrors {
+    std::exception_ptr worker;
+    std::exception_ptr pool;
+  };
+
+  /// Runs body(replica, stats) once on each of `workers` fresh
+  /// Model::clone() replicas in parallel, catching the bodies' failures,
+  /// and adds every replica's counters to stats_. Both the singles and the
+  /// sweep use it; the caller decides which failures to rethrow.
+  ReplicaErrors run_on_replicas(int workers,
+                                const std::function<void(Model&, SensitivityStats&)>& body);
+
+  /// Single-loss worker: claims layers i from `next_layer` and measures
+  /// L(w + Δw_m^(i)) for every bit on `model` into losses[i].
+  void measure_singles(Model& model, SensitivityStats& stats,
+                       std::atomic<std::int64_t>& next_layer,
+                       std::vector<std::vector<double>>& losses) const;
 
   /// Off-diagonal sweep worker: claims rows i from `next_row`, skips rows
   /// the sink already holds (resume / retry passes), measures all pairs
@@ -166,10 +191,12 @@ class SensitivityEngine {
                   std::atomic<std::int64_t>& next_row,
                   const std::function<void(std::int64_t)>& report);
 
-  void ensure_single_losses();
+  /// Measures the singles on resolve(num_threads) workers unless cached.
+  void ensure_single_losses(int num_threads);
 
   Model& model_;
   Batch batch_;
+  int num_threads_ = 0;  // single_losses() workers; 0 = ThreadPool's count
   double base_loss_ = 0.0;
   std::vector<std::vector<Tensor>> quantized_;  // [I][|B|] quantized weights Q(w, b)
   std::vector<std::vector<Tensor>> deltas_;     // [I][|B|] Q(w, b) − w

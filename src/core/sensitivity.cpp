@@ -47,6 +47,15 @@ Tensor encode_ckpt_meta(std::int64_t layers, std::int64_t bits, double base_loss
   return meta;
 }
 
+// Workers of a parallel phase: `num_threads` > 0 wins, else the global
+// pool's size (CLADO_NUM_THREADS / hardware); never more than `layers`,
+// since workers claim whole layers.
+int resolve_workers(int num_threads, std::int64_t layers) {
+  const std::int64_t resolved =
+      num_threads > 0 ? num_threads : clado::tensor::ThreadPool::global().num_threads();
+  return static_cast<int>(std::min<std::int64_t>(resolved, layers));
+}
+
 bool ckpt_meta_matches(const Tensor& meta, std::int64_t layers, std::int64_t bits,
                        double base_loss) {
   if (meta.dim() != 1 || meta.size(0) != 4) return false;
@@ -193,8 +202,8 @@ struct SensitivityEngine::SweepSink {
   }
 };
 
-SensitivityEngine::SensitivityEngine(Model& model, Batch batch)
-    : model_(model), batch_(std::move(batch)) {
+SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_threads)
+    : model_(model), batch_(std::move(batch)), num_threads_(num_threads) {
   clado::obs::Span span("sensitivity/clean_pass");
   model_.net->set_training(false);
 
@@ -259,41 +268,103 @@ double SensitivityEngine::eval_loss(Model& model, SensitivityStats& stats, std::
   }
 }
 
-double SensitivityEngine::loss_from(std::size_t stage, const Tensor& input,
-                                    std::vector<Tensor>* record) {
-  stashes_clean_ = false;
-  return eval_loss(model_, stats_, stage, input, record);
+SensitivityEngine::ReplicaErrors SensitivityEngine::run_on_replicas(
+    int workers, const std::function<void(Model&, SensitivityStats&)>& body) {
+  // A replica carries a deep copy of the weights AND the clean activation
+  // cache, so no additional clean pass is needed and per-measurement
+  // arithmetic is identical to the serial phase. The primary model is never
+  // touched.
+  std::vector<Model> replicas;
+  replicas.reserve(static_cast<std::size_t>(workers));
+  for (int t = 0; t < workers; ++t) replicas.push_back(model_.clone());
+  std::vector<SensitivityStats> worker_stats(static_cast<std::size_t>(workers));
+
+  ReplicaErrors errors;
+  std::mutex worker_error_mutex;
+  clado::tensor::ThreadPool pool(workers);
+  try {
+    // The worker body catches its own failures instead of throwing
+    // through the pool: the pool's chunk retry would re-enter the body,
+    // which claims *new* work from its counter — the interrupted item
+    // would be silently dropped and the phase would look clean. Catching
+    // here also lets the surviving workers drain every remaining item.
+    pool.parallel_for(0, workers, 1, [&](std::int64_t t, std::int64_t) {
+      try {
+        body(replicas[static_cast<std::size_t>(t)], worker_stats[static_cast<std::size_t>(t)]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(worker_error_mutex);
+        if (!errors.worker) errors.worker = std::current_exception();
+      }
+    });
+  } catch (...) {
+    // Only pool-level failures arrive here; worker failures were recorded
+    // above.
+    errors.pool = std::current_exception();
+  }
+  // Merge measurement accounting whether or not the phase survived — the
+  // forwards happened either way.
+  for (const auto& ws : worker_stats) {
+    stats_.forward_measurements += ws.forward_measurements;
+    stats_.stage_executions += ws.stage_executions;
+    stats_.stage_executions_naive += ws.stage_executions_naive;
+  }
+  return errors;
 }
 
-void SensitivityEngine::ensure_single_losses() {
-  if (singles_done_) return;
-  clado::obs::Span span("sensitivity/singles");
-  const std::int64_t layers = model_.num_quant_layers();
+void SensitivityEngine::measure_singles(Model& model, SensitivityStats& stats,
+                                        std::atomic<std::int64_t>& next_layer,
+                                        std::vector<std::vector<double>>& losses) const {
+  const std::int64_t layers = model.num_quant_layers();
   const std::int64_t bits = num_bits();
-  single_losses_.assign(static_cast<std::size_t>(layers),
-                        std::vector<double>(static_cast<std::size_t>(bits), 0.0));
-  for (std::int64_t i = 0; i < layers; ++i) {
-    auto& ref = model_.quant_layers[static_cast<std::size_t>(i)];
+  for (;;) {
+    const std::int64_t i = next_layer.fetch_add(1, std::memory_order_relaxed);
+    if (i >= layers) return;
+    auto& ref = model.quant_layers[static_cast<std::size_t>(i)];
     auto& w = ref.layer->weight_param().value;
     const WeightRestoreGuard guard(w);
     const auto stage = static_cast<std::size_t>(ref.stage);
     for (std::int64_t m = 0; m < bits; ++m) {
       w = quantized_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      single_losses_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
-          loss_from(stage, model_.net->cached_input(stage), nullptr);
+      losses[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
+          eval_loss(model, stats, stage, model.net->cached_input(stage), nullptr);
     }
   }
+}
+
+void SensitivityEngine::ensure_single_losses(int num_threads) {
+  if (singles_done_) return;
+  clado::obs::Span span("sensitivity/singles");
+  const std::int64_t layers = model_.num_quant_layers();
+  std::vector<std::vector<double>> losses(
+      static_cast<std::size_t>(layers),
+      std::vector<double>(static_cast<std::size_t>(num_bits()), 0.0));
+  std::atomic<std::int64_t> next_layer{0};
+  const int workers = resolve_workers(num_threads, layers);
+  if (workers <= 1) {
+    stashes_clean_ = false;
+    measure_singles(model_, stats_, next_layer, losses);
+  } else {
+    const ReplicaErrors errors =
+        run_on_replicas(workers, [&](Model& replica, SensitivityStats& stats) {
+          measure_singles(replica, stats, next_layer, losses);
+        });
+    if (errors.worker) std::rethrow_exception(errors.worker);
+    // A pool-level failure skipped a worker before it claimed anything;
+    // the others drain every layer unless all of them were skipped.
+    if (errors.pool && next_layer.load() < layers) std::rethrow_exception(errors.pool);
+  }
+  single_losses_ = std::move(losses);
   singles_done_ = true;
   stats_.seconds += span.close();
 }
 
 const std::vector<std::vector<double>>& SensitivityEngine::single_losses() {
-  ensure_single_losses();
+  ensure_single_losses(num_threads_);
   return single_losses_;
 }
 
 std::vector<std::vector<double>> SensitivityEngine::diagonal_sensitivities() {
-  ensure_single_losses();
+  ensure_single_losses(num_threads_);
   std::vector<std::vector<double>> diag = single_losses_;
   for (auto& row : diag) {
     for (auto& v : row) v = 2.0 * (v - base_loss_);
@@ -354,7 +425,7 @@ void SensitivityEngine::sweep_rows(Model& model, SensitivityStats& stats, SweepS
 
 Tensor SensitivityEngine::full_matrix(
     const std::function<void(std::int64_t, std::int64_t)>& progress, int num_threads) {
-  ensure_single_losses();
+  ensure_single_losses(num_threads);
   clado::obs::Span sweep_span("sensitivity/sweep");
   const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
@@ -404,9 +475,7 @@ Tensor SensitivityEngine::full_matrix(
 
   const std::int64_t total_pairs = layers * (layers - 1) / 2 * bits * bits;
 
-  const std::int64_t resolved =
-      num_threads > 0 ? num_threads : clado::tensor::ThreadPool::global().num_threads();
-  const auto workers = static_cast<int>(std::min<std::int64_t>(resolved, layers));
+  const int workers = resolve_workers(num_threads, layers);
 
   // Progress shared across passes; used by serial and parallel sweeps
   // alike (one uncontended lock per j-loop boundary is noise next to a
@@ -452,49 +521,16 @@ Tensor SensitivityEngine::full_matrix(
         const clado::obs::Span worker_span("sensitivity/sweep_worker");
         sweep_rows(model_, stats_, sink, next_row, report);
       } else {
-        // Parallel sweep: one model replica per worker, each claiming
-        // whole rows i. A replica carries a deep copy of the weights AND
-        // the clean activation cache, so no additional clean pass is
-        // needed and per-entry arithmetic is identical to the serial
-        // sweep. The primary model is never touched.
-        std::vector<Model> replicas;
-        replicas.reserve(static_cast<std::size_t>(workers));
-        for (int t = 0; t < workers; ++t) replicas.push_back(model_.clone());
-        std::vector<SensitivityStats> worker_stats(static_cast<std::size_t>(workers));
-
-        clado::tensor::ThreadPool pool(workers);
-        std::exception_ptr pass_error;
-        std::mutex body_error_mutex;
-        try {
-          // The worker body catches its own failures instead of throwing
-          // through the pool: the pool's chunk retry would re-enter
-          // sweep_rows, which claims *new* rows from next_row — the
-          // interrupted row would be silently dropped and the pass would
-          // look clean. Catching here also lets the surviving workers
-          // drain every remaining row before the pass fails.
-          pool.parallel_for(0, workers, 1, [&](std::int64_t t, std::int64_t) {
-            const clado::obs::Span worker_span("sensitivity/sweep_worker");
-            try {
-              sweep_rows(replicas[static_cast<std::size_t>(t)],
-                         worker_stats[static_cast<std::size_t>(t)], sink, next_row, report);
-            } catch (...) {
-              const std::lock_guard<std::mutex> lock(body_error_mutex);
-              if (!pass_error) pass_error = std::current_exception();
-            }
-          });
-        } catch (...) {
-          // Only pool-level failures (e.g. a twice-injected pool_task
-          // fault) arrive here; worker failures were recorded above.
-          pass_error = std::current_exception();
-        }
-        // Merge measurement accounting whether or not the pass survived —
-        // the forwards happened either way.
-        for (const auto& ws : worker_stats) {
-          stats_.forward_measurements += ws.forward_measurements;
-          stats_.stage_executions += ws.stage_executions;
-          stats_.stage_executions_naive += ws.stage_executions_naive;
-        }
-        if (pass_error) std::rethrow_exception(pass_error);
+        // Parallel sweep: workers on replicas, each claiming whole rows i.
+        const ReplicaErrors errors =
+            run_on_replicas(workers, [&](Model& replica, SensitivityStats& stats) {
+              const clado::obs::Span worker_span("sensitivity/sweep_worker");
+              sweep_rows(replica, stats, sink, next_row, report);
+            });
+        // A pool-level failure (e.g. a twice-injected pool_task fault) fails
+        // the pass like a worker failure.
+        if (errors.pool) std::rethrow_exception(errors.pool);
+        if (errors.worker) std::rethrow_exception(errors.worker);
       }
     } catch (const std::exception&) {
       if (cancelled.load(std::memory_order_relaxed) || pass + 1 >= kMaxSweepPasses) {

@@ -11,12 +11,16 @@
 #include <vector>
 
 #include "clado/nn/module.h"
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 
 namespace clado::nn {
 
 /// 2-d convolution (NCHW), square kernels, optional grouping (depthwise when
-/// groups == in_channels). Implemented as im2col + GEMM per sample & group.
+/// groups == in_channels). Every forward path (forward, forward_into,
+/// linear_map_on_last_input) is one call of the batched conv entry
+/// tensor::kernels::conv2d_f32 at the active kernel level, bit-identical to
+/// per-sample im2col + GEMM; backward keeps its per-sample im2col loop.
 class Conv2d : public Module, public QuantizableLayer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
@@ -59,16 +63,21 @@ class Conv2d : public Module, public QuantizableLayer {
   /// Input stashed by the most recent forward pass.
   const Tensor& last_input() const { return input_; }
 
-  /// Per-sample im2col scratch size for an [*, C, h, w] input.
+  /// Per-sample im2col matrix size (positions x patch) for an
+  /// [*, C, h, w] input; the int8 serving backend's im2col workspace.
   std::int64_t cols_numel(std::int64_t h, std::int64_t w) const;
+
+  /// Geometry of this conv on an [*, C, h, w] input, for
+  /// tensor::kernels::conv2d_f32 and its workspace query.
+  clado::tensor::kernels::ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
 
   /// Allocation-free forward for the serving plan: convolves `n` samples
   /// from `in` ([n, C, h, w] contiguous) into `out` using the raw weight
-  /// (no transform) and the caller's `cols` scratch of cols_numel(h, w)
-  /// floats. Issues the exact im2col/GEMM/bias sequence of forward(), so
-  /// results are bit-identical.
+  /// (no transform) and the caller's scratch of
+  /// conv2d_f32_workspace(active_level(), geometry(h, w)) elements. Runs the
+  /// same conv entry call as forward(), so results are bit-identical.
   void forward_into(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
-                    float* cols, float* out) const;
+                    float* floats, std::int32_t* indices, float* out) const;
 
  private:
   std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_, groups_;
@@ -196,6 +205,9 @@ enum class Act { kRelu, kRelu6, kHardSwish, kHardSigmoid, kGelu, kSilu };
 
 const char* act_name(Act a);
 float act_forward(Act a, float x);
+/// o[i] = act_forward(a, x[i]) for i < n, with the switch on `a` outside
+/// the loop; o may equal x.
+void act_forward_n(Act a, const float* x, float* o, std::int64_t n);
 float act_backward(Act a, float x);  // d act / d x at pre-activation x
 
 class Activation : public Module {

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/ops.h"
 
 namespace clado::nn {
@@ -13,10 +15,27 @@ using clado::tensor::conv_out_size;
 using clado::tensor::gemm;
 using clado::tensor::im2col;
 using clado::tensor::Rng;
+namespace kernels = clado::tensor::kernels;
 
 // ---------------------------------------------------------------------------
 // Conv2d
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Eager-mode conv at the active kernel level with per-call scratch. The
+// entry overwrites its scratch before reading it, so none is zero-filled.
+void conv_with_scratch(const kernels::ConvGeometry& geom, std::int64_t n, const float* in,
+                       const float* weight, const float* bias, float* out) {
+  const kernels::Level level = kernels::active_level();
+  const kernels::ConvWorkspace ws = kernels::conv2d_f32_workspace(level, geom);
+  const auto floats = std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(ws.floats));
+  const auto indices =
+      std::make_unique_for_overwrite<std::int32_t[]>(static_cast<std::size_t>(ws.indices));
+  kernels::conv2d_f32(level, geom, n, in, weight, bias, floats.get(), indices.get(), out);
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
                std::int64_t stride, std::int64_t pad, std::int64_t groups, bool bias)
@@ -62,35 +81,14 @@ Tensor Conv2d::forward(const Tensor& input) {
   const std::int64_t n = input.size(0);
   const std::int64_t h = input.size(2);
   const std::int64_t w = input.size(3);
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
-
-  Tensor output({n, out_channels_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(positions * patch));
-
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = input.data() + s * in_channels_ * h * w;
-    float* out = output.data() + s * out_channels_ * positions;
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols.data());
-      // [og, positions] = W_g [og, patch] x cols^T [patch, positions]
-      gemm(false, true, og, positions, patch, 1.0F,
-           eff->data() + g * og * patch, cols.data(), 0.0F,
-           out + g * og * positions);
-    }
-    if (has_bias_) {
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        float* row = out + c * positions;
-        const float b = bias_.value[c];
-        for (std::int64_t p = 0; p < positions; ++p) row[p] += b;
-      }
-    }
-  }
+  Tensor output({n, out_channels_, conv_out_size(h, kernel_, stride_, pad_),
+                 conv_out_size(w, kernel_, stride_, pad_)});
+  conv_with_scratch(geometry(h, w), n, input.data(), eff->data(), bias_data(), output.data());
   return output;
+}
+
+kernels::ConvGeometry Conv2d::geometry(std::int64_t h, std::int64_t w) const {
+  return {in_channels_, h, w, out_channels_, kernel_, stride_, pad_, groups_};
 }
 
 std::int64_t Conv2d::cols_numel(std::int64_t h, std::int64_t w) const {
@@ -100,30 +98,9 @@ std::int64_t Conv2d::cols_numel(std::int64_t h, std::int64_t w) const {
 }
 
 void Conv2d::forward_into(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
-                          float* cols, float* out_base) const {
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
-
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = in + s * in_channels_ * h * w;
-    float* out = out_base + s * out_channels_ * positions;
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols);
-      gemm(false, true, og, positions, patch, 1.0F, weight_.value.data() + g * og * patch,
-           cols, 0.0F, out + g * og * positions);
-    }
-    if (has_bias_) {
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        float* row = out + c * positions;
-        const float b = bias_.value[c];
-        for (std::int64_t p = 0; p < positions; ++p) row[p] += b;
-      }
-    }
-  }
+                          float* floats, std::int32_t* indices, float* out) const {
+  kernels::conv2d_f32(kernels::active_level(), geometry(h, w), n, in, weight_.value.data(),
+                      bias_data(), floats, indices, out);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -200,24 +177,10 @@ Tensor Conv2d::linear_map_on_last_input(const Tensor& weight_like) {
   const std::int64_t n = input_.size(0);
   const std::int64_t h = input_.size(2);
   const std::int64_t w = input_.size(3);
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  const std::int64_t cg = in_channels_ / groups_;
-  const std::int64_t og = out_channels_ / groups_;
-  const std::int64_t patch = cg * kernel_ * kernel_;
-  const std::int64_t positions = oh * ow;
-
-  Tensor output({n, out_channels_, oh, ow});
-  std::vector<float> cols(static_cast<std::size_t>(positions * patch));
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* img = input_.data() + s * in_channels_ * h * w;
-    float* out = output.data() + s * out_channels_ * positions;
-    for (std::int64_t g = 0; g < groups_; ++g) {
-      im2col(img + g * cg * h * w, cg, h, w, kernel_, kernel_, stride_, pad_, cols.data());
-      gemm(false, true, og, positions, patch, 1.0F, weight_like.data() + g * og * patch,
-           cols.data(), 0.0F, out + g * og * positions);
-    }
-  }
+  Tensor output({n, out_channels_, conv_out_size(h, kernel_, stride_, pad_),
+                 conv_out_size(w, kernel_, stride_, pad_)});
+  conv_with_scratch(geometry(h, w), n, input_.data(), weight_like.data(), nullptr,
+                    output.data());
   return output;
 }
 
@@ -590,26 +553,55 @@ const char* act_name(Act a) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654F;  // sqrt(2/pi)
+
+template <Act A>
+float act_one(float x) {
+  if constexpr (A == Act::kRelu) {
+    return x > 0.0F ? x : 0.0F;
+  } else if constexpr (A == Act::kRelu6) {
+    return x < 0.0F ? 0.0F : (x > 6.0F ? 6.0F : x);
+  } else if constexpr (A == Act::kHardSigmoid) {
+    return x <= -3.0F ? 0.0F : (x >= 3.0F ? 1.0F : x / 6.0F + 0.5F);
+  } else if constexpr (A == Act::kHardSwish) {
+    return x <= -3.0F ? 0.0F : (x >= 3.0F ? x : x * (x + 3.0F) / 6.0F);
+  } else if constexpr (A == Act::kGelu) {
+    const float inner = kGeluC * (x + 0.044715F * x * x * x);
+    return 0.5F * x * (1.0F + std::tanh(inner));
+  } else {
+    const float s = 1.0F / (1.0F + std::exp(-x));
+    return x * s;
+  }
 }
+
+// One switch per call; the loop body is act_one<A>, the expression
+// act_forward evaluates per element, so results are identical.
+template <Act A>
+void act_loop(const float* x, float* o, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = act_one<A>(x[i]);
+}
+}  // namespace
 
 float act_forward(Act a, float x) {
   switch (a) {
-    case Act::kRelu: return x > 0.0F ? x : 0.0F;
-    case Act::kRelu6: return x < 0.0F ? 0.0F : (x > 6.0F ? 6.0F : x);
-    case Act::kHardSigmoid:
-      return x <= -3.0F ? 0.0F : (x >= 3.0F ? 1.0F : x / 6.0F + 0.5F);
-    case Act::kHardSwish:
-      return x <= -3.0F ? 0.0F : (x >= 3.0F ? x : x * (x + 3.0F) / 6.0F);
-    case Act::kGelu: {
-      const float inner = kGeluC * (x + 0.044715F * x * x * x);
-      return 0.5F * x * (1.0F + std::tanh(inner));
-    }
-    case Act::kSilu: {
-      const float s = 1.0F / (1.0F + std::exp(-x));
-      return x * s;
-    }
+    case Act::kRelu: return act_one<Act::kRelu>(x);
+    case Act::kRelu6: return act_one<Act::kRelu6>(x);
+    case Act::kHardSigmoid: return act_one<Act::kHardSigmoid>(x);
+    case Act::kHardSwish: return act_one<Act::kHardSwish>(x);
+    case Act::kGelu: return act_one<Act::kGelu>(x);
+    case Act::kSilu: return act_one<Act::kSilu>(x);
   }
   return x;
+}
+
+void act_forward_n(Act a, const float* x, float* o, std::int64_t n) {
+  switch (a) {
+    case Act::kRelu: act_loop<Act::kRelu>(x, o, n); return;
+    case Act::kRelu6: act_loop<Act::kRelu6>(x, o, n); return;
+    case Act::kHardSigmoid: act_loop<Act::kHardSigmoid>(x, o, n); return;
+    case Act::kHardSwish: act_loop<Act::kHardSwish>(x, o, n); return;
+    case Act::kGelu: act_loop<Act::kGelu>(x, o, n); return;
+    case Act::kSilu: act_loop<Act::kSilu>(x, o, n); return;
+  }
 }
 
 float act_backward(Act a, float x) {
@@ -637,10 +629,7 @@ float act_backward(Act a, float x) {
 Tensor Activation::forward(const Tensor& input) {
   if (!inference_) input_ = input;
   Tensor out(input.shape());
-  const float* x = input.data();
-  float* o = out.data();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) o[i] = act_forward(kind_, x[i]);
+  act_forward_n(kind_, input.data(), out.data(), input.numel());
   return out;
 }
 

@@ -129,7 +129,10 @@ Tensor ActFakeQuant::forward(const Tensor& input) {
       float* o = out.data();
       const std::int64_t n = input.numel();
       for (std::int64_t i = 0; i < n; ++i) {
-        float q = std::nearbyint(x[i] * inv) + zero_point_;
+        // rint, not nearbyint: the same value in the default rounding mode
+        // (signed zeros, NaN and infinities included), and GCC inlines it
+        // where nearbyint stays a libm call per element.
+        float q = std::rint(x[i] * inv) + zero_point_;
         q = std::clamp(q, 0.0F, levels);
         o[i] = (q - zero_point_) * scale_;
       }

@@ -68,7 +68,7 @@ struct PlanBuffer {
   std::int64_t offset = -1;     ///< first-fit arena offset (16-float aligned)
   std::int64_t def_step = 0;
   std::int64_t last_step = 0;
-  bool scratch = false;  ///< workspace (im2col / SE), not an activation
+  bool scratch = false;  ///< workspace (conv / SE), not an activation
   /// Compile-time count of pending readers (residual branches that will read
   /// this buffer after the current sub-graph compiles). While nonzero, no
   /// activation may fuse in place onto the step that produced it.
@@ -130,6 +130,9 @@ struct PlanStep {
   std::vector<std::int8_t> q_in;    ///< quantized input, max_batch * per_sample_in
   std::vector<std::int8_t> q_cols;  ///< int8 im2col workspace (conv, per sample)
   std::vector<std::int32_t> q_acc;  ///< int32 accumulator
+  /// Index-table scratch of the fp32 conv entry (kConv without backend);
+  /// its float workspace is the `scratch` buffer.
+  std::vector<std::int32_t> conv_indices;
 
   Tensor stage_in;    ///< fallback staging (reallocated only on n change)
   std::string label;  ///< span name, e.g. "plan/conv"

@@ -18,7 +18,7 @@
 namespace clado::serve {
 
 using clado::nn::Act;
-using clado::nn::act_forward;
+using clado::nn::act_forward_n;
 using clado::nn::Activation;
 using clado::nn::Conv2d;
 using clado::nn::Flatten;
@@ -107,8 +107,16 @@ std::string CompiledPlan::dump() const {
   std::string out;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const PlanStep& step = steps_[i];
-    out += "#" + std::to_string(i) + " " + step_kind_name(step.kind) + " " +
-           shape_str(step.in_shape) + " -> " + shape_str(step.out_shape);
+    // Successive appends: GCC 12 reports a -Wrestrict false positive on the
+    // equivalent operator+ chain under -fsanitize=thread -O3.
+    out += '#';
+    out += std::to_string(i);
+    out += ' ';
+    out += step_kind_name(step.kind);
+    out += ' ';
+    out += shape_str(step.in_shape);
+    out += " -> ";
+    out += shape_str(step.out_shape);
     if (step.kind == StepKind::kConv || step.kind == StepKind::kLinear) {
       out += " backend=";
       out += step.backend != nullptr ? step.backend->name() : "fp32";
@@ -269,9 +277,15 @@ void CompiledPlan::compile_module(Module& module) {
                      /*cols_numel=*/conv->cols_numel(h, w));
     }
     note_read(cur_buf_);
-    // The im2col workspace is per-sample (samples stream through it), so it
-    // is NOT scaled by max_batch — exactly the eager kernel's cols vector.
-    step.scratch = new_buffer(0, /*scratch=*/true, conv->cols_numel(h, w));
+    if (step.backend == nullptr) {
+      // The fp32 conv entry's workspace does not grow with the batch, so it
+      // is NOT scaled by max_batch.
+      const clado::tensor::kernels::ConvWorkspace ws =
+          clado::tensor::kernels::conv2d_f32_workspace(clado::tensor::kernels::active_level(),
+                                                       conv->geometry(h, w));
+      step.scratch = new_buffer(0, /*scratch=*/true, ws.floats);
+      step.conv_indices.resize(static_cast<std::size_t>(ws.indices));
+    }
     const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
     step.out = out_buf;
     const Shape out_shape = step.out_shape;
@@ -666,7 +680,7 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
         run_conv_backend(step, n);
       } else {
         step.conv->forward_into(buf(step.in), n, step.in_h, step.in_w, buf(step.scratch),
-                                buf(step.out));
+                                step.conv_indices.data(), buf(step.out));
       }
       break;
     case StepKind::kLinear:
@@ -676,13 +690,9 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
         step.linear->forward_into(buf(step.in), n * step.rows_per_sample, buf(step.out));
       }
       break;
-    case StepKind::kAct: {
-      const float* x = buf(step.in);
-      float* o = buf(step.out);
-      const std::int64_t total = n * step.per_sample_out;
-      for (std::int64_t i = 0; i < total; ++i) o[i] = act_forward(step.act, x[i]);
+    case StepKind::kAct:
+      act_forward_n(step.act, buf(step.in), buf(step.out), n * step.per_sample_out);
       return;  // step.act already applied; skip the fused-act epilogue
-    }
     case StepKind::kResidualAdd: {
       const float* a = buf(step.in);
       const float* b = buf(step.in2);
@@ -702,7 +712,7 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
       const float inv = 1.0F / step.fq_scale;
       const std::int64_t total = n * step.per_sample_out;
       for (std::int64_t i = 0; i < total; ++i) {
-        float q = std::nearbyint(x[i] * inv) + step.fq_zero_point;
+        float q = std::rint(x[i] * inv) + step.fq_zero_point;
         q = std::clamp(q, 0.0F, step.fq_levels);
         o[i] = (q - step.fq_zero_point) * step.fq_scale;
       }
@@ -744,11 +754,7 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
       break;
     }
   }
-  if (step.has_act) {
-    float* o = buf(step.out);
-    const std::int64_t total = n * step.per_sample_out;
-    for (std::int64_t i = 0; i < total; ++i) o[i] = act_forward(step.act, o[i]);
-  }
+  if (step.has_act) act_forward_n(step.act, buf(step.out), buf(step.out), n * step.per_sample_out);
 }
 
 }  // namespace clado::serve

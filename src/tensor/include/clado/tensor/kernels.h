@@ -1,9 +1,10 @@
 // Runtime-dispatched GEMM micro-kernel layer.
 //
 // Every forward pass in the repo (training, the pairwise sensitivity sweep,
-// clado::serve) bottoms out in two inner loops: the fp32 blocked GEMM and
-// the int8 widening GEMM. This header is the single selection seam between
-// their portable scalar implementations and the AVX2/FMA micro-kernels:
+// clado::serve) bottoms out in two inner loops: the fp32 blocked GEMM
+// (directly, or under the batched conv entry conv2d_f32) and the int8
+// widening GEMM. This header is the single selection seam between their
+// portable scalar implementations and the AVX2/FMA micro-kernels:
 //
 //   * Level::kScalar — the portable cache-blocked reference (the exact code
 //     every result in the repo was validated against). Always available.
@@ -71,6 +72,53 @@ void gemm_f32_row_range(Level level, bool trans_a, bool trans_b, std::int64_t m_
                         std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                         const float* a, const float* b, float* c, std::int64_t lda,
                         std::int64_t ldb);
+
+/// Geometry of a square-kernel 2-d convolution on one NCHW sample (the
+/// batch size is passed separately). Weights are [out_channels,
+/// in_channels / groups, kernel, kernel], as Conv2d stores them.
+struct ConvGeometry {
+  std::int64_t in_channels = 0;
+  std::int64_t height = 0;
+  std::int64_t width = 0;
+  std::int64_t out_channels = 0;
+  std::int64_t kernel = 0;
+  std::int64_t stride = 1;
+  std::int64_t pad = 0;
+  std::int64_t groups = 1;
+};
+
+/// Caller-owned scratch for conv2d_f32, in elements of each type. It does
+/// not depend on the batch size, and its contents need no initialization.
+struct ConvWorkspace {
+  std::int64_t floats = 0;
+  std::int64_t indices = 0;
+};
+
+/// Scratch conv2d_f32(level, geom, ...) needs. Throws std::invalid_argument
+/// on degenerate geometry (see tensor::conv_out_size).
+ConvWorkspace conv2d_f32_workspace(Level level, const ConvGeometry& geom);
+
+/// Batched fp32 convolution, the one conv entry of the repo:
+///   output[s] = conv(input[s], weight) + bias   for s in [0, batch)
+/// input is [batch, C, H, W], output [batch, out_c, out_h, out_w]
+/// (contiguous), bias may be null. `floats` and `indices` hold at least
+/// conv2d_f32_workspace(level, geom) elements.
+///
+/// Determinism contract: the output is bit-identical to the per-sample
+/// reference — im2col of each sample and group, then
+/// tensor::gemm(level, false, true, ...) of the weights against it, then
+/// the bias row-add. Level::kScalar runs exactly that reference. At
+/// Level::kAvx2, ungrouped shapes above tensor::kGemmSmallMacs per sample
+/// pack the weights into micro-kernel panels once per call, fill each
+/// sample's B panels through an index table built once per call (no
+/// im2col matrix),
+/// and run the GEMM's 6x16 micro-kernel with its kBlockK blocking, so
+/// every output element is the same FMA chain; grouped and small shapes
+/// keep the reference route, whose arithmetic (the small path's zero-skip
+/// included) the packed path does not reproduce.
+void conv2d_f32(Level level, const ConvGeometry& geom, std::int64_t batch, const float* input,
+                const float* weight, const float* bias, float* floats, std::int32_t* indices,
+                float* output);
 
 /// int8 x int8 -> int32 GEMM with zero-point correction:
 ///   c[i,j] = sum_p (a[i,p] - za) * (b[j,p] - zb)

@@ -13,15 +13,27 @@
 #include <cstdint>
 #include <span>
 
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/tensor.h"
 
 namespace clado::tensor {
+
+/// Products of at most this many multiply-adds (m * n * k) skip blocking
+/// and packing: gemm() runs them through an unblocked loop, and
+/// kernels::conv2d_f32 keeps the per-sample im2col + gemm() route for convs
+/// whose per-sample GEMM is this small.
+inline constexpr std::int64_t kGemmSmallMacs = 16 * 1024;
 
 /// C = alpha * op(A) * op(B) + beta * C, with op controlled by the
 /// transpose flags. A is [M,K] (or [K,M] if trans_a), B is [K,N] (or [N,K]
 /// if trans_b), C is [M,N].
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
+
+/// gemm() with its blocked micro-kernel at an explicit kernel level; the
+/// overload above runs at kernels::active_level().
+void gemm(kernels::Level level, bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, float alpha, const float* a, const float* b, float beta, float* c);
 
 /// Single-threaded reference GEMM running the exact blocked schedule gemm()
 /// parallelizes over row blocks; gemm() must match it bit-for-bit at any

@@ -23,6 +23,15 @@ inline constexpr std::int64_t kBlockM = 64;
 inline constexpr std::int64_t kBlockN = 128;
 inline constexpr std::int64_t kBlockK = 128;
 
+// Register tile of the AVX2 fp32 micro-kernel: kMr rows of C by kNr
+// columns. The conv entry sizes its packed panels and index table by them.
+inline constexpr std::int64_t kMr = 6;
+inline constexpr std::int64_t kNr = 16;
+
+// Index-table entry of a B-panel lane that reads no input element (zero
+// padding, or a lane past the last output position); the lane packs 0.
+inline constexpr std::int32_t kZeroSlot = -1;
+
 // Portable reference kernels (gemm_f32_scalar.cpp / gemm_s8_scalar.cpp).
 void gemm_f32_row_range_scalar(bool trans_a, bool trans_b, std::int64_t m_begin,
                                std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
@@ -70,6 +79,19 @@ void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
                           std::int32_t zero_point, std::int8_t* out);
 void requant_s32_f32_avx2(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
                           float rescale, const float* bias, float* out);
+
+// Packed conv path of conv2d_f32 (gemm_f32_avx2.cpp, beside the GEMM
+// micro-kernel it shares). Writes output = conv(input, weight) for an
+// ungrouped conv without bias. `table` is the per-call index table:
+// entry [(t * patch + p) * kNr + lane] is the offset within one sample of
+// the input element B-panel t needs in `lane` at patch row p, or
+// kZeroSlot. `panels` holds out_c rounded up to kMr times patch floats of
+// packed weights, then one B block of min(positions rounded up to kNr,
+// kBlockN) times min(patch, kBlockK) floats.
+void conv2d_f32_packed_avx2(std::int64_t batch, std::int64_t sample_numel,
+                            std::int64_t out_c, std::int64_t positions, std::int64_t patch,
+                            const float* input, const float* weight, const std::int32_t* table,
+                            float* panels, float* output);
 
 }  // namespace detail
 }  // namespace kernels

@@ -17,18 +17,6 @@ namespace {
 // saves (queueing + cold packing buffers per worker).
 constexpr std::int64_t kParallelFlops = std::int64_t{1} << 22;
 
-// Blocked accumulation over rows [m_begin, m_end) of C, running whichever
-// micro-kernel level (scalar / AVX2) the process resolved at startup; both
-// bounds must be multiples of kernels::kGemmBlockM (or m_end == m) so block
-// boundaries match the serial schedule exactly. See clado/tensor/kernels.h
-// for the dispatch and determinism contract.
-void gemm_row_range(bool trans_a, bool trans_b, std::int64_t m_begin, std::int64_t m_end,
-                    std::int64_t n, std::int64_t k, float alpha, const float* a, const float* b,
-                    float* c, std::int64_t lda, std::int64_t ldb) {
-  kernels::gemm_f32_row_range(kernels::active_level(), trans_a, trans_b, m_begin, m_end, n, k,
-                              alpha, a, b, c, lda, ldb);
-}
-
 // Beta-scaling plus the small-problem fast path. Returns true when the
 // product is fully handled (degenerate sizes or the serial tiny kernel).
 bool gemm_prologue(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
@@ -45,7 +33,7 @@ bool gemm_prologue(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, s
   // Small-problem fast path: depthwise convolutions and attention heads
   // issue huge numbers of tiny GEMMs where packing (and especially scratch
   // allocation) would dominate.
-  if (m * n * k <= 16 * 1024) {
+  if (m * n * k <= kGemmSmallMacs) {
     for (std::int64_t i = 0; i < m; ++i) {
       for (std::int64_t p = 0; p < k; ++p) {
         const float av = alpha * (trans_a ? a[p * m + i] : a[i * k + p]);
@@ -79,11 +67,21 @@ void gemm_serial(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std
   if (gemm_prologue(trans_a, trans_b, m, n, k, alpha, a, b, beta, c)) return;
   const std::int64_t lda = trans_a ? m : k;
   const std::int64_t ldb = trans_b ? k : n;
-  gemm_row_range(trans_a, trans_b, 0, m, n, k, alpha, a, b, c, lda, ldb);
+  kernels::gemm_f32_row_range(kernels::active_level(), trans_a, trans_b, 0, m, n, k, alpha, a,
+                              b, c, lda, ldb);
 }
 
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
+  gemm(kernels::active_level(), trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
+}
+
+// Blocked accumulation runs rows [m_begin, m_end) of C through the `level`
+// micro-kernel; chunk bounds are multiples of kernels::kGemmBlockM (or
+// m_end == m) so block boundaries match the serial schedule exactly. See
+// clado/tensor/kernels.h for the dispatch and determinism contract.
+void gemm(kernels::Level level, bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, float alpha, const float* a, const float* b, float beta, float* c) {
   if (gemm_prologue(trans_a, trans_b, m, n, k, alpha, a, b, beta, c)) return;
   const std::int64_t lda = trans_a ? m : k;
   const std::int64_t ldb = trans_b ? k : n;
@@ -102,13 +100,14 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64
         1, (num_row_blocks + 2 * pool.num_threads() - 1) / (2 * pool.num_threads()));
     pool.parallel_for(0, num_row_blocks, chunk_blocks,
                       [&](std::int64_t block_begin, std::int64_t block_end) {
-                        gemm_row_range(trans_a, trans_b, block_begin * block_m,
-                                       std::min(m, block_end * block_m), n, k, alpha, a, b, c,
-                                       lda, ldb);
+                        kernels::gemm_f32_row_range(level, trans_a, trans_b,
+                                                    block_begin * block_m,
+                                                    std::min(m, block_end * block_m), n, k,
+                                                    alpha, a, b, c, lda, ldb);
                       });
     return;
   }
-  gemm_row_range(trans_a, trans_b, 0, m, n, k, alpha, a, b, c, lda, ldb);
+  kernels::gemm_f32_row_range(level, trans_a, trans_b, 0, m, n, k, alpha, a, b, c, lda, ldb);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "clado/tensor/rng.h"
@@ -53,6 +56,38 @@ TEST(ActFakeQuant, QuantizeSnapsToGridAndClips) {
   EXPECT_LE(levels.size(), 4U);
   EXPECT_GE(y.min(), aq.lo() - 1e-5F);
   EXPECT_LE(y.max(), aq.hi() + 1e-5F);
+}
+
+// forward() rounds with std::rint; in the default rounding mode that is
+// the value of the std::nearbyint expression it replaced, bit for bit on
+// signed zeros, infinities and exact .5 ties (a power-of-two scale makes
+// x * (1 / scale) exact), NaN for NaN.
+TEST(ActFakeQuant, RintRoundingMatchesNearbyintExpression) {
+  ActFakeQuant aq(8);
+  aq.set_mode(ActQuantMode::kObserve);
+  aq.forward(Tensor({2}, std::vector<float>{-16.0F, 15.875F}));
+  aq.freeze_from_observed();
+  aq.set_mode(ActQuantMode::kQuantize);
+  ASSERT_EQ(aq.scale(), 0.125F);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {0.0F,     -0.0F,    nan,      -nan,    inf,     -inf,
+                                 0.0625F,  -0.0625F, 0.1875F,  -0.1875F, 0.3125F, -0.3125F,
+                                 -16.0625F, 15.9375F, 1e30F,   -1e30F,  3.0F,    -7.77F};
+  const Tensor y = aq.forward(Tensor({static_cast<std::int64_t>(xs.size())}, xs));
+  const float levels = 255.0F;
+  const float inv = 1.0F / aq.scale();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    float q = std::nearbyint(xs[i] * inv) + aq.zero_point();
+    q = std::clamp(q, 0.0F, levels);
+    const float want = (q - aq.zero_point()) * aq.scale();
+    const float got = y[static_cast<std::int64_t>(i)];
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "x = " << xs[i];
+    } else {
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0) << "x = " << xs[i];
+    }
+  }
 }
 
 TEST(ActFakeQuant, ZeroIsExactlyRepresentable) {

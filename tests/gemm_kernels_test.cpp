@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -213,6 +214,100 @@ TEST(GemmKernels, SmallPathZeroSkipDivergesOnNonFiniteInputs) {
   kernels::gemm_f32_row_range(kernels::active_level(), false, false, 0, 1, 1, 2, 1.0F, a.data(),
                               b.data(), c_blocked.data(), 2, 1);
   EXPECT_TRUE(std::isnan(c_blocked[0]));  // 0*inf propagates as NaN
+}
+
+// The per-sample route conv2d_f32 must reproduce: im2col of each sample
+// and group, gemm(level, false, true, ...) of the group's weights against
+// it, then the bias row-add.
+std::vector<float> conv_reference(Level level, const kernels::ConvGeometry& g,
+                                  std::int64_t batch, const std::vector<float>& input,
+                                  const std::vector<float>& weight, const float* bias) {
+  const std::int64_t oh = conv_out_size(g.height, g.kernel, g.stride, g.pad);
+  const std::int64_t ow = conv_out_size(g.width, g.kernel, g.stride, g.pad);
+  const std::int64_t cg = g.in_channels / g.groups;
+  const std::int64_t og = g.out_channels / g.groups;
+  const std::int64_t patch = cg * g.kernel * g.kernel;
+  const std::int64_t positions = oh * ow;
+  std::vector<float> out(static_cast<std::size_t>(batch * g.out_channels * positions));
+  std::vector<float> cols(static_cast<std::size_t>(positions * patch));
+  for (std::int64_t s = 0; s < batch; ++s) {
+    const float* img = input.data() + s * g.in_channels * g.height * g.width;
+    float* o = out.data() + s * g.out_channels * positions;
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      im2col(img + grp * cg * g.height * g.width, cg, g.height, g.width, g.kernel, g.kernel,
+             g.stride, g.pad, cols.data());
+      gemm(level, false, true, og, positions, patch, 1.0F, weight.data() + grp * og * patch,
+           cols.data(), 0.0F, o + grp * og * positions);
+    }
+    if (bias != nullptr) {
+      for (std::int64_t c = 0; c < g.out_channels; ++c) {
+        for (std::int64_t p = 0; p < positions; ++p) o[c * positions + p] += bias[c];
+      }
+    }
+  }
+  return out;
+}
+
+struct ConvCase {
+  kernels::ConvGeometry geom;
+  std::int64_t batch;
+  bool bias;
+  bool packed;  // takes the packed route at Level::kAvx2
+};
+
+// Every case of conv2d_f32 at every available level against the per-sample
+// reference, bit for bit. The packed AVX2 route covers kernels 1/3/4,
+// strides 1/2/4, pads 0/1 on a non-square image, patches across kBlockK
+// boundaries (144, 288, 640), out-channel counts that are not multiples of
+// the 6-row tile and position counts that are not multiples of the 16-lane
+// panel, at batch 1 and 64; small-path and grouped shapes keep the
+// reference route, so they match it too.
+TEST(GemmKernels, ConvEntryMatchesPerSampleReferenceBitExactly) {
+  std::vector<ConvCase> cases;
+  for (const std::int64_t k : {1, 3, 4}) {
+    for (const std::int64_t stride : {1, 2, 4}) {
+      for (const std::int64_t pad : {0, 1}) {
+        cases.push_back({{40, 29, 27, 13, k, stride, pad, 1}, 2, pad == 1, true});
+      }
+    }
+  }
+  cases.push_back({{16, 8, 8, 16, 3, 1, 1, 1}, 64, true, true});    // patch 144
+  cases.push_back({{32, 4, 4, 32, 3, 1, 1, 1}, 64, false, true});   // patch 288, 16 positions
+  cases.push_back({{8, 16, 16, 8, 3, 1, 1, 1}, 1, true, true});     // 256 positions
+  cases.push_back({{3, 15, 17, 9, 3, 2, 1, 1}, 64, true, true});    // 72 positions
+  cases.push_back({{16, 7, 7, 20, 3, 1, 1, 1}, 1, false, true});    // 49 positions
+  cases.push_back({{4, 16, 16, 4, 2, 1, 0, 1}, 3, true, false});    // 14400 MACs: small
+  cases.push_back({{4, 16, 16, 5, 2, 1, 0, 1}, 3, true, true});     // 18000 MACs
+  cases.push_back({{8, 10, 10, 12, 3, 1, 1, 2}, 4, true, false});   // groups 2
+  cases.push_back({{8, 10, 10, 8, 3, 2, 1, 8}, 64, false, false});  // depthwise
+  std::vector<Level> levels = {Level::kScalar};
+  if (kernels::cpu_supports_avx2()) levels.push_back(Level::kAvx2);
+
+  Rng rng(2024);
+  for (const ConvCase& cc : cases) {
+    const kernels::ConvGeometry& g = cc.geom;
+    std::vector<float> input =
+        randn_buffer(cc.batch * g.in_channels * g.height * g.width, rng);
+    for (std::size_t i = 0; i < input.size(); i += 7) input[i] = i % 2 == 0 ? 0.0F : -0.0F;
+    const std::vector<float> weight =
+        randn_buffer(g.out_channels * g.in_channels / g.groups * g.kernel * g.kernel, rng);
+    const std::vector<float> bias = randn_buffer(g.out_channels, rng);
+    const float* bias_ptr = cc.bias ? bias.data() : nullptr;
+    for (const Level level : levels) {
+      const kernels::ConvWorkspace ws = kernels::conv2d_f32_workspace(level, g);
+      EXPECT_EQ(ws.indices > 0, level == Level::kAvx2 && cc.packed);  // the route taken
+      std::vector<float> floats(static_cast<std::size_t>(ws.floats));
+      std::vector<std::int32_t> indices(static_cast<std::size_t>(ws.indices));
+      const std::vector<float> want = conv_reference(level, g, cc.batch, input, weight, bias_ptr);
+      std::vector<float> got(want.size(), std::numeric_limits<float>::quiet_NaN());
+      kernels::conv2d_f32(level, g, cc.batch, input.data(), weight.data(), bias_ptr,
+                          floats.data(), indices.data(), got.data());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+          << kernels::level_name(level) << " c=" << g.in_channels << " " << g.height << "x"
+          << g.width << " oc=" << g.out_channels << " k=" << g.kernel << " s=" << g.stride
+          << " p=" << g.pad << " groups=" << g.groups << " batch=" << cc.batch;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "clado/nn/loss.h"
 #include "clado/nn/optimizer.h"
@@ -256,6 +259,66 @@ TEST_P(ActivationValueTest, GradCheckAsModule) {
   const Tensor x = Tensor::randn({2, 10}, rng);
   const Tensor proj = Tensor::randn({2, 10}, rng);
   check_gradients(act, x, proj);
+}
+
+// The per-element switch act_forward ran inside every activation loop
+// before the loops were made switch-free.
+float per_element_switch(Act a, float x) {
+  switch (a) {
+    case Act::kRelu: return x > 0.0F ? x : 0.0F;
+    case Act::kRelu6: return x < 0.0F ? 0.0F : (x > 6.0F ? 6.0F : x);
+    case Act::kHardSigmoid:
+      return x <= -3.0F ? 0.0F : (x >= 3.0F ? 1.0F : x / 6.0F + 0.5F);
+    case Act::kHardSwish:
+      return x <= -3.0F ? 0.0F : (x >= 3.0F ? x : x * (x + 3.0F) / 6.0F);
+    case Act::kGelu: {
+      const float inner = 0.7978845608028654F * (x + 0.044715F * x * x * x);
+      return 0.5F * x * (1.0F + std::tanh(inner));
+    }
+    case Act::kSilu: {
+      const float s = 1.0F / (1.0F + std::exp(-x));
+      return x * s;
+    }
+  }
+  return x;
+}
+
+// Bitwise equality, except that any NaN matches any NaN: which operand's
+// NaN an instruction propagates (and so its sign) is up to code generation.
+bool same_value(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// act_forward_n (Activation::forward and the serving plan's activation
+// steps) and act_forward against that switch, bit for bit, on signed
+// zeros, NaN, infinities, .5 ties and every kind's breakpoints, out of
+// place and in place. Enough elements that the loops vectorize.
+TEST_P(ActivationValueTest, SwitchFreeLoopsMatchPerElementSwitch) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0F,  -0.0F,  nan,   -nan,  inf,   -inf,   0.5F,   -0.5F,
+                           1.5F,  -1.5F,  2.5F,  -2.5F, 3.0F,  -3.0F,  6.0F,   -6.0F,
+                           6.5F,  5.5F,   1e-40F, -1e-40F, 1e30F, -1e30F, 88.5F, -88.5F};
+  Rng rng(31);
+  for (int i = 0; i < 40; ++i) xs.push_back(static_cast<float>(rng.normal()) * 4.0F);
+  const auto n = static_cast<std::int64_t>(xs.size());
+  const Act a = GetParam();
+  std::vector<float> out(xs.size());
+  act_forward_n(a, xs.data(), out.data(), n);
+  std::vector<float> in_place = xs;
+  act_forward_n(a, in_place.data(), in_place.data(), n);
+  Activation layer(a);
+  const Tensor y = layer.forward(Tensor({n}, xs));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float want = per_element_switch(a, xs[i]);
+    const float single = act_forward(a, xs[i]);
+    const float layer_out = y[static_cast<std::int64_t>(i)];
+    EXPECT_TRUE(same_value(out[i], want)) << act_name(a) << " x=" << xs[i];
+    EXPECT_TRUE(same_value(in_place[i], want)) << act_name(a) << " x=" << xs[i];
+    EXPECT_TRUE(same_value(single, want)) << act_name(a) << " x=" << xs[i];
+    EXPECT_TRUE(same_value(layer_out, want)) << act_name(a) << " x=" << xs[i];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationValueTest,

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "clado/fault/fault.h"
 #include "clado/models/builders.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
@@ -157,6 +158,79 @@ TEST(ParallelSweep, ThrowingProgressLeavesWeightsIntact) {
     EXPECT_GT(g.numel(), 0);
     expect_weights_equal(m, before);
   }
+}
+
+// single_losses() on N worker replicas measures the serial losses bit for
+// bit, with the serial measurement counts.
+TEST(ParallelSingles, BitIdenticalToSerialAtAnyThreadCount) {
+  Rng rng(41);
+  Model model = make_tiny_model(rng);
+  const auto batch = make_batch(rng);
+  SensitivityEngine serial(model, batch, 1);
+  const auto want = serial.single_losses();
+  for (const int threads : {2, 3, 8}) {
+    SensitivityEngine engine(model, batch, threads);
+    EXPECT_EQ(engine.single_losses(), want) << threads << " threads";
+    EXPECT_EQ(engine.stats().forward_measurements, serial.stats().forward_measurements);
+    EXPECT_EQ(engine.stats().stage_executions, serial.stats().stage_executions);
+    EXPECT_EQ(engine.stats().stage_executions_naive, serial.stats().stage_executions_naive);
+  }
+}
+
+// A one-shot NaN is re-measured by the worker that saw it; the result
+// still matches the serial singles.
+TEST(ParallelSingles, TransientNanIsRemeasured) {
+  Rng rng(42);
+  Model model = make_tiny_model(rng);
+  const auto batch = make_batch(rng);
+  const auto want = SensitivityEngine(model, batch, 1).single_losses();
+  SensitivityEngine engine(model, batch, 4);
+  clado::fault::arm_one_shot(clado::fault::Site::kNanLoss, 3);
+  const auto got = engine.single_losses();
+  EXPECT_EQ(clado::fault::injected_count(clado::fault::Site::kNanLoss), 1U);
+  clado::fault::disarm_all();
+  EXPECT_EQ(got, want);
+}
+
+// A NaN that survives re-measurement throws out of single_losses(), leaves
+// every weight as it was and the singles unmeasured: the next call measures
+// them in full.
+TEST(ParallelSingles, PersistentNanThrowsRestoresWeightsAndStaysUnmeasured) {
+  Rng rng(43);
+  Model model = make_tiny_model(rng);
+  const auto batch = make_batch(rng);
+  const auto snapshot = weight_snapshot(model);
+  const auto want = SensitivityEngine(model, batch, 1).single_losses();
+  for (const int threads : {1, 4}) {
+    SensitivityEngine engine(model, batch, threads);
+    clado::fault::arm_from(clado::fault::Site::kNanLoss, 1);
+    EXPECT_THROW(engine.single_losses(), std::runtime_error) << threads << " threads";
+    clado::fault::disarm_all();
+    expect_weights_equal(model, snapshot);
+    EXPECT_EQ(engine.single_losses(), want) << threads << " threads";
+  }
+}
+
+// A pool fault that skips workers before they claim a layer is absorbed
+// while another worker drains every layer; with every worker skipped,
+// single_losses() throws and a later call measures in full.
+TEST(ParallelSingles, PoolFaultSkippingWorkersIsAbsorbed) {
+  Rng rng(44);
+  Model model = make_tiny_model(rng);
+  const auto batch = make_batch(rng);
+  const auto want = SensitivityEngine(model, batch, 1).single_losses();
+
+  SensitivityEngine some_skipped(model, batch, 4);
+  clado::fault::arm_from(clado::fault::Site::kPoolTask, 3);  // 2 of 4 chunks run
+  const auto got = some_skipped.single_losses();
+  clado::fault::disarm_all();
+  EXPECT_EQ(got, want);
+
+  SensitivityEngine all_skipped(model, batch, 4);
+  clado::fault::arm_from(clado::fault::Site::kPoolTask, 1);
+  EXPECT_THROW(all_skipped.single_losses(), std::runtime_error);
+  clado::fault::disarm_all();
+  EXPECT_EQ(all_skipped.single_losses(), want);
 }
 
 TEST(ModelClone, ForwardBitIdenticalAcrossZoo) {
