@@ -17,19 +17,11 @@ namespace clado::serve {
 
 namespace {
 
-bool resolve_fusion(Fusion fusion) {
-  if (fusion != Fusion::kAuto) return fusion == Fusion::kOn;
-  const auto env = clado::tensor::env_str("CLADO_FUSION");
-  if (!env.has_value() || *env == "on" || *env == "1") return true;
-  if (*env == "off" || *env == "0") return false;
-  throw std::invalid_argument("CLADO_FUSION: expected on/1/off/0, got \"" + *env + "\"");
-}
-
 bool resolve_backend(BackendMode mode) {
   if (mode != BackendMode::kAuto) return mode == BackendMode::kOn;
   const auto env = clado::tensor::env_str("CLADO_BACKEND");
-  // Opt-in (unlike fusion): integer execution changes the numerics the
-  // fake-quant pipeline reported, so it must never switch on silently.
+  // Opt-in: integer execution changes the numerics the fake-quant pipeline
+  // reported, so it must never switch on silently.
   if (!env.has_value() || *env == "off" || *env == "0") return false;
   if (*env == "on" || *env == "1") return true;
   throw std::invalid_argument("CLADO_BACKEND: expected on/1/off/0, got \"" + *env + "\"");
@@ -44,13 +36,7 @@ Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(sp
   if (spec_.max_batch < 1) {
     throw std::invalid_argument("Engine: max_batch must be >= 1");
   }
-  const bool fuse = resolve_fusion(spec_.fusion);
   backend_enabled_ = resolve_backend(spec_.backend);
-  if (backend_enabled_ && !fuse) {
-    throw std::invalid_argument(
-        "Engine: backend execution runs inside the compiled plan; "
-        "CLADO_BACKEND=on requires fusion on");
-  }
   const clado::obs::Span span("serve/engine_load");
   model.net->set_training(false);
   model.net->clear_cache();
@@ -79,44 +65,47 @@ Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(sp
   replicas_.push_back(std::move(model));
   for (auto& replica : replicas_) replica.net->set_inference(true);
 
-  if (fuse) {
-    const clado::obs::Span compile_span("serve/plan_compile");
-    plans_.reserve(replicas_.size());
-    std::int64_t backend_layers = 0;
-    for (auto& replica : replicas_) {
-      PreparedMap prep_map;
-      if (backend_enabled_) {
-        // Key the shared PreparedLayers by this replica's own modules: the
-        // plan compiler walks the replica's tree, not the master's.
-        for (std::size_t i = 0; i < replica.quant_layers.size(); ++i) {
-          if (prepared_[i].precision == clado::backend::Precision::kFp32) continue;
-          const auto* mod =
-              dynamic_cast<const clado::nn::Module*>(replica.quant_layers[i].layer);
-          if (mod != nullptr) prep_map.emplace(mod, &prepared_[i]);
-        }
+  const clado::obs::Span compile_span("serve/plan_compile");
+  plans_.reserve(replicas_.size());
+  std::int64_t backend_layers = 0;
+  for (auto& replica : replicas_) {
+    PreparedMap prep_map;
+    if (backend_enabled_) {
+      // Key the shared PreparedLayers by this replica's own modules: the
+      // plan compiler walks the replica's tree, not the master's.
+      for (std::size_t i = 0; i < replica.quant_layers.size(); ++i) {
+        if (prepared_[i].precision == clado::backend::Precision::kFp32) continue;
+        const auto* mod = dynamic_cast<const clado::nn::Module*>(replica.quant_layers[i].layer);
+        if (mod != nullptr) prep_map.emplace(mod, &prepared_[i]);
       }
-      plans_.push_back(std::make_unique<CompiledPlan>(*replica.net, sample_shape_,
-                                                      spec_.max_batch,
-                                                      prep_map.empty() ? nullptr : &prep_map));
-      backend_layers += static_cast<std::int64_t>(plans_.back()->backend_steps());
     }
-    clado::obs::counter("serve.plans_compiled").add(static_cast<std::int64_t>(plans_.size()));
-    if (backend_layers > 0) clado::obs::counter("serve.backend_steps").add(backend_layers);
+    plans_.push_back(std::make_unique<CompiledPlan>(*replica.net, sample_shape_,
+                                                    spec_.max_batch,
+                                                    prep_map.empty() ? nullptr : &prep_map));
+    backend_layers += static_cast<std::int64_t>(plans_.back()->backend_steps());
   }
-  predict_stage_.resize(replicas_.size());
-  predict_out_.resize(replicas_.size());
+  // infer() copies num_classes floats per row out of the plan's output.
+  if (plans_.front()->output_shape() != Shape{num_classes()}) {
+    throw std::invalid_argument("Engine: network output " +
+                                Tensor(plans_.front()->output_shape()).shape_str() +
+                                " per sample does not match num_classes " +
+                                std::to_string(num_classes()));
+  }
+  clado::obs::counter("serve.plans_compiled").add(static_cast<std::int64_t>(plans_.size()));
+  if (backend_layers > 0) clado::obs::counter("serve.backend_steps").add(backend_layers);
   clado::obs::counter("serve.engines_loaded").add();
 }
 
-void Engine::check_replica(int replica) const {
+CompiledPlan& Engine::checked_plan(int replica) const {
   if (replica < 0 || replica >= replicas()) {
     throw std::invalid_argument("Engine: replica " + std::to_string(replica) + " out of [0, " +
                                 std::to_string(replicas()) + ")");
   }
+  return *plans_[static_cast<std::size_t>(replica)];
 }
 
 Tensor Engine::infer(const Tensor& batch, int replica) {
-  check_replica(replica);
+  CompiledPlan& plan = checked_plan(replica);
   if (batch.dim() != 4 || batch.size(1) != sample_shape_[0] ||
       batch.size(2) != sample_shape_[1] || batch.size(3) != sample_shape_[2]) {
     throw std::invalid_argument("Engine::infer: input " + batch.shape_str() +
@@ -125,111 +114,31 @@ Tensor Engine::infer(const Tensor& batch, int replica) {
                                 std::to_string(sample_shape_[1]) + ", " +
                                 std::to_string(sample_shape_[2]) + "]");
   }
+  const clado::obs::Span span("serve/engine_forward");
   const std::int64_t n = batch.size(0);
-  if (fused() && n >= 1 && n <= spec_.max_batch) {
-    auto& plan = *plans_[static_cast<std::size_t>(replica)];
-    const clado::obs::Span span("serve/engine_forward");
-    std::memcpy(plan.input(), batch.data(),
-                sizeof(float) * static_cast<std::size_t>(batch.numel()));
-    Tensor out;
-    plan.run(n, out);
-    return out;
+  const std::int64_t sample = plan.sample_numel();
+  const std::int64_t classes = num_classes();
+  Tensor out({n, classes});
+  Tensor chunk_out;
+  for (std::int64_t at = 0; at < n; at += spec_.max_batch) {
+    const std::int64_t take = std::min(spec_.max_batch, n - at);
+    std::memcpy(plan.input(), batch.data() + at * sample,
+                sizeof(float) * static_cast<std::size_t>(take * sample));
+    plan.run(take, chunk_out);
+    std::memcpy(out.data() + at * classes, chunk_out.data(),
+                sizeof(float) * static_cast<std::size_t>(take * classes));
   }
-  if (fused() && backend_enabled_ && n > spec_.max_batch) {
-    // Backend numerics live only in the plan; falling back to the eager
-    // forward would silently switch this batch to fake-quant arithmetic.
-    // Chunk through the plan instead.
-    auto& plan = *plans_[static_cast<std::size_t>(replica)];
-    const clado::obs::Span span("serve/engine_forward");
-    const std::int64_t sample = plan.sample_numel();
-    const std::int64_t classes = num_classes();
-    Tensor out({n, classes});
-    Tensor chunk_out;
-    for (std::int64_t at = 0; at < n; at += spec_.max_batch) {
-      const std::int64_t take = std::min(spec_.max_batch, n - at);
-      std::memcpy(plan.input(), batch.data() + at * sample,
-                  sizeof(float) * static_cast<std::size_t>(take * sample));
-      plan.run(take, chunk_out);
-      std::memcpy(out.data() + at * classes, chunk_out.data(),
-                  sizeof(float) * static_cast<std::size_t>(take * classes));
-    }
-    return out;
-  }
-  const clado::obs::Span span("serve/engine_forward");
-  return replicas_[static_cast<std::size_t>(replica)].net->forward(batch);
-}
-
-float* Engine::batch_buffer(int replica) {
-  check_replica(replica);
-  return fused() ? plans_[static_cast<std::size_t>(replica)]->input() : nullptr;
-}
-
-void Engine::infer_pinned(std::int64_t n, Tensor& out, int replica) {
-  check_replica(replica);
-  if (!fused()) {
-    throw std::logic_error("Engine::infer_pinned: engine has no compiled plan");
-  }
-  const clado::obs::Span span("serve/engine_forward");
-  plans_[static_cast<std::size_t>(replica)]->run(n, out);
-}
-
-std::int64_t Engine::predict(const Tensor& sample, int replica) {
-  check_replica(replica);
-  if (sample.dim() == 4) return infer(sample, replica).argmax();
-  if (sample.shape() != sample_shape_) {
-    throw std::invalid_argument("Engine::predict: sample " + sample.shape_str() +
-                                " does not match [" + std::to_string(sample_shape_[0]) + ", " +
-                                std::to_string(sample_shape_[1]) + ", " +
-                                std::to_string(sample_shape_[2]) + "]");
-  }
-  if (fused()) {
-    std::memcpy(batch_buffer(replica), sample.data(),
-                sizeof(float) * static_cast<std::size_t>(sample.numel()));
-    infer_pinned(1, predict_out_[static_cast<std::size_t>(replica)], replica);
-    return predict_out_[static_cast<std::size_t>(replica)].argmax();
-  }
-  // Eager path: stage into a persistent per-replica [1, C, H, W] tensor
-  // instead of deep-copying the sample just to prepend the batch axis.
-  Tensor& stage = predict_stage_[static_cast<std::size_t>(replica)];
-  if (stage.numel() != sample.numel() || stage.dim() != 4) {
-    Shape batched = sample_shape_;
-    batched.insert(batched.begin(), 1);
-    stage = Tensor(std::move(batched));
-  }
-  std::memcpy(stage.data(), sample.data(),
-              sizeof(float) * static_cast<std::size_t>(sample.numel()));
-  return infer(stage, replica).argmax();
-}
-
-const CompiledPlan* Engine::plan(int replica) const {
-  check_replica(replica);
-  return fused() ? plans_[static_cast<std::size_t>(replica)].get() : nullptr;
-}
-
-std::shared_ptr<Engine> EngineRegistry::put(const std::string& key,
-                                            std::shared_ptr<Engine> engine) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  engines_[key] = engine;
-  return engine;
-}
-
-std::shared_ptr<Engine> EngineRegistry::get(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = engines_.find(key);
-  return it == engines_.end() ? nullptr : it->second;
-}
-
-bool EngineRegistry::erase(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return engines_.erase(key) > 0;
-}
-
-std::vector<std::string> EngineRegistry::keys() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(engines_.size());
-  for (const auto& [key, engine] : engines_) out.push_back(key);
   return out;
 }
+
+float* Engine::batch_buffer(int replica) { return checked_plan(replica).input(); }
+
+void Engine::infer_pinned(std::int64_t n, Tensor& out, int replica) {
+  CompiledPlan& plan = checked_plan(replica);
+  const clado::obs::Span span("serve/engine_forward");
+  plan.run(n, out);
+}
+
+const CompiledPlan* Engine::plan(int replica) const { return &checked_plan(replica); }
 
 }  // namespace clado::serve

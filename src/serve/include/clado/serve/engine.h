@@ -2,19 +2,17 @@
 //
 // An Engine is the deployable form of a trained model plus an MPQ
 // assignment: at load time the network is frozen once (BatchNorm folded,
-// weights overwritten with Q(w, b_i) via clado::quant::freeze_quantized)
-// and then never mutated again. Because the NN engine's forward pass
-// stashes per-layer state, one network object supports only one in-flight
-// forward; the Engine therefore owns `replicas` independent deep copies —
-// server worker w runs batched forwards on replica w, so workers never
-// contend on layer stashes while the heavy GEMMs inside each forward still
-// fan out across the shared tensor::ThreadPool.
+// weights overwritten with Q(w, b_i) via clado::quant::freeze_quantized),
+// then each replica is compiled into a CompiledPlan — the one way an Engine
+// executes. A plan's arena holds one in-flight batch, so the Engine owns
+// `replicas` independent copies, each with its own plan: server worker w
+// runs batched forwards on replica w, so workers never contend on arenas
+// while the heavy GEMMs inside each forward still fan out across the shared
+// tensor::ThreadPool.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,15 +26,16 @@ namespace clado::serve {
 using clado::tensor::Shape;
 using clado::tensor::Tensor;
 
-/// Whether the engine compiles its replicas into CompiledPlans. kAuto
-/// defers to the CLADO_FUSION env var ("on"/"1" or "off"/"0"; unset = on).
-enum class Fusion { kAuto, kOn, kOff };
+/// No choice left: every Engine compiles its plan. The enum and
+/// EngineSpec::fusion exist only because perfbench/serving.cpp sets
+/// `spec.fusion = Fusion::kOn`, and the benchmark's sources change only
+/// together with the benchmark (ROADMAP item 6 deletes both then).
+enum class Fusion { kOn };
 
 /// Whether quantized layers execute on true integer backends (int8/int4
 /// kernels selected per layer from the frozen bit assignment) instead of
 /// the fake-quant fp32 simulation. kAuto defers to the CLADO_BACKEND env
-/// var ("on"/"1" or "off"/"0"; unset = off). Backend execution runs inside
-/// the compiled plan, so it requires fusion to resolve on.
+/// var ("on"/"1" or "off"/"0"; unset = off).
 enum class BackendMode { kAuto, kOn, kOff };
 
 /// How to freeze an Engine's weights at load time.
@@ -47,10 +46,11 @@ struct EngineSpec {
   std::vector<int> bits;
   int replicas = 1;   ///< independent forward contexts (>= server workers)
   std::string label;  ///< display name, e.g. "int8", "mixed-0.375", "fp32"
-  /// Largest batch the compiled plan's arena is sized for; batches beyond
-  /// it (and all batches on unfused engines) take the eager path.
+  /// Largest batch each replica's compiled plan is sized for; infer()
+  /// chunks bigger batches through the plan in pieces of this size.
   std::int64_t max_batch = 32;
-  Fusion fusion = Fusion::kAuto;
+  /// Has no effect; kept only for perfbench/serving.cpp (see Fusion).
+  Fusion fusion = Fusion::kOn;
   BackendMode backend = BackendMode::kAuto;
 };
 
@@ -59,8 +59,10 @@ struct EngineSpec {
 class Engine {
  public:
   /// Takes ownership of a pretrained (and, for quantized serving,
-  /// activation-calibrated) model and freezes it per `spec`. Throws
-  /// std::invalid_argument on a bits/layer-count mismatch or replicas < 1.
+  /// activation-calibrated) model, freezes it per `spec` and compiles every
+  /// replica. Throws std::invalid_argument on a bits/layer-count mismatch,
+  /// replicas < 1, max_batch < 1, or a network whose output is not
+  /// [num_classes] per sample.
   Engine(clado::models::Model model, EngineSpec spec);
 
   const std::string& label() const { return spec_.label; }
@@ -74,20 +76,16 @@ class Engine {
   int batchnorms_folded() const { return batchnorms_folded_; }
 
   /// Batched forward: input [N, C, H, W] -> logits [N, num_classes], run
-  /// on replica `replica`. Throws std::invalid_argument on a shape
-  /// mismatch or an out-of-range replica id. Fused engines route batches
-  /// up to plan_batch_capacity() through the replica's CompiledPlan.
+  /// through replica `replica`'s CompiledPlan in chunks of at most
+  /// plan_batch_capacity() samples. Throws std::invalid_argument on a shape
+  /// mismatch or an out-of-range replica id.
   Tensor infer(const Tensor& batch, int replica = 0);
 
-  /// True when replicas carry compiled plans (fusion resolved to on).
-  bool fused() const { return !plans_.empty(); }
-  /// Plan arena batch capacity; 0 on unfused engines.
-  std::int64_t plan_batch_capacity() const { return fused() ? spec_.max_batch : 0; }
+  /// Plan arena batch capacity (EngineSpec::max_batch).
+  std::int64_t plan_batch_capacity() const { return spec_.max_batch; }
 
   /// True when quantized layers execute on integer backends (BackendMode
-  /// resolved to on). Backend engines route every batch through the plan —
-  /// batches beyond plan_batch_capacity() are chunked — so one engine never
-  /// mixes integer and fake-quant numerics across batch sizes.
+  /// resolved to on).
   bool backend_enabled() const { return backend_enabled_; }
   /// Per-quant-layer execution material (empty unless backend_enabled());
   /// ordered like Model::quant_layers / EngineSpec::bits.
@@ -96,27 +94,21 @@ class Engine {
   }
 
   /// Pinned batch-stacking buffer of `replica`'s plan (room for
-  /// plan_batch_capacity() samples of sample_shape()); nullptr on unfused
-  /// engines. Callers memcpy samples here, then call infer_pinned.
+  /// plan_batch_capacity() samples of sample_shape()). Callers memcpy
+  /// samples here, then call infer_pinned.
   float* batch_buffer(int replica = 0);
 
   /// Runs the plan on the first `n` samples staged in batch_buffer(),
   /// writing logits into `out` ([n, num_classes]; reallocated only on a
   /// shape change, so steady-state same-n calls are allocation-free).
-  /// Throws std::logic_error on unfused engines.
   void infer_pinned(std::int64_t n, Tensor& out, int replica = 0);
 
-  /// Top-1 class of one sample [C, H, W] (or [1, C, H, W]) on `replica`.
-  /// Stages through per-replica persistent buffers instead of deep-copying
-  /// the sample to prepend a batch axis.
-  std::int64_t predict(const Tensor& sample, int replica = 0);
-
-  /// Compiled plan of `replica` (nullptr on unfused engines) — plan
-  /// introspection for tests and diagnostics.
+  /// Compiled plan of `replica` — plan introspection for tests and
+  /// diagnostics.
   const CompiledPlan* plan(int replica = 0) const;
 
  private:
-  void check_replica(int replica) const;
+  CompiledPlan& checked_plan(int replica) const;
 
   EngineSpec spec_;
   std::vector<clado::models::Model> replicas_;
@@ -125,30 +117,10 @@ class Engine {
   /// shared (by pointer) with every replica's plan. Stable storage: never
   /// resized after construction.
   std::vector<clado::backend::PreparedLayer> prepared_;
-  std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica when fused
-  std::vector<Tensor> predict_stage_;  ///< per-replica [1, C, H, W] staging
-  std::vector<Tensor> predict_out_;    ///< per-replica logits scratch
+  std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica
   Shape sample_shape_;
   double weight_bytes_ = 0.0;
   int batchnorms_folded_ = 0;
-};
-
-/// Named collection of loaded engines — the daemon's model table. Lookup
-/// returns shared ownership so an engine can be hot-swapped (re-registered
-/// under the same key) while in-flight servers keep the version they
-/// started with.
-class EngineRegistry {
- public:
-  /// Registers (or replaces) `engine` under `key`; returns the engine.
-  std::shared_ptr<Engine> put(const std::string& key, std::shared_ptr<Engine> engine);
-  /// nullptr when `key` is unknown.
-  std::shared_ptr<Engine> get(const std::string& key) const;
-  bool erase(const std::string& key);
-  std::vector<std::string> keys() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Engine>> engines_;
 };
 
 }  // namespace clado::serve

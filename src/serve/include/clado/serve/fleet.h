@@ -1,11 +1,11 @@
 // clado::serve::Fleet — the daemon's model table: named engines, each
 // backed by N Server replicas with least-loaded dispatch.
 //
-// Where EngineRegistry (engine.h) maps names to frozen weight sets, Fleet
-// maps names to *running capacity*: a replica set of admission-controlled
-// Servers, each wrapping its own Engine. route() picks the replica with
-// the shallowest admission queue, so a replica wedged behind a slow batch
-// stops attracting new work while its siblings absorb the stream.
+// Fleet maps each model name to *running capacity*: a replica set of
+// admission-controlled Servers, each wrapping its own Engine. route()
+// picks the replica with the shallowest admission queue, so a replica
+// wedged behind a slow batch stops attracting new work while its siblings
+// absorb the stream.
 //
 // Hot-swap contract (put on an existing name): the table is flipped to
 // the new replica set first — lookups atomically see either the complete

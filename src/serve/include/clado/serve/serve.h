@@ -8,10 +8,9 @@
 // serving reuses the pool's worker lifecycle instead of hand-rolled
 // threads — coalesce compatible requests into micro-batches: a worker
 // holds the oldest request for at most max_delay_us waiting for the queue
-// to reach max_batch, then stacks the admitted inputs — directly into the
-// compiled plan's pinned batch buffer on fused engines, into a fresh
-// [N,C,H,W] tensor otherwise — and runs a single batched forward on its
-// own Engine replica.
+// to reach max_batch, then stacks the admitted inputs directly into its
+// Engine replica's pinned plan buffer and runs a single batched forward
+// there.
 // Requests whose deadline expired while queued are dropped before
 // execution (kDeadlineExpired). drain() stops admission, finishes every
 // already-admitted request, and parks the workers; the destructor drains.
@@ -83,7 +82,7 @@ struct Response {
 
 struct ServerConfig {
   int workers = 2;                   ///< worker loops; engine needs >= this many replicas
-  std::int64_t max_batch = 8;        ///< micro-batch size cap
+  std::int64_t max_batch = 8;        ///< micro-batch size cap (<= engine plan capacity)
   std::int64_t max_delay_us = 2000;  ///< max time the oldest request waits for co-batching
   std::int64_t queue_capacity = 256; ///< admission bound (backpressure past this)
   /// Queue depth past which best-effort requests are shed; 0 = auto
@@ -112,7 +111,8 @@ struct LatencySummary {
 class Server {
  public:
   /// Throws std::invalid_argument when the engine has fewer replicas than
-  /// `config.workers` or the config is out of range.
+  /// `config.workers`, when `config.max_batch` exceeds the engine's
+  /// plan_batch_capacity(), or when the config is out of range.
   Server(std::shared_ptr<Engine> engine, ServerConfig config = {});
   /// Drains (completes admitted work) before tearing down.
   ~Server();
@@ -157,9 +157,9 @@ class Server {
   void worker_loop(int worker);
   /// Runs one formed batch; worker_loop has already answered the expired
   /// requests, so every entry of `live` reaches the engine. `logits` is the
-  /// worker's persistent output tensor: on fused engines the batch is
-  /// memcpy'd into the plan's pinned buffer and infer_pinned writes logits
-  /// in place, so steady-state batches allocate nothing.
+  /// worker's persistent output tensor: the batch is memcpy'd into the
+  /// plan's pinned buffer and infer_pinned writes logits in place, so
+  /// steady-state batches allocate nothing.
   void execute_batch(int worker, std::vector<Pending> live, std::int64_t formed_us,
                      Tensor& logits);
 

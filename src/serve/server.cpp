@@ -105,6 +105,13 @@ Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)
         std::to_string(config_.workers) + "); load the engine with EngineSpec::replicas >= "
         "workers");
   }
+  if (config_.max_batch > engine_->plan_batch_capacity()) {
+    throw std::invalid_argument(
+        "Server: max_batch " + std::to_string(config_.max_batch) +
+        " exceeds the engine's plan capacity (" +
+        std::to_string(engine_->plan_batch_capacity()) +
+        "); load the engine with EngineSpec::max_batch >= the server's max_batch");
+  }
   paused_ = config_.start_paused;
   latencies_ms_.reserve(std::min<std::size_t>(kLatencyCap, 1024));
   // The dispatcher issues one parallel_for whose chunks ARE the worker
@@ -236,7 +243,7 @@ void Server::drain() {
 }
 
 void Server::worker_loop(int worker) {
-  // Lives across batches so the fused path reuses its capacity; only a
+  // Lives across batches so infer_pinned reuses its capacity; only a
   // batch-size change reshapes it.
   Tensor logits;
   while (true) {
@@ -313,23 +320,15 @@ void Server::execute_batch(int worker, std::vector<Pending> live, std::int64_t f
   {
     clado::obs::Span span("serve/batch");
     try {
+      // Stack straight into the plan's pinned batch buffer — no
+      // [N, C, H, W] tensor is ever materialized.
       float* pin = engine_->batch_buffer(worker);
-      if (pin != nullptr && n <= engine_->plan_batch_capacity()) {
-        // Fused engine: stack straight into the plan's pinned batch buffer
-        // — no [N, C, H, W] tensor is ever materialized.
-        const std::int64_t per_sample = live.front().input.numel();
-        for (std::int64_t i = 0; i < n; ++i) {
-          std::memcpy(pin + i * per_sample, live[static_cast<std::size_t>(i)].input.data(),
-                      sizeof(float) * static_cast<std::size_t>(per_sample));
-        }
-        engine_->infer_pinned(n, logits, worker);
-      } else {
-        std::vector<Tensor> inputs;
-        inputs.reserve(live.size());
-        for (const Pending& p : live) inputs.push_back(p.input);
-        const Tensor stacked = clado::tensor::stack_samples(inputs);
-        logits = engine_->infer(stacked, worker);
+      const std::int64_t per_sample = live.front().input.numel();
+      for (std::int64_t i = 0; i < n; ++i) {
+        std::memcpy(pin + i * per_sample, live[static_cast<std::size_t>(i)].input.data(),
+                    sizeof(float) * static_cast<std::size_t>(per_sample));
       }
+      engine_->infer_pinned(n, logits, worker);
     } catch (const std::exception& e) {
       error = e.what();
     }

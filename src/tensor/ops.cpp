@@ -242,28 +242,6 @@ double dot(std::span<const float> x, std::span<const float> y) {
   return acc;
 }
 
-Tensor stack_samples(std::span<const Tensor> samples) {
-  if (samples.empty()) throw std::invalid_argument("stack_samples: empty sample list");
-  const Shape& sample_shape = samples.front().shape();
-  for (const Tensor& s : samples) {
-    if (s.shape() != sample_shape) {
-      throw std::invalid_argument("stack_samples: shape mismatch (" + s.shape_str() +
-                                  " vs " + samples.front().shape_str() + ")");
-    }
-  }
-  Shape batched;
-  batched.reserve(sample_shape.size() + 1);
-  batched.push_back(static_cast<std::int64_t>(samples.size()));
-  batched.insert(batched.end(), sample_shape.begin(), sample_shape.end());
-  Tensor out(std::move(batched));
-  const std::int64_t stride = samples.front().numel();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    std::copy(samples[i].data(), samples[i].data() + stride,
-              out.data() + static_cast<std::int64_t>(i) * stride);
-  }
-  return out;
-}
-
 Tensor slice_row(const Tensor& batch, std::int64_t row) {
   if (batch.dim() < 1) throw std::invalid_argument("slice_row: 0-d tensor");
   if (row < 0 || row >= batch.size(0)) {

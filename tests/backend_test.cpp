@@ -43,7 +43,6 @@ using clado::models::Model;
 using clado::serve::BackendMode;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
-using clado::serve::Fusion;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
@@ -251,16 +250,8 @@ EngineSpec backend_spec(std::vector<int> bits, std::int64_t max_batch) {
   spec.bits = std::move(bits);
   spec.label = "backend";
   spec.max_batch = max_batch;
-  spec.fusion = Fusion::kOn;
   spec.backend = BackendMode::kOn;
   return spec;
-}
-
-TEST(BackendEngine, RequiresFusion) {
-  Model model = make_calibrated_resnet_a();
-  EngineSpec spec = backend_spec(mixed_bits(model.quant_layers.size()), 4);
-  spec.fusion = Fusion::kOff;
-  EXPECT_THROW(Engine(std::move(model), std::move(spec)), std::invalid_argument);
 }
 
 TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
@@ -270,7 +261,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_FALSE(engine.backend_enabled());  // kAuto + unset = off
     EXPECT_TRUE(engine.prepared_layers().empty());
@@ -279,7 +269,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_TRUE(engine.backend_enabled());
   }
@@ -287,7 +276,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
     // Explicit kOff wins over the env var.
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     spec.backend = BackendMode::kOff;
     Engine engine(model.clone(), std::move(spec));
     EXPECT_FALSE(engine.backend_enabled());
@@ -296,7 +284,6 @@ TEST(BackendEngine, EnvVarParsesStrictlyAndDefaultsOff) {
   {
     EngineSpec spec;
     spec.bits = std::vector<int>(model.quant_layers.size(), 8);
-    spec.fusion = Fusion::kOn;
     EXPECT_THROW(Engine(model.clone(), std::move(spec)), std::invalid_argument);
   }
   ::unsetenv("CLADO_BACKEND");
@@ -311,7 +298,6 @@ TEST(BackendEngine, MixedAssignmentRunsEveryQuantLayerOnItsBackend) {
   Engine engine(std::move(model), backend_spec(bits, 4));
 
   ASSERT_TRUE(engine.backend_enabled());
-  ASSERT_TRUE(engine.fused());
   const auto& prepared = engine.prepared_layers();
   ASSERT_EQ(prepared.size(), layers);
   for (std::size_t i = 0; i < layers; ++i) {
@@ -368,7 +354,6 @@ TEST(BackendEngine, LogitsTrackFakeQuantSimulationWithinTolerance) {
   fake_spec.bits = bits;
   fake_spec.label = "fake-quant";
   fake_spec.max_batch = 4;
-  fake_spec.fusion = Fusion::kOn;
   fake_spec.backend = BackendMode::kOff;
   Engine fake(std::move(twin), std::move(fake_spec));
 
@@ -385,14 +370,18 @@ TEST(BackendEngine, LogitsTrackFakeQuantSimulationWithinTolerance) {
   EXPECT_LT(max_diff, 0.35F) << "backend vs fake-quant logit divergence";
 }
 
-TEST(BackendEngine, ChunksOversizedBatchesThroughThePlan) {
-  // Backend engines never fall back to fake-quant for big batches; they
-  // chunk. Chunk boundaries are the only numeric seam (dynamic input
+class BackendEngineChunks : public ::testing::TestWithParam<BackendMode> {};
+
+TEST_P(BackendEngineChunks, ChunksOversizedBatchesThroughThePlan) {
+  // Every engine runs big batches through its plan in chunks. Chunk
+  // boundaries are the only numeric seam (on integer engines, dynamic input
   // quantization is per chunk), so infer(6) must equal the concatenation
   // of infer on the same {2, 2, 2} partition.
   Model model = make_calibrated_resnet_a();
-  std::vector<int> bits = mixed_bits(model.quant_layers.size());
-  Engine engine(std::move(model), backend_spec(std::move(bits), 2));
+  EngineSpec spec = backend_spec(mixed_bits(model.quant_layers.size()), 2);
+  spec.backend = GetParam();
+  Engine engine(std::move(model), std::move(spec));
+  ASSERT_EQ(engine.backend_enabled(), GetParam() == BackendMode::kOn);
 
   Rng rng(613);
   const auto& s = engine.sample_shape();
@@ -414,6 +403,9 @@ TEST(BackendEngine, ChunksOversizedBatchesThroughThePlan) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BackendOnAndOff, BackendEngineChunks,
+                         ::testing::Values(BackendMode::kOn, BackendMode::kOff));
 
 // ---- engine: bit-identity with the reference integer path -------------------
 

@@ -1,11 +1,11 @@
-// clado::serve::CompiledPlan coverage: fused-vs-eager bit-identity across
-// the whole model zoo (including activation-quantized engines), grouped /
-// strided / unpadded conv geometry, the liveness property of the arena
-// planner (live buffers never share storage), zero steady-state heap
-// allocation, and strict CLADO_FUSION parsing.
+// clado::serve::CompiledPlan coverage: bit-identity of every Engine's
+// compiled plan with the eager forward of a frozen twin (freeze_reference)
+// across the whole model zoo (including activation-quantized engines),
+// grouped / strided / unpadded conv geometry, batches chunked beyond the
+// plan's capacity, the liveness property of the arena planner (live buffers
+// never share storage), and zero steady-state heap allocation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,24 +20,38 @@
 #include "clado/serve/plan.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
+#include "test_models_util.h"
 
 namespace {
 
 using clado::models::Model;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
-using clado::serve::Fusion;
 using clado::serve::PlanBuffer;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
-/// Builds a calibrated zoo model and freezes it twice — once fused, once
-/// eager — from bit-identical clones.
+/// An Engine and its eager reference: a bit-identical clone of the same
+/// model, frozen by freeze_reference.
 struct EnginePair {
-  std::unique_ptr<Engine> fused;
-  std::unique_ptr<Engine> eager;
+  std::unique_ptr<Engine> engine;
+  Model reference;
 };
 
+EnginePair make_engine_pair(Model model, std::vector<int> bits, std::int64_t max_batch) {
+  EnginePair pair;
+  pair.reference = model.clone();
+  clado::testing::freeze_reference(pair.reference, bits);
+  EngineSpec spec;
+  spec.bits = std::move(bits);
+  spec.label = "plan";
+  spec.max_batch = max_batch;
+  pair.engine = std::make_unique<Engine>(std::move(model), std::move(spec));
+  return pair;
+}
+
+/// Builds a calibrated zoo model and pairs its Engine with the eager
+/// reference.
 EnginePair make_engines(const std::string& name, std::int64_t max_batch, int bits_value = 8) {
   Rng rng(202);
   Model model = clado::models::build_by_name(name, rng, /*num_classes=*/10);
@@ -47,33 +61,16 @@ EnginePair make_engines(const std::string& name, std::int64_t max_batch, int bit
   calib.images = Tensor::randn({4, model.channels, model.image_size, model.image_size}, data_rng);
   for (std::int64_t i = 0; i < 4; ++i) calib.labels.push_back(i % model.num_classes);
   model.calibrate_activations(calib);
-
-  Model twin = model.clone();
   std::vector<int> bits(model.quant_layers.size(), bits_value);
-
-  EnginePair pair;
-  EngineSpec fused_spec;
-  fused_spec.bits = bits;
-  fused_spec.label = "fused";
-  fused_spec.max_batch = max_batch;
-  fused_spec.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(fused_spec));
-
-  EngineSpec eager_spec;
-  eager_spec.bits = bits;
-  eager_spec.label = "eager";
-  eager_spec.max_batch = max_batch;
-  eager_spec.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(eager_spec));
-  return pair;
+  return make_engine_pair(std::move(model), std::move(bits), max_batch);
 }
 
-void expect_bit_identical(Engine& fused, Engine& eager, std::int64_t n, std::uint64_t seed) {
+void expect_bit_identical(EnginePair& pair, std::int64_t n, std::uint64_t seed) {
   Rng rng(seed);
-  const auto& s = fused.sample_shape();
+  const auto& s = pair.engine->sample_shape();
   const Tensor batch = Tensor::randn({n, s[0], s[1], s[2]}, rng);
-  const Tensor a = fused.infer(batch);
-  const Tensor b = eager.infer(batch);
+  const Tensor a = pair.engine->infer(batch);
+  const Tensor b = pair.reference.net->forward(batch);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "n=" << n << " logit " << i;
@@ -84,11 +81,8 @@ TEST(CompiledPlan, FusedMatchesEagerAcrossZoo) {
   for (const std::string& name : clado::models::model_names()) {
     SCOPED_TRACE(name);
     EnginePair pair = make_engines(name, /*max_batch=*/4);
-    ASSERT_TRUE(pair.fused->fused());
-    ASSERT_FALSE(pair.eager->fused());
-    ASSERT_NE(pair.fused->plan(0), nullptr);
-    expect_bit_identical(*pair.fused, *pair.eager, /*n=*/3, /*seed=*/500);
-    expect_bit_identical(*pair.fused, *pair.eager, /*n=*/1, /*seed=*/501);
+    expect_bit_identical(pair, /*n=*/3, /*seed=*/500);
+    expect_bit_identical(pair, /*n=*/1, /*seed=*/501);
   }
 }
 
@@ -96,12 +90,12 @@ TEST(CompiledPlan, CnnZooModelsCompileWithoutFallbacks) {
   for (const std::string name : {"resnet_a", "resnet_b"}) {
     SCOPED_TRACE(name);
     EnginePair pair = make_engines(name, 2);
-    EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u)
+    EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u)
         << "the CNN path regressed into Module::forward staging";
   }
   // The transformer encoder is out of the compiler's vocabulary by design.
   EnginePair vit = make_engines("vit_mini", 2);
-  EXPECT_GT(vit.fused->plan(0)->fallback_steps(), 0u);
+  EXPECT_GT(vit.engine->plan(0)->fallback_steps(), 0u);
 }
 
 /// Stride > 1, pad = 0 and grouped convolutions all change the im2col
@@ -129,46 +123,21 @@ Model make_geometry_model(Rng& rng) {
 
 EnginePair make_geometry_pair(std::int64_t max_batch) {
   Rng rng(77);
-  Model model = make_geometry_model(rng);
-  Model twin = model.clone();
-  EnginePair pair;
-  EngineSpec on;
-  on.max_batch = max_batch;
-  on.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(on));
-  EngineSpec off;
-  off.max_batch = max_batch;
-  off.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(off));
-  return pair;
+  return make_engine_pair(make_geometry_model(rng), {}, max_batch);
 }
 
 TEST(CompiledPlan, FusedMatchesEagerOnGroupedStridedUnpaddedConvs) {
   EnginePair pair = make_geometry_pair(/*max_batch=*/5);
-  EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u);
-  expect_bit_identical(*pair.fused, *pair.eager, 5, 600);
-  expect_bit_identical(*pair.fused, *pair.eager, 1, 601);
-}
-
-TEST(CompiledPlan, PredictMatchesBatchedInference) {
-  EnginePair pair = make_geometry_pair(4);
-  Rng rng(55);
-  for (int i = 0; i < 3; ++i) {
-    const Tensor sample = Tensor::randn({3, 16, 16}, rng);
-    Tensor one = sample;
-    one.reshape_inplace({1, 3, 16, 16});
-    const std::int64_t expected = pair.eager->infer(one).argmax();
-    EXPECT_EQ(pair.fused->predict(sample), expected);
-    EXPECT_EQ(pair.eager->predict(sample), expected);
-    EXPECT_EQ(pair.fused->predict(one), expected);  // [1, C, H, W] accepted too
-  }
+  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
+  expect_bit_identical(pair, 5, 600);
+  expect_bit_identical(pair, 1, 601);
 }
 
 TEST(CompiledPlan, LiveArenaBuffersNeverOverlap) {
   for (const std::string name : {"resnet_a", "mobilenet_v3_mini"}) {
     SCOPED_TRACE(name);
     EnginePair pair = make_engines(name, 3);
-    const auto* plan = pair.fused->plan(0);
+    const auto* plan = pair.engine->plan(0);
     const std::vector<PlanBuffer>& bufs = plan->buffers();
     ASSERT_GT(bufs.size(), 1u);
     for (const PlanBuffer& b : bufs) {
@@ -198,7 +167,7 @@ TEST(CompiledPlan, SteadyStateRunsAreAllocationFree) {
                     "(Release without CLADO_ENABLE_CHECKS); the sanitizer CI job enforces this";
   }
   EnginePair pair = make_geometry_pair(/*max_batch=*/4);
-  Engine& engine = *pair.fused;
+  Engine& engine = *pair.engine;
   Rng rng(88);
   const Tensor batch = Tensor::randn({4, 3, 16, 16}, rng);
   float* pin = engine.batch_buffer(0);
@@ -213,36 +182,12 @@ TEST(CompiledPlan, SteadyStateRunsAreAllocationFree) {
       << "steady-state fused inference touched the heap";
 }
 
-TEST(CompiledPlan, FusionEnvParsesStrictly) {
-  Rng rng(99);
-  ASSERT_EQ(::setenv("CLADO_FUSION", "sideways", 1), 0);
-  EXPECT_THROW(Engine(make_geometry_model(rng), EngineSpec{}), std::invalid_argument);
-  ASSERT_EQ(::setenv("CLADO_FUSION", "off", 1), 0);
-  {
-    Engine engine(make_geometry_model(rng), EngineSpec{});
-    EXPECT_FALSE(engine.fused());
-    EXPECT_EQ(engine.plan_batch_capacity(), 0);
-    EXPECT_EQ(engine.batch_buffer(0), nullptr);
-    Tensor out;
-    EXPECT_THROW(engine.infer_pinned(1, out, 0), std::logic_error);
-  }
-  ASSERT_EQ(::setenv("CLADO_FUSION", "1", 1), 0);
-  {
-    Engine engine(make_geometry_model(rng), EngineSpec{});
-    EXPECT_TRUE(engine.fused());
-  }
-  ::unsetenv("CLADO_FUSION");
-  Engine engine(make_geometry_model(rng), EngineSpec{});
-  EXPECT_TRUE(engine.fused()) << "unset CLADO_FUSION must default to fused";
-}
-
 TEST(CompiledPlan, ReplicaPlansAgree) {
   Rng rng(121);
   Model model = make_geometry_model(rng);
   EngineSpec spec;
   spec.replicas = 2;
   spec.max_batch = 2;
-  spec.fusion = Fusion::kOn;
   Engine engine(std::move(model), std::move(spec));
   ASSERT_NE(engine.plan(1), nullptr);
   Rng data_rng(131);
@@ -288,28 +233,18 @@ Model make_preact_residual_model(Rng& rng) {
 
 TEST(CompiledPlan, ActivationLeadingResidualBranchesMatchEager) {
   Rng rng(161);
-  Model model = make_preact_residual_model(rng);
-  Model twin = model.clone();
-  EnginePair pair;
-  EngineSpec on;
-  on.max_batch = 3;
-  on.fusion = Fusion::kOn;
-  pair.fused = std::make_unique<Engine>(std::move(model), std::move(on));
-  EngineSpec off;
-  off.max_batch = 3;
-  off.fusion = Fusion::kOff;
-  pair.eager = std::make_unique<Engine>(std::move(twin), std::move(off));
+  EnginePair pair = make_engine_pair(make_preact_residual_model(rng), {}, /*max_batch=*/3);
 
   // Both branch-leading activations must survive as standalone steps; fusing
   // either in place would corrupt the other branch's input.
   std::size_t standalone_acts = 0;
-  for (const auto& step : pair.fused->plan(0)->steps()) {
+  for (const auto& step : pair.engine->plan(0)->steps()) {
     standalone_acts += step.kind == clado::serve::StepKind::kAct ? 1 : 0;
   }
   EXPECT_EQ(standalone_acts, 2u);
-  EXPECT_EQ(pair.fused->plan(0)->fallback_steps(), 0u);
-  expect_bit_identical(*pair.fused, *pair.eager, 3, 700);
-  expect_bit_identical(*pair.fused, *pair.eager, 1, 701);
+  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
+  expect_bit_identical(pair, 3, 700);
+  expect_bit_identical(pair, 1, 701);
 }
 
 TEST(CompiledPlan, SEBlockWithWeightTransformFallsBack) {
@@ -360,14 +295,11 @@ TEST(CompiledPlan, ResidualBranchShapeMismatchThrowsAtCompile) {
   EXPECT_THROW(clado::serve::CompiledPlan(net, {3, 8, 8}, 1), std::invalid_argument);
 }
 
-TEST(CompiledPlan, OversizedBatchFallsBackToEager) {
+TEST(CompiledPlan, OversizedBatchChunksThroughThePlan) {
+  // 5 samples over a capacity of 2 run as chunks {2, 2, 1}, the last one
+  // partial; every row must still match the eager reference.
   EnginePair pair = make_geometry_pair(/*max_batch=*/2);
-  Rng rng(141);
-  const Tensor batch = Tensor::randn({4, 3, 16, 16}, rng);  // > max_batch
-  const Tensor a = pair.fused->infer(batch);
-  const Tensor b = pair.eager->infer(batch);
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
+  expect_bit_identical(pair, 5, 141);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 namespace {
 
+using clado::serve::BackendMode;
 using clado::serve::DeadlineClass;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
@@ -36,13 +37,14 @@ using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
 std::shared_ptr<Engine> make_engine(std::vector<int> bits, int replicas,
-                                    std::uint64_t seed = 7) {
-  Rng rng(seed);
+                                    std::int64_t max_batch = EngineSpec{}.max_batch) {
+  Rng rng(7);
   auto model = clado::testing::make_tiny_model(rng);
   EngineSpec spec;
   spec.bits = std::move(bits);
   spec.replicas = replicas;
   spec.label = spec.bits.empty() ? "fp32" : "int";
+  spec.max_batch = max_batch;
   return std::make_shared<Engine>(std::move(model), std::move(spec));
 }
 
@@ -69,10 +71,6 @@ TEST(ServeEngine, FreezesAndInfers) {
   const Tensor batch = Tensor::randn({4, 3, 8, 8}, rng);
   const Tensor logits = engine->infer(batch);
   EXPECT_EQ(logits.shape(), (clado::tensor::Shape{4, 5}));
-
-  const std::int64_t cls = engine->predict(make_sample(rng));
-  EXPECT_GE(cls, 0);
-  EXPECT_LT(cls, 5);
 }
 
 TEST(ServeEngine, QuantizedWeightsSmallerThanFp32) {
@@ -105,18 +103,23 @@ TEST(ServeEngine, ReplicasAgree) {
   }
 }
 
-TEST(ServeRegistry, PutGetErase) {
-  clado::serve::EngineRegistry registry;
-  EXPECT_EQ(registry.get("int8"), nullptr);
-  auto engine = registry.put("int8", make_engine({8, 8, 8, 8}, 1));
-  EXPECT_EQ(registry.get("int8"), engine);
-  // Hot swap: old handle stays alive for holders, lookup sees the new one.
-  auto swapped = registry.put("int8", make_engine({2, 2, 2, 2}, 1));
-  EXPECT_EQ(registry.get("int8"), swapped);
-  EXPECT_NE(engine, swapped);
-  EXPECT_EQ(registry.keys().size(), 1u);
-  EXPECT_TRUE(registry.erase("int8"));
-  EXPECT_FALSE(registry.erase("int8"));
+TEST(ServeEngine, RejectsHeadThatDoesNotMatchNumClasses) {
+  // A 4 -> 5 head under num_classes = 10: infer() would copy 10 floats per
+  // row out of a 5-float plan output, so the engine refuses it at load.
+  for (const BackendMode backend : {BackendMode::kOff, BackendMode::kOn}) {
+    const auto load = [backend](std::int64_t num_classes) {
+      Rng rng(13);
+      auto model = clado::testing::make_tiny_model(rng);
+      model.num_classes = num_classes;
+      EngineSpec spec;
+      spec.bits = {8, 8, 8, 8};
+      spec.max_batch = 2;
+      spec.backend = backend;
+      return Engine(std::move(model), std::move(spec));
+    };
+    EXPECT_NO_THROW(load(5));
+    EXPECT_THROW(load(10), std::invalid_argument);
+  }
 }
 
 TEST(ServeServer, BatchedResultsBitIdenticalToSingle) {
@@ -165,7 +168,7 @@ TEST(ServeServer, HonorsMaxBatch) {
 }
 
 TEST(ServeServer, MaxDelayFlushesPartialBatch) {
-  auto engine = make_engine({}, 1);
+  auto engine = make_engine({}, 1, /*max_batch=*/64);
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 64;  // never reachable with one request
@@ -622,23 +625,30 @@ TEST(ServeServer, RequiresReplicaPerWorker) {
   EXPECT_THROW(Server(engine, cfg), std::invalid_argument);
 }
 
-TEST(ServeEngine, FusedAndEagerEnginesAgree) {
+TEST(ServeServer, RejectsBatchCapAbovePlanCapacity) {
+  auto engine = make_engine({}, 1, /*max_batch=*/4);
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 5;
+  EXPECT_THROW(Server(engine, cfg), std::invalid_argument);
+  cfg.max_batch = 4;
+  EXPECT_NO_THROW(Server(engine, cfg));
+}
+
+TEST(ServeEngine, PlanMatchesFrozenEagerReference) {
   Rng rng(7);
-  auto fused_model = clado::testing::make_tiny_model(rng);
-  Rng rng2(7);
-  auto eager_model = clado::testing::make_tiny_model(rng2);
-  EngineSpec on;
-  on.bits = {8, 8, 8, 8};
-  on.fusion = clado::serve::Fusion::kOn;
-  EngineSpec off = on;
-  off.fusion = clado::serve::Fusion::kOff;
-  Engine fused(std::move(fused_model), std::move(on));
-  Engine eager(std::move(eager_model), std::move(off));
+  auto model = clado::testing::make_tiny_model(rng);
+  auto reference = model.clone();
+  const std::vector<int> bits = {8, 8, 8, 8};
+  clado::testing::freeze_reference(reference, bits);
+  EngineSpec spec;
+  spec.bits = bits;
+  Engine engine(std::move(model), std::move(spec));
 
   Rng data_rng(15);
   const Tensor batch = Tensor::randn({4, 3, 8, 8}, data_rng);
-  const Tensor a = fused.infer(batch);
-  const Tensor b = eager.infer(batch);
+  const Tensor a = engine.infer(batch);
+  const Tensor b = reference.net->forward(batch);
   ASSERT_EQ(a.shape(), b.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
 }
@@ -649,7 +659,6 @@ TEST(ServeEngine, SteadyStatePinnedPathIsAllocationFree) {
                     "the sanitizer CI job enforces the zero-alloc contract";
   }
   auto engine = make_engine({8, 8, 8, 8}, 1);
-  ASSERT_TRUE(engine->fused());
   const std::int64_t n = 4;
   Rng rng(19);
   const Tensor batch = Tensor::randn({n, 3, 8, 8}, rng);
@@ -661,16 +670,6 @@ TEST(ServeEngine, SteadyStatePinnedPathIsAllocationFree) {
   for (int i = 0; i < 100; ++i) engine->infer_pinned(n, out, 0);
   EXPECT_EQ(clado::tensor::alloc_count(), before)
       << "steady-state serving batches must not touch the heap";
-}
-
-TEST(ServeEngine, PredictRunsOnRequestedReplica) {
-  auto engine = make_engine({8, 8, 8, 8}, 2);
-  Rng rng(23);
-  const Tensor sample = make_sample(rng);
-  const std::int64_t a = engine->predict(sample, 0);
-  const std::int64_t b = engine->predict(sample, 1);
-  EXPECT_EQ(a, b) << "replicas are frozen from the same weights";
-  EXPECT_THROW(engine->predict(sample, 7), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Shared tiny-model fixtures for core-pipeline tests: small enough for
 // brute-force cross-checks, structured enough (residual block, multiple
-// stages) to exercise prefix caching and block masks.
+// stages) to exercise prefix caching and block masks. Also the eager
+// reference that serving tests compare compiled engines against.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "clado/data/synthcv.h"
 #include "clado/models/model.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/nn/loss.h"
+#include "clado/quant/freeze.h"
 #include "clado/tensor/rng.h"
 
 namespace clado::testing {
@@ -62,6 +65,18 @@ inline double full_loss(Model& m, const clado::data::Batch& batch) {
   clado::nn::CrossEntropyLoss criterion;
   m.net->set_training(false);
   return criterion.forward(m.net->forward(batch.images), batch.labels);
+}
+
+/// Freezes `model` in place exactly as serve::Engine's constructor does
+/// (eval mode, caches cleared, BatchNorm folded, weights overwritten with
+/// Q(w, bits[i]), inference mode), so the frozen twin's eager
+/// Sequential::forward is the reference a compiled Engine must match bit
+/// for bit.
+inline void freeze_reference(Model& model, const std::vector<int>& bits) {
+  model.net->set_training(false);
+  model.net->clear_cache();
+  clado::quant::freeze_quantized(*model.net, model.quant_layers, bits, model.scheme);
+  model.net->set_inference(true);
 }
 
 }  // namespace clado::testing
