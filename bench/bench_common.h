@@ -52,9 +52,8 @@ namespace detail {
 /// Prints the obs metrics dump when the bench exits. Goes to stderr so
 /// bench stdout (the paper tables, compared byte-for-byte across thread
 /// counts) stays free of run-dependent timings. The constructor touches
-/// the obs registry so the registry is constructed first and therefore
-/// destroyed last — the metrics read in our destructor and the registry's
-/// own CLADO_TRACE/CLADO_METRICS file writes both stay valid.
+/// the obs registry so its exit-time CLADO_TRACE/CLADO_METRICS export is
+/// registered first and therefore runs after this destructor.
 struct ObsReportAtExit {
   ObsReportAtExit() { clado::obs::touch(); }
   ~ObsReportAtExit() {

@@ -1,6 +1,7 @@
-// GEMM kernel-level throughput: scalar reference vs the best runtime-
-// dispatched level (AVX2/FMA where the host has it), for the fp32 blocked
-// kernel and the int8 widening kernel; and the batched conv entry
+// Kernel-level throughput: scalar reference vs the best runtime-dispatched
+// level (AVX2/FMA where the host has it), for the fp32 blocked GEMM and
+// the integer conv entry of the serving backends (kernels::qconv2d_s8, on
+// resnet_a's conv shapes at batch 8); and the batched fp32 conv entry
 // (kernels::conv2d_f32) vs the per-sample im2col + gemm route it replaced,
 // both at the dispatched level, on resnet_a's conv shapes.
 //
@@ -111,49 +112,90 @@ double bench_f32(Level best) {
   return speedup;
 }
 
+// resnet_a's conv layers (3x3 body convs and 1x1 downsamples) at the
+// serving micro-batch: the integer conv entry, scalar against `best`.
 double bench_s8(Level best) {
-  const std::vector<Shape> shapes = {{256, 256, 256}, {192, 176, 200}};
+  const std::vector<kernels::ConvGeometry> shapes = {
+      {3, 16, 16, 8, 3, 1, 1, 1},  {8, 16, 16, 8, 3, 1, 1, 1},   {8, 16, 16, 16, 3, 2, 1, 1},
+      {16, 8, 8, 16, 3, 1, 1, 1},  {16, 8, 8, 32, 3, 2, 1, 1},   {32, 4, 4, 32, 3, 1, 1, 1},
+      {8, 16, 16, 16, 1, 2, 0, 1}, {16, 8, 8, 32, 1, 2, 0, 1},
+  };
+  constexpr std::int64_t kBatch = 8;
   Rng rng(54321);
   double scalar_total = 0.0;
   double best_total = 0.0;
   double ops_total = 0.0;
-  for (const Shape& s : shapes) {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(s.m * s.k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(s.n * s.k));
-    for (auto& v : a) v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
-    for (auto& v : b) v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
-    std::vector<std::int32_t> c_scalar(static_cast<std::size_t>(s.m * s.n));
-    std::vector<std::int32_t> c_best(c_scalar);
+  for (const kernels::ConvGeometry& g : shapes) {
+    const std::int64_t n = g.out_channels;
+    const std::int64_t k = g.in_channels * g.kernel * g.kernel;
+    const std::int64_t positions =
+        clado::tensor::conv_out_size(g.height, g.kernel, g.stride, g.pad) *
+        clado::tensor::conv_out_size(g.width, g.kernel, g.stride, g.pad);
+    std::vector<std::int8_t> input(static_cast<std::size_t>(kBatch * g.in_channels * g.height *
+                                                            g.width));
+    std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
+    for (auto& v : input) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
+    }
+    for (auto& v : codes) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
+    }
+    std::vector<std::int16_t> pairs(static_cast<std::size_t>(kernels::qweights_pairs(n, k)));
+    std::vector<std::int32_t> sums(static_cast<std::size_t>(n));
+    kernels::pack_qweights(n, k, codes.data(), pairs.data(), sums.data());
+    const kernels::QWeights w{n, k, pairs.data(), sums.data()};
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    const std::size_t out_numel = static_cast<std::size_t>(kBatch * n * positions);
+    std::vector<float> out_scalar(out_numel);
+    std::vector<float> out_best(out_numel);
 
-    auto run = [&](Level level, std::vector<std::int32_t>& c) {
-      kernels::gemm_s8s8_s32(level, s.m, s.n, s.k, a.data(), -7, b.data(), 5, c.data());
+    // Each level gets its own workspace and index table, built once as a
+    // serving plan builds them.
+    struct Scratch {
+      std::vector<std::int16_t> codes;
+      std::vector<std::int32_t> table;
     };
-    const double t_scalar = time_per_run([&] { run(Level::kScalar, c_scalar); });
-    const double t_best = time_per_run([&] { run(best, c_best); });
+    const auto scratch_for = [&](Level level) {
+      const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, g);
+      Scratch sc{std::vector<std::int16_t>(static_cast<std::size_t>(ws.codes)),
+                 std::vector<std::int32_t>(static_cast<std::size_t>(ws.indices))};
+      kernels::qconv2d_s8_table(level, g, sc.table.data());
+      return sc;
+    };
+    Scratch scalar_scratch = scratch_for(Level::kScalar);
+    Scratch best_scratch = scratch_for(best);
+    auto run = [&](Level level, Scratch& sc, std::vector<float>& out) {
+      kernels::qconv2d_s8(level, g, kBatch, input.data(), -7, w, 0.0123F, bias.data(),
+                          sc.table.data(), sc.codes.data(), out.data());
+    };
+    const double t_scalar = time_per_run([&] { run(Level::kScalar, scalar_scratch, out_scalar); });
+    const double t_best = time_per_run([&] { run(best, best_scratch, out_best); });
 
-    run(Level::kScalar, c_scalar);
-    run(best, c_best);
     std::int64_t mismatches = 0;
-    for (std::size_t i = 0; i < c_scalar.size(); ++i) {
-      if (c_scalar[i] != c_best[i]) ++mismatches;  // int8 contract: BIT-exact
+    for (std::size_t i = 0; i < out_numel; ++i) {
+      // Integer contract: BIT-exact across levels.
+      if (std::memcmp(&out_scalar[i], &out_best[i], sizeof(float)) != 0) ++mismatches;
     }
     clado::obs::counter("kernels.bench.s8_cases").add();
     clado::obs::counter("kernels.bench.s8_mismatches").add(mismatches);
 
-    const double ops = 2.0 * static_cast<double>(s.m) * static_cast<double>(s.n) *
-                       static_cast<double>(s.k);
+    const double ops = 2.0 * static_cast<double>(kBatch * n * positions * k);
     scalar_total += t_scalar;
     best_total += t_best;
     ops_total += ops;
-    std::printf("  s8  %4lldx%4lldx%4lld  scalar %7.2f GOP/s     %s %7.2f GOP/s     %5.2fx\n",
-                static_cast<long long>(s.m), static_cast<long long>(s.n),
-                static_cast<long long>(s.k), ops / t_scalar * 1e-9,
-                kernels::level_name(best), ops / t_best * 1e-9, t_scalar / t_best);
+    std::printf("  s8 conv %2lldx%2lldx%2lld -> %2lld k%lld s%lld  scalar %7.2f GOP/s   "
+                "%s %7.2f GOP/s   %5.2fx\n",
+                static_cast<long long>(g.in_channels), static_cast<long long>(g.height),
+                static_cast<long long>(g.width), static_cast<long long>(n),
+                static_cast<long long>(g.kernel), static_cast<long long>(g.stride),
+                ops / t_scalar * 1e-9, kernels::level_name(best), ops / t_best * 1e-9,
+                t_scalar / t_best);
   }
   const double speedup = scalar_total / best_total;
-  std::printf("  s8 aggregate: scalar %.2f GOP/s, %s %.2f GOP/s, speedup %.2fx\n",
-              ops_total / scalar_total * 1e-9, kernels::level_name(best),
-              ops_total / best_total * 1e-9, speedup);
+  std::printf("  s8 conv aggregate (batch %lld): scalar %.2f GOP/s, %s %.2f GOP/s, speedup %.2fx\n",
+              static_cast<long long>(kBatch), ops_total / scalar_total * 1e-9,
+              kernels::level_name(best), ops_total / best_total * 1e-9, speedup);
   return speedup;
 }
 

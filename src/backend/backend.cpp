@@ -3,8 +3,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "clado/quant/int4.h"
-#include "clado/quant/int8.h"
+#include "clado/quant/qat.h"
+#include "clado/tensor/kernels.h"
 
 namespace clado::backend {
 
@@ -22,55 +22,6 @@ Precision precision_for_bits(int bits) {
   return bits <= 4 ? Precision::kInt4 : Precision::kInt8;
 }
 
-namespace {
-
-class Fp32Backend final : public Backend {
- public:
-  const char* name() const override { return "fp32"; }
-  Precision precision() const override { return Precision::kFp32; }
-  void gemm(const PreparedLayer&, std::int64_t, const std::int8_t*, std::int32_t,
-            std::int32_t*) const override {
-    throw std::logic_error(
-        "Fp32Backend::gemm: fp32 layers execute the eager float path, not an integer GEMM");
-  }
-};
-
-class Int8Backend final : public Backend {
- public:
-  const char* name() const override { return "int8"; }
-  Precision precision() const override { return Precision::kInt8; }
-  void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-            std::int32_t za, std::int32_t* acc) const override {
-    clado::quant::gemm_s8s8_s32(rows, layer.n, layer.k, in, za, layer.w_s8.data(),
-                                /*zb=*/0, acc);
-  }
-};
-
-class Int4Backend final : public Backend {
- public:
-  const char* name() const override { return "int4"; }
-  Precision precision() const override { return Precision::kInt4; }
-  void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-            std::int32_t za, std::int32_t* acc) const override {
-    clado::quant::gemm_s8s4_s32(rows, layer.n, layer.k, in, za, layer.w_s4.data(),
-                                /*zb=*/0, acc);
-  }
-};
-
-}  // namespace
-
-const Backend& backend_for(Precision p) {
-  static const Fp32Backend fp32;
-  static const Int8Backend int8;
-  static const Int4Backend int4;
-  switch (p) {
-    case Precision::kFp32: return fp32;
-    case Precision::kInt8: return int8;
-    case Precision::kInt4: return int4;
-  }
-  throw std::invalid_argument("backend_for: unknown precision");
-}
-
 PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t n,
                             std::int64_t k) {
   PreparedLayer out;
@@ -83,12 +34,20 @@ PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t
                                 " codes for an [" + std::to_string(n) + ", " +
                                 std::to_string(k) + "] weight");
   }
-  out.w_scale = codes.scale;
   if (out.precision == Precision::kInt4) {
-    out.w_s4 = clado::quant::pack_s4_rows(codes.codes.data(), n, k);
-  } else {
-    out.w_s8 = codes.codes;
+    for (const std::int8_t code : codes.codes) {
+      if (code < -8 || code > 7) {
+        throw std::invalid_argument("prepare_layer: int4 code " +
+                                    std::to_string(static_cast<int>(code)) +
+                                    " outside [-8, 7]");
+      }
+    }
   }
+  out.w_scale = codes.scale;
+  out.w_pairs.resize(static_cast<std::size_t>(clado::tensor::kernels::qweights_pairs(n, k)));
+  out.w_sums.resize(static_cast<std::size_t>(n));
+  clado::tensor::kernels::pack_qweights(n, k, codes.codes.data(), out.w_pairs.data(),
+                                        out.w_sums.data());
   return out;
 }
 

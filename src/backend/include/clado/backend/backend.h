@@ -1,24 +1,25 @@
-// clado::backend — per-precision execution backends.
+// clado::backend — per-layer execution precisions.
 //
 // Everywhere else in the repo a bit-width assignment is *simulated*: the
 // fake-quant pipeline snaps fp32 weights onto the integer grid but still
 // multiplies in float. This subsystem executes the assignment the way the
-// deployment hardware would (in the spirit of MNN's core/Backend split):
-// each quantized layer carries a PreparedLayer — its exact integer codes at
-// the assigned precision — and a Backend implementation runs the matching
-// integer GEMM:
+// deployment hardware would: each quantized layer carries a PreparedLayer
+// (its exact integer codes, packed once into the layout of the integer
+// conv entry tensor::kernels::qconv2d_s8) and serve::CompiledPlan runs that
+// kernel on it:
 //
-//   Fp32Backend  layers with no integer realization (bits == 0, affine /
-//                per-channel schemes, > 8 bits) keep the eager fp32 path.
-//   Int8Backend  int8 codes, the widening AVX2/scalar gemm_s8s8_s32 seam.
-//   Int4Backend  codes packed two per byte, widening s4 dot products
-//                (gemm_s8s4_s32) — real sub-byte storage, not simulation.
+//   fp32  layers with no integer realization (bits == 0, affine /
+//         per-channel schemes, > 8 bits) keep the fp32 kernels.
+//   int8  5-8-bit codes.
+//   int4  1-4-bit codes in [-8, 7], widened at prepare time into the same
+//         int16 k-pairs as int8, so both precisions share one kernel; the
+//         engine holds them at 16 bits per code, not as packed nibbles.
 //
 // Precision boundaries stay in fp32: inputs are quantized to int8 right
-// before a backend GEMM and the int32 accumulator is requantized to fp32
-// right after, which is exactly the semantics the fake-quant sensitivity
+// before the integer kernel and its int32 sums are requantized to fp32
+// inside it, which is exactly the semantics the fake-quant sensitivity
 // sweep calibrated (weights on the grid, activations on the grid, float at
-// layer seams). serve::CompiledPlan selects a backend per layer from the
+// layer seams). serve::CompiledPlan selects a precision per layer from the
 // WeightCodes captured when serve::Engine freezes.
 #pragma once
 
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "clado/quant/qat.h"
+#include "clado/tensor/kernels.h"
 
 namespace clado::backend {
 
@@ -44,47 +46,34 @@ inline constexpr int kNumPrecisions = 3;
 const char* precision_name(Precision p);
 
 /// The precision that executes a layer quantized to `bits`: 0 (fp32 layer)
-/// and anything above 8 stay fp32; 1-4 bits pack into the int4 backend
-/// (codes fit [-8, 7]); 5-8 bits run on int8. This is also the mapping
-/// from a solver candidate bit-width to its latency-table column.
+/// and anything above 8 stay fp32; 1-4 bits run as int4 (codes fit
+/// [-8, 7]); 5-8 bits as int8. This is also the mapping from a solver
+/// candidate bit-width to its latency-table column.
 Precision precision_for_bits(int bits);
 
 /// Immutable per-layer execution material, built once at engine freeze and
 /// shared by every replica's plan. `n` is the number of weight rows
-/// (output channels / features), `k` the reduction length; exactly one of
-/// w_s8 / w_s4 is populated for the integer precisions.
+/// (output channels / features), `k` the reduction length; the integer
+/// precisions carry the codes packed by tensor::kernels::pack_qweights.
 struct PreparedLayer {
   Precision precision = Precision::kFp32;
   std::int64_t n = 0;
   std::int64_t k = 0;
-  float w_scale = 1.0F;             ///< codes * w_scale == baked weight
-  std::vector<std::int8_t> w_s8;    ///< [n, k] codes (kInt8)
-  std::vector<std::uint8_t> w_s4;   ///< [n, (k+1)/2] packed codes (kInt4)
+  float w_scale = 1.0F;               ///< codes * w_scale == baked weight
+  std::vector<std::int16_t> w_pairs;  ///< packed int16 k-pairs (integer precisions)
+  std::vector<std::int32_t> w_sums;   ///< per-row code sums [n]
+
+  /// The kernel's view of the packed weights.
+  clado::tensor::kernels::QWeights weights() const {
+    return {n, k, w_pairs.data(), w_sums.data()};
+  }
 };
-
-/// One execution precision. Implementations are stateless and process-wide
-/// (see backend_for); all state lives in the PreparedLayer.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  virtual const char* name() const = 0;
-  virtual Precision precision() const = 0;
-
-  /// Integer GEMM of `rows` quantized input rows ([rows, k] int8 with zero
-  /// point `za`) against the prepared weight into acc ([rows, n], int32).
-  /// Weight codes are symmetric (zero point 0). Fp32Backend has no integer
-  /// kernel and throws std::logic_error.
-  virtual void gemm(const PreparedLayer& layer, std::int64_t rows, const std::int8_t* in,
-                    std::int32_t za, std::int32_t* acc) const = 0;
-};
-
-/// The process-wide backend instance for a precision (never null).
-const Backend& backend_for(Precision p);
 
 /// Builds the prepared form of one layer from the codes captured by
-/// quant::bake_weights: int8 codes are kept as-is, <= 4-bit codes are
-/// packed two per byte, and codes.bits == 0 yields a kFp32 PreparedLayer.
-/// Throws std::invalid_argument when codes.codes.size() != n * k.
+/// quant::bake_weights: integer codes are packed into the kernel's int16
+/// k-pair layout with their row sums, and codes.bits == 0 yields a kFp32
+/// PreparedLayer. Throws std::invalid_argument when codes.codes.size() !=
+/// n * k, or when an int4 layer holds a code outside [-8, 7].
 PreparedLayer prepare_layer(const clado::quant::WeightCodes& codes, std::int64_t n,
                             std::int64_t k);
 

@@ -63,10 +63,6 @@ class Conv2d : public Module, public QuantizableLayer {
   /// Input stashed by the most recent forward pass.
   const Tensor& last_input() const { return input_; }
 
-  /// Per-sample im2col matrix size (positions x patch) for an
-  /// [*, C, h, w] input; the int8 serving backend's im2col workspace.
-  std::int64_t cols_numel(std::int64_t h, std::int64_t w) const;
-
   /// Geometry of this conv on an [*, C, h, w] input, for
   /// tensor::kernels::conv2d_f32 and its workspace query.
   clado::tensor::kernels::ConvGeometry geometry(std::int64_t h, std::int64_t w) const;

@@ -91,12 +91,6 @@ kernels::ConvGeometry Conv2d::geometry(std::int64_t h, std::int64_t w) const {
   return {in_channels_, h, w, out_channels_, kernel_, stride_, pad_, groups_};
 }
 
-std::int64_t Conv2d::cols_numel(std::int64_t h, std::int64_t w) const {
-  const std::int64_t oh = conv_out_size(h, kernel_, stride_, pad_);
-  const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
-  return oh * ow * (in_channels_ / groups_) * kernel_ * kernel_;
-}
-
 void Conv2d::forward_into(const float* in, std::int64_t n, std::int64_t h, std::int64_t w,
                           float* floats, std::int32_t* indices, float* out) const {
   kernels::conv2d_f32(kernels::active_level(), geometry(h, w), n, in, weight_.value.data(),

@@ -32,11 +32,12 @@
 // span) — so phase timings are reportable even with tracing off; only the
 // per-event trace buffer is gated on CLADO_TRACE.
 //
-// Thread safety: all entry points may be called from any thread. Counter
-// and Gauge handles returned by counter()/gauge() are interned and remain
-// valid for the registry's lifetime; after registry destruction (static
-// teardown) every entry point degrades to an inert no-op instead of
-// touching freed state, so instrumented code is safe in late destructors.
+// Thread safety: all entry points may be called from any thread. The
+// registry is constructed on first use and never destroyed (its trace and
+// metrics files are exported by an atexit hook), so Counter and Gauge
+// handles returned by counter()/gauge() stay valid for the whole process
+// and instrumented code is safe in late static destructors and on threads
+// still running at exit.
 #pragma once
 
 #include <atomic>
@@ -188,9 +189,10 @@ bool write_trace(const std::string& path);
 /// Writes metrics_json()/metrics_text() to `path` (format by extension).
 bool write_metrics(const std::string& path);
 
-/// Forces registry initialization. Call from a static object's constructor
-/// to guarantee the registry outlives that object's destructor (static
-/// teardown runs in reverse construction order).
+/// Forces registry initialization: reads CLADO_TRACE / CLADO_METRICS and
+/// registers the exit-time export now. Calling it from a static object's
+/// constructor orders that export after the object's destructor (atexit
+/// hooks and static destructors run in reverse registration order).
 void touch();
 
 /// Drops every counter, gauge, span aggregate, and buffered event.

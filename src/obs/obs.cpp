@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -52,11 +53,6 @@ std::size_t trace_capacity_from_env() {
   }
   return static_cast<std::size_t>(value);
 }
-
-/// Registry lifecycle: 0 = not yet constructed, 1 = alive, 2 = destroyed.
-/// Entry points consult this so instrumentation in late static destructors
-/// degrades to a no-op instead of reviving or touching a dead registry.
-std::atomic<int> g_state{0};
 
 /// Mirrors Registry's tracing flag so Span construction can skip all work
 /// with one relaxed load when tracing is off and the span name is unused.
@@ -106,19 +102,32 @@ class Registry {
       metrics_path_ = env;
     }
     g_tracing.store(!trace_path_.empty(), std::memory_order_relaxed);
-    g_state.store(1, std::memory_order_release);
   }
 
-  ~Registry() {
-    if (!trace_path_.empty()) write_trace_file(trace_path_);
-    if (!metrics_path_.empty()) write_metrics_file(metrics_path_);
-    g_tracing.store(false, std::memory_order_relaxed);
-    g_state.store(2, std::memory_order_release);
-  }
-
+  /// Constructed on first use and never destroyed: pool helpers and late
+  /// static destructors may still record after main returns, and a
+  /// registry that outlives every thread has no teardown to race. The
+  /// trace and metrics files are written by an atexit hook instead, which
+  /// reads the configured paths under the mutex like any other call.
   static Registry& instance() {
-    static Registry registry;
+    static Registry& registry = []() -> Registry& {
+      Registry& r = *std::make_unique<Registry>().release();
+      std::atexit([] { Registry::instance().export_at_exit(); });
+      return r;
+    }();
     return registry;
+  }
+
+  void export_at_exit() {
+    std::string trace_path;
+    std::string metrics_path;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      trace_path = trace_path_;
+      metrics_path = metrics_path_;
+    }
+    if (!trace_path.empty()) write_trace_file(trace_path);
+    if (!metrics_path.empty()) write_metrics_file(metrics_path);
   }
 
   std::int64_t now_us() const {
@@ -327,13 +336,6 @@ class Registry {
   std::string metrics_path_ CLADO_GUARDED_BY(mutex_);
 };
 
-/// Inert post-teardown fallbacks. Both types are trivially destructible,
-/// so writing to them after "destruction" of statics is well-defined.
-constinit Counter g_dead_counter;
-constinit Gauge g_dead_gauge;
-
-bool registry_dead() { return g_state.load(std::memory_order_acquire) == 2; }
-
 // ---- per-thread TraceScope registry ----------------------------------------
 // thread_local is banned in src/ (it is the pattern behind the PR 1 GEMM
 // race), so active scopes live in a mutex-guarded map keyed by thread id.
@@ -389,17 +391,14 @@ void Gauge::set(double v) noexcept {
 }
 
 Counter& counter(std::string_view name) {
-  if (registry_dead()) return g_dead_counter;
   return Registry::instance().counter_slot(name);
 }
 
 Gauge& gauge(std::string_view name) {
-  if (registry_dead()) return g_dead_gauge;
   return Registry::instance().gauge_slot(name);
 }
 
 Span::Span(std::string_view name) {
-  if (registry_dead()) return;
   name_ = name;
   start_us_ = Registry::instance().now_us();
   if (TraceScope* scope = current_scope(); scope != nullptr) {
@@ -411,7 +410,6 @@ Span::Span(std::string_view name) {
 double Span::close() noexcept {
   if (!open_) return 0.0;
   open_ = false;
-  if (registry_dead()) return 0.0;
   Registry& reg = Registry::instance();
   const std::int64_t end_us = reg.now_us();
   TraceScope* scope = current_scope();
@@ -432,59 +430,48 @@ double Span::close() noexcept {
 }
 
 SpanStat span_stat(std::string_view name) {
-  if (registry_dead()) return {};
   return Registry::instance().span_stat(name);
 }
 
 bool trace_enabled() { return g_tracing.load(std::memory_order_relaxed); }
 
 void set_trace_path(std::string path) {
-  if (registry_dead()) return;
   Registry::instance().set_trace_path(std::move(path));
 }
 
 void set_metrics_path(std::string path) {
-  if (registry_dead()) return;
   Registry::instance().set_metrics_path(std::move(path));
 }
 
 void set_trace_capacity(std::size_t capacity) {
-  if (registry_dead()) return;
   Registry::instance().set_trace_capacity(capacity);
 }
 
 std::int64_t trace_dropped() {
-  if (registry_dead()) return 0;
   return Registry::instance().trace_dropped();
 }
 
 std::string metrics_text() {
-  if (registry_dead()) return {};
   return Registry::instance().metrics_text();
 }
 
 std::string metrics_json() {
-  if (registry_dead()) return "{\"counters\":{},\"gauges\":{},\"spans\":{}}";
   return Registry::instance().metrics_json();
 }
 
 bool write_trace(const std::string& path) {
-  if (registry_dead()) return false;
   return Registry::instance().write_trace_file(path);
 }
 
 bool write_metrics(const std::string& path) {
-  if (registry_dead()) return false;
   return Registry::instance().write_metrics_file(path);
 }
 
 void touch() {
-  if (registry_dead()) return;
   Registry::instance();
 }
 
 void reset_for_testing() {
-  if (registry_dead()) return;
   Registry::instance().reset();
 }
 

@@ -1,12 +1,13 @@
 // Packed 4-bit (s4) storage helpers.
 //
-// The sub-byte backend stores weight codes two per byte: value range
-// [-8, 7], the code for even index 2t in the LOW nibble and 2t+1 in the
-// HIGH nibble, encoded as the value's low 4 bits (two's complement). A row
-// of k codes occupies (k+1)/2 bytes; when k is odd the final high nibble
-// is a zero pad, so a packed row is uniquely determined by its codes and
-// round-trips exactly. This is the layout tensor::kernels::gemm_s8s4_s32
-// consumes.
+// Packed s4 storage holds weight codes two per byte: value range [-8, 7],
+// the code for even index 2t in the LOW nibble and 2t+1 in the HIGH
+// nibble, encoded as the value's low 4 bits (two's complement). A row of k
+// codes occupies (k+1)/2 bytes; when k is odd the final high nibble is a
+// zero pad, so a packed row is uniquely determined by its codes and
+// round-trips exactly. This is the layout the reference GEMM
+// tensor::kernels::gemm_s8s4_s32 consumes; the serving backend widens int4
+// codes to the int16 k-pairs of qconv2d_s8 instead (backend::prepare_layer).
 #pragma once
 
 #include <cstdint>

@@ -48,31 +48,17 @@ QTensor quantize_int8_minmax(const Tensor& x);
 
 Tensor dequantize(const QTensor& q);
 
-/// C(int32)[M,N] = Σ_k (A[i,k] − za) · (B[j,k] − zb), with B stored
-/// row-major as [N, K] (i.e. already transposed, the weight layout).
-/// Implemented with the zero-point expansion so the inner loop is a pure
-/// int8×int8→int32 dot product.
-void gemm_s8s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c);
-
-/// s4 companion of gemm_s8s8_s32: B rows hold 4-bit codes packed two per
-/// byte with row stride (K+1)/2 (see clado/tensor/kernels.h for the exact
-/// layout and clado/quant/int4.h for pack/unpack helpers).
-void gemm_s8s4_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
-                   std::int32_t* c);
-
 /// int8 im2col for one [C,H,W] image: writes oh*ow patch rows of length
 /// C*kernel*kernel into `cols`, with out-of-bounds taps encoded as the
-/// zero point (real value 0). Shared by qconv2d and the serve-time integer
-/// backends so both convolution paths are identical by construction.
+/// zero point (real value 0). Part of the qconv2d oracle the serve-time
+/// integer conv (tensor::kernels::qconv2d_s8) is tested against.
 void im2col_s8(const std::int8_t* img, std::int64_t channels, std::int64_t h, std::int64_t w,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad, std::int64_t oh,
                std::int64_t ow, std::int32_t zero_point, std::int8_t* cols);
 
-/// Convolution requantization epilogue shared by qconv2d and the integer
-/// backends: rescales the [positions, out_c] accumulator into the NCHW
-/// [out_c, positions] output plane with optional per-channel bias.
+/// Convolution requantization epilogue of qconv2d: rescales the
+/// [positions, out_c] accumulator into the NCHW [out_c, positions] output
+/// plane with optional per-channel bias (multiply, then add).
 void requant_scatter(const std::int32_t* acc, std::int64_t positions, std::int64_t out_c,
                      float rescale, const float* bias, float* obase);
 

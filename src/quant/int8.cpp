@@ -67,23 +67,6 @@ Tensor dequantize(const QTensor& q) {
   return out;
 }
 
-void gemm_s8s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c) {
-  // Σ (a − za)(b − zb) = Σ ab − zb Σ a_row − za Σ b_row + K·za·zb, computed
-  // by the runtime-dispatched kernel layer (portable scalar or AVX2
-  // widening dot-products). Every level is bit-exact — integer arithmetic
-  // only — so the quantized forward is reproducible regardless of dispatch.
-  clado::tensor::kernels::gemm_s8s8_s32(clado::tensor::kernels::active_level(), m, n, k, a, za,
-                                        b, zb, c);
-}
-
-void gemm_s8s4_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
-                   std::int32_t* c) {
-  clado::tensor::kernels::gemm_s8s4_s32(clado::tensor::kernels::active_level(), m, n, k, a, za,
-                                        b_packed, zb, c);
-}
-
 void im2col_s8(const std::int8_t* img, std::int64_t channels, std::int64_t h, std::int64_t w,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad, std::int64_t oh,
                std::int64_t ow, std::int32_t zero_point, std::int8_t* cols) {
@@ -125,13 +108,14 @@ Tensor qlinear(const QTensor& x, const QTensor& w, const float* bias) {
   const std::int64_t k = x.shape[1];
   const std::int64_t n = w.shape[0];
   std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-  gemm_s8s8_s32(m, n, k, x.data.data(), x.zero_point, w.data.data(), w.zero_point, acc.data());
+  // Σ (a − za)(b − zb) by the kernel layer's reference GEMM.
+  clado::tensor::kernels::gemm_s8s8_s32(m, n, k, x.data.data(), x.zero_point, w.data.data(),
+                                        w.zero_point, acc.data());
 
   Tensor out({m, n});
-  // Rescale epilogue through the dispatched kernel (mul-then-add, no FMA
-  // contraction at any level — identical to the historical loop here).
-  clado::tensor::kernels::requant_s32_f32(clado::tensor::kernels::active_level(), m, n,
-                                          acc.data(), x.scale * w.scale, bias, out.data());
+  // Rescale epilogue (mul-then-add, no FMA contraction — identical to the
+  // historical loop here).
+  clado::tensor::kernels::requant_s32_f32(m, n, acc.data(), x.scale * w.scale, bias, out.data());
   return out;
 }
 
@@ -160,8 +144,8 @@ Tensor qconv2d(const QTensor& x, const QTensor& w, const float* bias, std::int64
     const std::int8_t* img = x.data.data() + s * channels * h * width;
     im2col_s8(img, channels, h, width, kernel, stride, pad, oh, ow, x.zero_point, cols.data());
     // acc [positions, out_c] via the shared int8 GEMM, then scatter.
-    gemm_s8s8_s32(positions, out_c, patch, cols.data(), x.zero_point, w.data.data(),
-                  w.zero_point, acc.data());
+    clado::tensor::kernels::gemm_s8s8_s32(positions, out_c, patch, cols.data(), x.zero_point,
+                                          w.data.data(), w.zero_point, acc.data());
     requant_scatter(acc.data(), positions, out_c, x.scale * w.scale, bias,
                     out.data() + s * out_c * positions);
   }

@@ -28,6 +28,7 @@
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/nn/sequential.h"
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/tensor.h"
 
 namespace clado::serve {
@@ -117,22 +118,23 @@ struct PlanStep {
   Shape in_shape, out_shape;  ///< per-sample shapes (no batch axis)
 
   // Integer-backend execution (kConv / kLinear selected by the Engine's
-  // PreparedMap). When `backend` is null the step runs the eager fp32
-  // kernels; otherwise the input is quantized to int8, the prepared integer
-  // weight GEMM runs at the layer's assigned precision, and the int32
-  // accumulator is requantized to fp32 in `out` — float only at the layer
-  // seams, exactly the fake-quant semantics.
-  const clado::backend::Backend* backend = nullptr;
+  // PreparedMap). When `prepared` is null the step runs the fp32 kernels;
+  // otherwise the input is quantized to int8 and one qconv2d_s8 call over
+  // the whole batch runs the prepared integer weights and requantizes into
+  // `out` — float only at the layer seams, exactly the fake-quant
+  // semantics. A linear step runs as the 1x1 conv of a [k, 1, 1] image per
+  // row.
   const clado::backend::PreparedLayer* prepared = nullptr;
   bool in_static_q = false;  ///< input qparams frozen at compile (FQ producer)
   float in_scale = 1.0F;     ///< input scale (recomputed per run when dynamic)
   std::int32_t in_zp = 0;    ///< input zero point, signed-int8 domain
-  std::vector<std::int8_t> q_in;    ///< quantized input, max_batch * per_sample_in
-  std::vector<std::int8_t> q_cols;  ///< int8 im2col workspace (conv, per sample)
-  std::vector<std::int32_t> q_acc;  ///< int32 accumulator
-  /// Index-table scratch of the fp32 conv entry (kConv without backend);
-  /// its float workspace is the `scratch` buffer.
-  std::vector<std::int32_t> conv_indices;
+  clado::tensor::kernels::ConvGeometry q_geom;  ///< the qconv2d_s8 geometry
+  std::vector<std::int8_t> q_in;      ///< quantized input, max_batch * per_sample_in
+  std::vector<std::int16_t> q_codes;  ///< qconv2d_s8 scratch
+  /// Index table of the conv entry: built once here for integer steps;
+  /// per-call scratch of conv2d_f32 for fp32 conv steps (whose float
+  /// workspace is the `scratch` buffer).
+  std::vector<std::int32_t> indices;
 
   Tensor stage_in;    ///< fallback staging (reallocated only on n change)
   std::string label;  ///< span name, e.g. "plan/conv"
@@ -187,17 +189,14 @@ class CompiledPlan {
  private:
   void compile_module(clado::nn::Module& module);
   void compile_children(clado::nn::Sequential& seq);
-  /// Attaches an integer backend to a freshly-built conv/linear step when
-  /// the Engine's PreparedMap carries integer codes for `module`. `wn`/`wk`
-  /// are the layer's expected weight-matrix dims (validated against the
-  /// PreparedLayer), `acc_numel`/`cols_numel` size the int32 accumulator
-  /// and the int8 im2col workspace (0 = no workspace).
-  void attach_backend(PlanStep& step, const clado::nn::Module& module, std::int64_t wn,
-                      std::int64_t wk, std::int64_t acc_numel, std::int64_t cols_numel);
+  /// Attaches the integer backend to a freshly-built conv/linear step when
+  /// the Engine's PreparedMap carries integer codes for `module`: checks the
+  /// PreparedLayer against the weight-matrix dims of `geom` (out_channels x
+  /// in_channels * kernel^2), sizes the scratch and builds the index table.
+  void attach_backend(PlanStep& step, const clado::nn::Module& module,
+                      const clado::tensor::kernels::ConvGeometry& geom);
   void run_step(PlanStep& step, std::int64_t n);
-  void quantize_step_input(PlanStep& step, std::int64_t n);
-  void run_conv_backend(PlanStep& step, std::int64_t n);
-  void run_linear_backend(PlanStep& step, std::int64_t n);
+  void run_backend(PlanStep& step, std::int64_t n);
   int new_buffer(std::int64_t per_sample, bool scratch, std::int64_t scratch_numel = 0);
   void note_read(int buffer);
   /// Probes `module` with a zeros [1, cur-shape] forward to learn its

@@ -99,7 +99,7 @@ std::size_t CompiledPlan::fallback_steps() const {
 
 std::size_t CompiledPlan::backend_steps() const {
   std::size_t n = 0;
-  for (const auto& step : steps_) n += step.backend != nullptr ? 1 : 0;
+  for (const auto& step : steps_) n += step.prepared != nullptr ? 1 : 0;
   return n;
 }
 
@@ -119,9 +119,11 @@ std::string CompiledPlan::dump() const {
     out += shape_str(step.out_shape);
     if (step.kind == StepKind::kConv || step.kind == StepKind::kLinear) {
       out += " backend=";
-      out += step.backend != nullptr ? step.backend->name() : "fp32";
-      if (step.backend != nullptr) {
+      if (step.prepared != nullptr) {
+        out += clado::backend::precision_name(step.prepared->precision);
         out += step.in_static_q ? " in=static" : " in=dynamic";
+      } else {
+        out += "fp32";
       }
     }
     if (step.kind == StepKind::kFallback && step.fallback != nullptr) {
@@ -133,14 +135,15 @@ std::string CompiledPlan::dump() const {
   return out;
 }
 
-void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int64_t wn,
-                                  std::int64_t wk, std::int64_t acc_numel,
-                                  std::int64_t cols_numel) {
+void CompiledPlan::attach_backend(PlanStep& step, const Module& module,
+                                  const clado::tensor::kernels::ConvGeometry& geom) {
   if (prepared_ == nullptr) return;
   const auto it = prepared_->find(&module);
   if (it == prepared_->end() || it->second == nullptr) return;
   const clado::backend::PreparedLayer& prep = *it->second;
   if (prep.precision == clado::backend::Precision::kFp32) return;
+  const std::int64_t wn = geom.out_channels;
+  const std::int64_t wk = geom.in_channels * geom.kernel * geom.kernel;
   if (prep.n != wn || prep.k != wk) {
     // The Engine built this entry from the same module's weight tensor; a
     // geometry mismatch means the map was wired against the wrong replica.
@@ -148,7 +151,6 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int
                            std::to_string(prep.k) + "], module wants [" + std::to_string(wn) +
                            ", " + std::to_string(wk) + "]");
   }
-  step.backend = &clado::backend::backend_for(prep.precision);
   step.prepared = &prep;
   const PlanBuffer& src = buffers_[static_cast<std::size_t>(step.in)];
   if (src.fq8) {
@@ -159,9 +161,14 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module, std::int
     step.in_scale = src.fq_scale;
     step.in_zp = static_cast<std::int32_t>(std::nearbyint(src.fq_zero_point)) - 128;
   }
+  namespace kernels = clado::tensor::kernels;
+  const kernels::Level level = kernels::active_level();
+  const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, geom);
+  step.q_geom = geom;
   step.q_in.resize(static_cast<std::size_t>(max_batch_ * step.per_sample_in));
-  step.q_acc.resize(static_cast<std::size_t>(acc_numel));
-  if (cols_numel > 0) step.q_cols.resize(static_cast<std::size_t>(cols_numel));
+  step.q_codes.resize(static_cast<std::size_t>(ws.codes));
+  step.indices.resize(static_cast<std::size_t>(ws.indices));
+  kernels::qconv2d_s8_table(level, geom, step.indices.data());
 }
 
 int CompiledPlan::new_buffer(std::int64_t per_sample, bool scratch, std::int64_t scratch_numel) {
@@ -268,23 +275,18 @@ void CompiledPlan::compile_module(Module& module) {
     step.per_sample_in = shape_numel(step.in_shape);
     step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/conv";
-    if (conv->groups() == 1) {
-      // The integer conv path is im2col + GEMM over the full patch — the
-      // no-groups layout (grouped convs keep their eager fp32 kernel).
-      attach_backend(step, *conv, conv->out_channels(),
-                     conv->in_channels() * conv->kernel() * conv->kernel(),
-                     /*acc_numel=*/oh * ow * conv->out_channels(),
-                     /*cols_numel=*/conv->cols_numel(h, w));
-    }
+    // The integer conv entry reduces over the full patch — the no-groups
+    // layout (grouped convs keep their fp32 kernel).
+    if (conv->groups() == 1) attach_backend(step, *conv, conv->geometry(h, w));
     note_read(cur_buf_);
-    if (step.backend == nullptr) {
+    if (step.prepared == nullptr) {
       // The fp32 conv entry's workspace does not grow with the batch, so it
       // is NOT scaled by max_batch.
       const clado::tensor::kernels::ConvWorkspace ws =
           clado::tensor::kernels::conv2d_f32_workspace(clado::tensor::kernels::active_level(),
                                                        conv->geometry(h, w));
       step.scratch = new_buffer(0, /*scratch=*/true, ws.floats);
-      step.conv_indices.resize(static_cast<std::size_t>(ws.indices));
+      step.indices.resize(static_cast<std::size_t>(ws.indices));
     }
     const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
     step.out = out_buf;
@@ -312,9 +314,14 @@ void CompiledPlan::compile_module(Module& module) {
     step.per_sample_in = shape_numel(step.in_shape);
     step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/linear";
-    attach_backend(step, *fc, fc->out_features(), fc->in_features(),
-                   /*acc_numel=*/max_batch_ * step.rows_per_sample * fc->out_features(),
-                   /*cols_numel=*/0);
+    // Each row is the 1x1 conv of a [k, 1, 1] image.
+    clado::tensor::kernels::ConvGeometry geom;
+    geom.in_channels = fc->in_features();
+    geom.height = 1;
+    geom.width = 1;
+    geom.out_channels = fc->out_features();
+    geom.kernel = 1;
+    attach_backend(step, *fc, geom);
     note_read(cur_buf_);
     const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
     step.out = out_buf;
@@ -623,7 +630,9 @@ void CompiledPlan::run(std::int64_t n, Tensor& out) {
               sizeof(float) * static_cast<std::size_t>(out.numel()));
 }
 
-void CompiledPlan::quantize_step_input(PlanStep& step, std::int64_t n) {
+void CompiledPlan::run_backend(PlanStep& step, std::int64_t n) {
+  namespace kernels = clado::tensor::kernels;
+  const kernels::Level level = kernels::active_level();
   const float* x = buf(step.in);
   const std::int64_t total = n * step.per_sample_in;
   if (!step.in_static_q) {
@@ -639,53 +648,27 @@ void CompiledPlan::quantize_step_input(PlanStep& step, std::int64_t n) {
     step.in_scale = qp.scale;
     step.in_zp = qp.zero_point;
   }
-  clado::tensor::kernels::quantize_f32_s8(clado::tensor::kernels::active_level(), total, x,
-                                          1.0F / step.in_scale, step.in_zp, step.q_in.data());
-}
-
-void CompiledPlan::run_conv_backend(PlanStep& step, std::int64_t n) {
-  quantize_step_input(step, n);
-  const Conv2d* conv = step.conv;
-  const std::int64_t out_c = step.out_shape[0];
-  const std::int64_t oh = step.out_shape[1];
-  const std::int64_t ow = step.out_shape[2];
-  const std::int64_t positions = oh * ow;
-  const float rescale = step.in_scale * step.prepared->w_scale;
-  for (std::int64_t s = 0; s < n; ++s) {
-    const std::int8_t* img = step.q_in.data() + s * step.per_sample_in;
-    clado::quant::im2col_s8(img, step.in_shape[0], step.in_h, step.in_w, conv->kernel(),
-                            conv->stride(), conv->padding(), oh, ow, step.in_zp,
-                            step.q_cols.data());
-    step.backend->gemm(*step.prepared, positions, step.q_cols.data(), step.in_zp,
-                       step.q_acc.data());
-    clado::quant::requant_scatter(step.q_acc.data(), positions, out_c, rescale,
-                                  conv->bias_data(), buf(step.out) + s * step.per_sample_out);
-  }
-}
-
-void CompiledPlan::run_linear_backend(PlanStep& step, std::int64_t n) {
-  quantize_step_input(step, n);
-  const std::int64_t rows = n * step.rows_per_sample;
-  step.backend->gemm(*step.prepared, rows, step.q_in.data(), step.in_zp, step.q_acc.data());
-  clado::tensor::kernels::requant_s32_f32(clado::tensor::kernels::active_level(), rows,
-                                          step.linear->out_features(), step.q_acc.data(),
-                                          step.in_scale * step.prepared->w_scale,
-                                          step.linear->bias_data(), buf(step.out));
+  kernels::quantize_f32_s8(level, total, x, 1.0F / step.in_scale, step.in_zp, step.q_in.data());
+  const bool conv = step.kind == StepKind::kConv;
+  kernels::qconv2d_s8(level, step.q_geom, conv ? n : n * step.rows_per_sample, step.q_in.data(),
+                      step.in_zp, step.prepared->weights(), step.in_scale * step.prepared->w_scale,
+                      conv ? step.conv->bias_data() : step.linear->bias_data(),
+                      step.indices.data(), step.q_codes.data(), buf(step.out));
 }
 
 void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
   switch (step.kind) {
     case StepKind::kConv:
-      if (step.backend != nullptr) {
-        run_conv_backend(step, n);
+      if (step.prepared != nullptr) {
+        run_backend(step, n);
       } else {
         step.conv->forward_into(buf(step.in), n, step.in_h, step.in_w, buf(step.scratch),
-                                step.conv_indices.data(), buf(step.out));
+                                step.indices.data(), buf(step.out));
       }
       break;
     case StepKind::kLinear:
-      if (step.backend != nullptr) {
-        run_linear_backend(step, n);
+      if (step.prepared != nullptr) {
+        run_backend(step, n);
       } else {
         step.linear->forward_into(buf(step.in), n * step.rows_per_sample, buf(step.out));
       }

@@ -2,15 +2,16 @@
 //
 // Every forward pass in the repo (training, the pairwise sensitivity sweep,
 // clado::serve) bottoms out in two inner loops: the fp32 blocked GEMM
-// (directly, or under the batched conv entry conv2d_f32) and the int8
-// widening GEMM. This header is the single selection seam between their
-// portable scalar implementations and the AVX2/FMA micro-kernels:
+// (directly, or under the batched conv entry conv2d_f32) and the integer
+// conv/linear entry qconv2d_s8 of the serving backends. This header is the
+// single selection seam between their portable scalar implementations and
+// the AVX2/FMA micro-kernels:
 //
-//   * Level::kScalar — the portable cache-blocked reference (the exact code
-//     every result in the repo was validated against). Always available.
+//   * Level::kScalar — the portable reference (the exact code every result
+//     in the repo was validated against). Always available.
 //   * Level::kAvx2   — 256-bit register-tiled kernels (6x16 FMA tiles for
-//     fp32, pmaddwd widening dot-products for int8), compiled per-file with
-//     -mavx2 -mfma and only dispatched to after a runtime CPUID check.
+//     fp32, 4x16 vpmaddwd outer-product tiles for int8), compiled per-file
+//     with -mavx2 -mfma and only dispatched to after a runtime CPUID check.
 //
 // The active level is decided once per process: CLADO_KERNEL=scalar|avx2|auto
 // (default auto = best supported), intersected with what the CPU and the
@@ -19,9 +20,9 @@
 // strictness policy as env_int_strict.
 //
 // Determinism contract:
-//   * int8 kernels are bit-exact across levels (integer arithmetic only),
-//     so a sensitivity sweep's integer path is reproducible on any machine
-//     regardless of dispatch.
+//   * integer kernels are bit-exact across levels (integer arithmetic, and
+//     one multiply then one add in the fp32 requant), so integer serving is
+//     reproducible on any machine regardless of dispatch.
 //   * fp32 kernels may differ across levels in final-bit rounding (FMA,
 //     different accumulation tiling) but every level is deterministic, and
 //     within a level the parallel row-chunked schedule is bit-identical to
@@ -120,25 +121,92 @@ void conv2d_f32(Level level, const ConvGeometry& geom, std::int64_t batch, const
                 const float* weight, const float* bias, float* floats, std::int32_t* indices,
                 float* output);
 
-/// int8 x int8 -> int32 GEMM with zero-point correction:
+/// Reference int8 x int8 -> int32 GEMM with zero-point correction:
 ///   c[i,j] = sum_p (a[i,p] - za) * (b[j,p] - zb)
-/// a is [m,k] row-major, b is [n,k] row-major (both k-contiguous). All
-/// levels produce bit-identical results — pure integer arithmetic.
-void gemm_s8s8_s32(Level level, std::int64_t m, std::int64_t n, std::int64_t k,
-                   const std::int8_t* a, std::int32_t za, const std::int8_t* b, std::int32_t zb,
-                   std::int32_t* c);
+/// a is [m,k] row-major, b is [n,k] row-major (both k-contiguous). Portable
+/// scalar code only: the oracle behind quant::qlinear / quant::qconv2d and
+/// the tests. Serving runs qconv2d_s8.
+void gemm_s8s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
+                   std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c);
 
-/// int8 x packed-int4 -> int32 GEMM with zero-point correction:
+/// Reference int8 x packed-int4 -> int32 GEMM with zero-point correction:
 ///   c[i,j] = sum_p (a[i,p] - za) * (b[j,p] - zb)
 /// a is [m,k] row-major int8. b_packed holds each B row's k 4-bit codes
 /// (values in [-8, 7]) two per byte — position 2t in the low nibble,
 /// 2t+1 in the high nibble — with row stride (k+1)/2 bytes and a zero pad
-/// nibble when k is odd (the pad contributes -zb per row, identically at
-/// every level, so callers quantizing with zb == 0 lose nothing). All
-/// levels produce bit-identical results — pure integer arithmetic.
-void gemm_s8s4_s32(Level level, std::int64_t m, std::int64_t n, std::int64_t k,
-                   const std::int8_t* a, std::int32_t za, const std::uint8_t* b_packed,
-                   std::int32_t zb, std::int32_t* c);
+/// nibble when k is odd (the pad contributes -zb per row, so callers
+/// quantizing with zb == 0 lose nothing). Portable scalar code only, like
+/// gemm_s8s8_s32.
+void gemm_s8s4_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
+                   std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
+                   std::int32_t* c);
+
+/// The weights of one integer conv/linear layer as qconv2d_s8 reads them
+/// at every level: n rows (output channels) of k codes in [-128, 127],
+/// zero point 0, packed once by pack_qweights. `pairs` holds the codes
+/// widened to int16 k-pairs (code 2q and 2q+1 of a row side by side, the
+/// operand order of vpmaddwd) in groups of four rows, zero-padded past n
+/// and k; `sums` holds each row's code sum, which the zero-point
+/// correction needs on every call. int4 codes are widened the same way, so
+/// one kernel serves both precisions. A non-owning view.
+struct QWeights {
+  std::int64_t n = 0;
+  std::int64_t k = 0;
+  const std::int16_t* pairs = nullptr;  ///< qweights_pairs(n, k) elements
+  const std::int32_t* sums = nullptr;   ///< n row sums
+};
+
+/// int16 elements of the packed `pairs` array of an [n, k] weight.
+std::int64_t qweights_pairs(std::int64_t n, std::int64_t k);
+
+/// Packs [n, k] row-major codes into `pairs` (qweights_pairs(n, k)
+/// elements) and `sums` (n elements). Level-independent.
+void pack_qweights(std::int64_t n, std::int64_t k, const std::int8_t* codes,
+                   std::int16_t* pairs, std::int32_t* sums);
+
+/// Caller-owned scratch of qconv2d_s8, in elements of each type. Like
+/// ConvWorkspace it does not depend on the batch size. `indices` is the
+/// step's index table, filled once by qconv2d_s8_table; `codes` needs no
+/// initialization.
+struct QConvWorkspace {
+  std::int64_t codes = 0;
+  std::int64_t indices = 0;
+};
+
+/// Scratch qconv2d_s8(level, geom, ...) needs. Throws std::invalid_argument
+/// on degenerate or grouped geometry.
+QConvWorkspace qconv2d_s8_workspace(Level level, const ConvGeometry& geom);
+
+/// Fills the index table of qconv2d_s8(level, geom, ...):
+/// qconv2d_s8_workspace(level, geom).indices entries. Build it once (a
+/// serving plan does so at compile time) and pass it to every call.
+void qconv2d_s8_table(Level level, const ConvGeometry& geom, std::int32_t* indices);
+
+/// Batched integer convolution with the requant fused:
+///   output[s] = rescale * conv_int(input[s] - za, w) + bias   for s < batch
+/// input is the quantized batch [batch, C, H, W] (int8, zero point za),
+/// output the fp32 [batch, out_c, out_h, out_w] (NCHW, contiguous); bias
+/// may be null. Ungrouped convs only; a linear layer over rows of k
+/// features is the 1x1 conv of a [k, 1, 1] image, with batch = rows.
+/// Out-of-image taps read the zero point (real 0). Each output element is
+/// the int32 sum minus za * sums[c], converted to fp32, multiplied by
+/// rescale and then (separately, no FMA) added to bias[c]. `indices` holds
+/// the table qconv2d_s8_table built; `codes` holds
+/// qconv2d_s8_workspace(level, geom).codes elements. No allocation.
+///
+/// Level::kScalar is the reference: per sample, im2col at the zero point,
+/// a scalar dot product per output, requant into the NCHW plane. At
+/// Level::kAvx2 each sample's activations are packed into 16-position
+/// int16 k-pair panels, and a 4-channel x 16-position vpmaddwd tile
+/// computes the outputs with the requant in its epilogue. Stride-1 convs
+/// whose output width is a multiple of 8 fill the panels from contiguous
+/// runs of a zero-point-padded copy of the sample (the table holds one
+/// offset per code); every other geometry gathers each lane through the
+/// table. Integer sums are exact, so both levels agree bit for bit.
+void qconv2d_s8(Level level, const ConvGeometry& geom, std::int64_t batch,
+                const std::int8_t* input, std::int32_t za, const QWeights& w, float rescale,
+                const float* bias, const std::int32_t* indices, std::int16_t* codes,
+                float* output);
 
 /// Affine fp32 -> int8 quantization:
 ///   out[i] = clamp(nearbyint(x[i] * inv_scale) + zero_point, -128, 127)
@@ -149,14 +217,15 @@ void gemm_s8s4_s32(Level level, std::int64_t m, std::int64_t n, std::int64_t k,
 void quantize_f32_s8(Level level, std::int64_t count, const float* x, float inv_scale,
                      std::int32_t zero_point, std::int8_t* out);
 
-/// Requantization epilogue for integer GEMM accumulators:
+/// Reference requantization of integer GEMM accumulators:
 ///   out[i*n+j] = rescale * float(acc[i*n+j]) + (bias ? bias[j] : 0)
 /// acc and out are [rows, n] row-major and must not alias; bias may be
-/// null. All levels are bit-identical: a single multiply then a separate
-/// add (no FMA contraction in either path), with the int32->float
-/// conversion rounding to nearest in both.
-void requant_s32_f32(Level level, std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                     float rescale, const float* bias, float* out);
+/// null. A single multiply then a separate add (no FMA contraction), with
+/// the int32->float conversion rounding to nearest: the epilogue
+/// qconv2d_s8 fuses at every level. Portable scalar code only, the requant
+/// of quant::qlinear.
+void requant_s32_f32(std::int64_t rows, std::int64_t n, const std::int32_t* acc, float rescale,
+                     const float* bias, float* out);
 
 }  // namespace kernels
 }  // namespace clado::tensor

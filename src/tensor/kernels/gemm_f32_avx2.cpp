@@ -3,8 +3,8 @@
 // with panel packing and a 6x16 register-tiled micro-kernel — 12 ymm
 // accumulators, two B vectors live, one A broadcast at a time.
 //
-// This file (and gemm_s8_avx2.cpp) are the only TUs compiled with
-// -mavx2 -mfma; it must only be entered through the dispatch seam after
+// Like every *_avx2.cpp TU this file is compiled with -mavx2 -mfma
+// per-file; it must only be entered through the dispatch seam after
 // kernels::cpu_supports_avx2() returned true. When the toolchain cannot
 // target AVX2 the CLADO_KERNELS_AVX2 define is absent and this TU shrinks
 // to scalar forwarders with avx2_compiled() == false.

@@ -1,10 +1,11 @@
-// Portable int8 GEMM — bit-exact reference for every other level (moved
-// verbatim from quant/int8.cpp). Integer arithmetic only, so "reference"
-// here means exact: any level disagreeing by one count is wrong, and the
-// tests assert equality, not tolerance. The sensitivity sweep's
-// determinism guarantees ride on this.
+// Portable int8 GEMM (moved verbatim from quant/int8.cpp): the oracle
+// behind quant::qlinear / quant::qconv2d and the tests that hold the
+// serving entry qconv2d_s8 to it. Integer arithmetic only, so "reference"
+// here means exact: a path disagreeing by one count is wrong, and the
+// tests assert equality, not tolerance.
 #include <vector>
 
+#include "clado/tensor/kernels.h"
 #include "kernels_internal.h"
 
 namespace clado::tensor {
@@ -21,14 +22,15 @@ void s8_row_sums(const std::int8_t* rows, std::int64_t count, std::int64_t k,
   }
 }
 
-void gemm_s8s8_s32_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                          std::int32_t za, const std::int8_t* b, std::int32_t zb,
-                          std::int32_t* c) {
+}  // namespace detail
+
+void gemm_s8s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
+                   std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c) {
   // Σ (a − za)(b − zb) = Σ ab − zb Σ a_row − za Σ b_row + K·za·zb.
   std::vector<std::int32_t> row_sum_a(static_cast<std::size_t>(m), 0);
   std::vector<std::int32_t> row_sum_b(static_cast<std::size_t>(n), 0);
-  s8_row_sums(a, m, k, row_sum_a.data());
-  s8_row_sums(b, n, k, row_sum_b.data());
+  detail::s8_row_sums(a, m, k, row_sum_a.data());
+  detail::s8_row_sums(b, n, k, row_sum_b.data());
   const std::int32_t kzz = static_cast<std::int32_t>(k) * za * zb;
 
   for (std::int64_t i = 0; i < m; ++i) {
@@ -47,6 +49,5 @@ void gemm_s8s8_s32_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const 
   }
 }
 
-}  // namespace detail
 }  // namespace kernels
 }  // namespace clado::tensor

@@ -92,40 +92,6 @@ void gemm_f32_row_range(Level level, bool trans_a, bool trans_b, std::int64_t m_
   throw std::invalid_argument("gemm_f32_row_range: unknown kernel level");
 }
 
-void gemm_s8s8_s32(Level level, std::int64_t m, std::int64_t n, std::int64_t k,
-                   const std::int8_t* a, std::int32_t za, const std::int8_t* b, std::int32_t zb,
-                   std::int32_t* c) {
-  switch (level) {
-    case Level::kScalar:
-      detail::gemm_s8s8_s32_scalar(m, n, k, a, za, b, zb, c);
-      return;
-    case Level::kAvx2:
-      if (!cpu_supports_avx2()) {
-        throw std::invalid_argument("gemm_s8s8_s32: AVX2 kernels unavailable on this host");
-      }
-      detail::gemm_s8s8_s32_avx2(m, n, k, a, za, b, zb, c);
-      return;
-  }
-  throw std::invalid_argument("gemm_s8s8_s32: unknown kernel level");
-}
-
-void gemm_s8s4_s32(Level level, std::int64_t m, std::int64_t n, std::int64_t k,
-                   const std::int8_t* a, std::int32_t za, const std::uint8_t* b_packed,
-                   std::int32_t zb, std::int32_t* c) {
-  switch (level) {
-    case Level::kScalar:
-      detail::gemm_s8s4_s32_scalar(m, n, k, a, za, b_packed, zb, c);
-      return;
-    case Level::kAvx2:
-      if (!cpu_supports_avx2()) {
-        throw std::invalid_argument("gemm_s8s4_s32: AVX2 kernels unavailable on this host");
-      }
-      detail::gemm_s8s4_s32_avx2(m, n, k, a, za, b_packed, zb, c);
-      return;
-  }
-  throw std::invalid_argument("gemm_s8s4_s32: unknown kernel level");
-}
-
 void quantize_f32_s8(Level level, std::int64_t count, const float* x, float inv_scale,
                      std::int32_t zero_point, std::int8_t* out) {
   switch (level) {
@@ -140,22 +106,6 @@ void quantize_f32_s8(Level level, std::int64_t count, const float* x, float inv_
       return;
   }
   throw std::invalid_argument("quantize_f32_s8: unknown kernel level");
-}
-
-void requant_s32_f32(Level level, std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                     float rescale, const float* bias, float* out) {
-  switch (level) {
-    case Level::kScalar:
-      detail::requant_s32_f32_scalar(rows, n, acc, rescale, bias, out);
-      return;
-    case Level::kAvx2:
-      if (!cpu_supports_avx2()) {
-        throw std::invalid_argument("requant_s32_f32: AVX2 kernels unavailable on this host");
-      }
-      detail::requant_s32_f32_avx2(rows, n, acc, rescale, bias, out);
-      return;
-  }
-  throw std::invalid_argument("requant_s32_f32: unknown kernel level");
 }
 
 }  // namespace kernels

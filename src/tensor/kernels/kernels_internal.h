@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "clado/tensor/kernels.h"
+
 namespace clado::tensor {
 namespace kernels {
 namespace detail {
@@ -32,37 +34,32 @@ inline constexpr std::int64_t kNr = 16;
 // padding, or a lane past the last output position); the lane packs 0.
 inline constexpr std::int32_t kZeroSlot = -1;
 
-// Portable reference kernels (gemm_f32_scalar.cpp / gemm_s8_scalar.cpp).
+// Register tile of the AVX2 integer micro-kernel: kQr output channels by
+// kQc output positions, over k-pairs. pack_qweights groups weight rows by
+// kQr at every level; the AVX2 panels and index table are kQc lanes wide.
+inline constexpr std::int64_t kQr = 4;
+inline constexpr std::int64_t kQc = 16;
+
+// Portable reference kernels (gemm_f32_scalar.cpp / requant_scalar.cpp).
 void gemm_f32_row_range_scalar(bool trans_a, bool trans_b, std::int64_t m_begin,
                                std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                                const float* a, const float* b, float* c, std::int64_t lda,
                                std::int64_t ldb);
-void gemm_s8s8_s32_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                          std::int32_t za, const std::int8_t* b, std::int32_t zb,
-                          std::int32_t* c);
 
 // Per-row sums of `count` rows of length k — the O(mk + nk) half of the
-// int8 zero-point correction, shared by both int8 levels so the correction
-// arithmetic is identical by construction.
+// reference GEMMs' zero-point correction (gemm_s8_scalar.cpp).
 void s8_row_sums(const std::int8_t* rows, std::int64_t count, std::int64_t k,
                  std::int32_t* sums);
 
 // Packed-int4 variant (gemm_s4_scalar.cpp): rows have stride (k+1)/2 bytes,
 // low nibble first; the odd-k pad nibble is counted (it must be zero).
-// Shared by both s4 levels, like s8_row_sums.
 void s4_row_sums(const std::uint8_t* packed, std::int64_t count, std::int64_t k,
                  std::int32_t* sums);
 
-// Portable reference kernels (gemm_s4_scalar.cpp / requant_scalar.cpp).
-void gemm_s8s4_s32_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                          std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
-                          std::int32_t* c);
 void quantize_f32_s8_scalar(std::int64_t count, const float* x, float inv_scale,
                             std::int32_t zero_point, std::int8_t* out);
-void requant_s32_f32_scalar(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                            float rescale, const float* bias, float* out);
 
-// AVX2 kernels (gemm_f32_avx2.cpp / gemm_s8_avx2.cpp). When the build
+// AVX2 kernels (gemm_f32_avx2.cpp / quantize_avx2.cpp). When the build
 // lacks AVX2 support these compile to scalar forwarders and
 // avx2_compiled() reports false, so dispatch never selects them.
 bool avx2_compiled() noexcept;
@@ -70,15 +67,8 @@ void gemm_f32_row_range_avx2(bool trans_a, bool trans_b, std::int64_t m_begin,
                              std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                              const float* a, const float* b, float* c, std::int64_t lda,
                              std::int64_t ldb);
-void gemm_s8s8_s32_avx2(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                        std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c);
-void gemm_s8s4_s32_avx2(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                        std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
-                        std::int32_t* c);
 void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
                           std::int32_t zero_point, std::int8_t* out);
-void requant_s32_f32_avx2(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                          float rescale, const float* bias, float* out);
 
 // Packed conv path of conv2d_f32 (gemm_f32_avx2.cpp, beside the GEMM
 // micro-kernel it shares). Writes output = conv(input, weight) for an
@@ -92,6 +82,41 @@ void conv2d_f32_packed_avx2(std::int64_t batch, std::int64_t sample_numel,
                             std::int64_t out_c, std::int64_t positions, std::int64_t patch,
                             const float* input, const float* weight, const std::int32_t* table,
                             float* panels, float* output);
+
+// Packed paths of qconv2d_s8 (qconv_avx2.cpp). Both pack each 16-position
+// panel of a sample as int16 k-pairs and run the same 4-channel tile over
+// it; they differ in how the panel is filled. A panel holds 2 * kQc int16
+// per k-pair q: slot i (codes 2q and 2q + 1 at int16 2i and 2i + 1) is
+// lane panel_lane(i) of the panel's 16 positions. The order — lanes 0-3
+// and 8-11 in the first vector, 4-7 and 12-15 in the second — is what
+// vpunpck{l,h}wd make of two 8-lane halves, and the tile's epilogue puts
+// the positions back in order.
+inline constexpr std::int64_t panel_lane(std::int64_t slot) {
+  return slot / 4 % 2 * 8 + slot / 8 * 4 + slot % 4;
+}
+//
+// Gather route (any ungrouped geometry): `table` entry
+// [(t * kp + q) * 2 * kQc + 2 * slot + h] is the offset within one sample
+// of the input element panel t needs in slot `slot` for code 2q + h, or
+// sample_numel for a tap that reads the zero point (padding, the odd-k
+// pad, lanes past the last position). `codes` holds sample_numel + 1
+// widened inputs rounded up to kQc, then one panel of 2 * kQc * kp int16.
+void qconv2d_s8_gather_avx2(std::int64_t batch, std::int64_t sample_numel,
+                            std::int64_t positions, std::int64_t kp, const std::int8_t* input,
+                            std::int32_t za, std::int64_t out_c, const std::int16_t* pairs,
+                            const std::int32_t* sums, float rescale, const float* bias,
+                            const std::int32_t* table, std::int16_t* codes, float* output);
+
+// Row route (stride 1 with the output width a multiple of 8): each sample
+// is widened once into a zero-point-padded [C, H + 2 pad, W + 2 pad] int16
+// image, where the 8 positions of half a panel read one contiguous run per
+// code, so a k-pair is two loads and an interleave. `table` holds the k
+// offsets of code p's tap, (c * (H + 2 pad) + ky) * (W + 2 pad) + kx.
+// `codes` holds the padded image, then one panel of 2 * kQc * kp int16.
+void qconv2d_s8_rows_avx2(const ConvGeometry& geom, std::int64_t batch,
+                          const std::int8_t* input, std::int32_t za, const std::int16_t* pairs,
+                          const std::int32_t* sums, float rescale, const float* bias,
+                          const std::int32_t* table, std::int16_t* codes, float* output);
 
 }  // namespace detail
 }  // namespace kernels

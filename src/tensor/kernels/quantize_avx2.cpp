@@ -1,6 +1,5 @@
-// AVX2 quantize / requantize epilogue kernels. Bit-exactness with
-// requant_scalar.cpp is a hard requirement and pins every instruction
-// choice:
+// AVX2 input quantization kernel. Bit-exactness with requant_scalar.cpp
+// is a hard requirement and pins every instruction choice:
 //
 //   * vroundps with _MM_FROUND_TO_NEAREST_INT is ties-to-even — the same
 //     rounding nearbyint performs under the default environment, so the
@@ -8,13 +7,10 @@
 //   * the rounded value is clamped to +/-2e9 BEFORE vcvtps2dq (matching
 //     the scalar clamp), so the conversion is exact (|v| < 2^31) and the
 //     out-of-range lane encoding of vcvtps2dq is never relied on.
-//   * the requant rescale is an explicit vmulps followed by a separate
-//     vaddps — intrinsics are not FMA-contracted, so the product is
-//     rounded to fp32 between the two steps exactly as the scalar level
-//     rounds it. vcvtdq2ps rounds int32 -> fp32 to nearest-even, same as
-//     the scalar static_cast.
 //
-// Compiled with -mavx2 -mfma per-file; scalar forwarders without support.
+// The requant back to fp32 is the epilogue of the integer conv entry
+// (qconv_avx2.cpp). Compiled with -mavx2 -mfma per-file; scalar
+// forwarders without support.
 #include <algorithm>
 #include <cmath>
 
@@ -58,37 +54,6 @@ void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
   }
 }
 
-void requant_s32_f32_avx2(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                          float rescale, const float* bias, float* out) {
-  const __m256 vs = _mm256_set1_ps(rescale);
-  if (bias == nullptr) {
-    const std::int64_t total = rows * n;
-    std::int64_t i = 0;
-    for (; i + 8 <= total; i += 8) {
-      const __m256 v = _mm256_cvtepi32_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i)));
-      _mm256_storeu_ps(out + i, _mm256_mul_ps(v, vs));
-    }
-    for (; i < total; ++i) out[i] = rescale * static_cast<float>(acc[i]);
-    return;
-  }
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int32_t* arow = acc + r * n;
-    float* orow = out + r * n;
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m256 v = _mm256_cvtepi32_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + j)));
-      const __m256 scaled = _mm256_mul_ps(v, vs);
-      _mm256_storeu_ps(orow + j, _mm256_add_ps(scaled, _mm256_loadu_ps(bias + j)));
-    }
-    for (; j < n; ++j) {
-      const float scaled = rescale * static_cast<float>(arow[j]);
-      orow[j] = scaled + bias[j];
-    }
-  }
-}
-
 }  // namespace detail
 }  // namespace kernels
 }  // namespace clado::tensor
@@ -102,11 +67,6 @@ namespace detail {
 void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
                           std::int32_t zero_point, std::int8_t* out) {
   quantize_f32_s8_scalar(count, x, inv_scale, zero_point, out);
-}
-
-void requant_s32_f32_avx2(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                          float rescale, const float* bias, float* out) {
-  requant_s32_f32_scalar(rows, n, acc, rescale, bias, out);
 }
 
 }  // namespace detail

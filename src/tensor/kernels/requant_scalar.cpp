@@ -1,20 +1,22 @@
-// Portable quantize / requantize epilogue kernels — bit-exact reference for
-// the AVX2 level. Two fp32<->int conversions frame every integer GEMM:
+// Portable quantize / requantize kernels. Two fp32<->int conversions
+// frame every integer GEMM:
 //
 //   quantize_f32_s8:  the affine fp32 -> int8 input quantization (the exact
 //                     arithmetic quant::quantize_int8 has always used, with
 //                     the pre-integral value clamped to +/-2e9 so the float
-//                     -> int conversion is defined for any finite input).
+//                     -> int conversion is defined for any finite input);
+//                     the bit-exact reference for quantize_avx2.cpp.
 //   requant_s32_f32:  int32 accumulator -> fp32 output rescale (+ optional
 //                     per-column bias), written as a lone multiply then a
-//                     separate add so no level can FMA-contract it.
+//                     separate add — the arithmetic of quant::qlinear, and
+//                     of qconv2d_s8's fused epilogue at every level.
 //
-// Both are bit-exact across levels: they use round-to-nearest-even only
-// (nearbyint under the default rounding mode here, vroundps / vcvtdq2ps on
-// the AVX2 side).
+// Both round to nearest-even only (nearbyint under the default rounding
+// mode, and the int32 -> fp32 conversion).
 #include <algorithm>
 #include <cmath>
 
+#include "clado/tensor/kernels.h"
 #include "kernels_internal.h"
 
 namespace clado::tensor {
@@ -32,8 +34,10 @@ void quantize_f32_s8_scalar(std::int64_t count, const float* x, float inv_scale,
   }
 }
 
-void requant_s32_f32_scalar(std::int64_t rows, std::int64_t n, const std::int32_t* acc,
-                            float rescale, const float* bias, float* out) {
+}  // namespace detail
+
+void requant_s32_f32(std::int64_t rows, std::int64_t n, const std::int32_t* acc, float rescale,
+                     const float* bias, float* out) {
   if (bias == nullptr) {
     const std::int64_t total = rows * n;
     for (std::int64_t i = 0; i < total; ++i) {
@@ -51,6 +55,5 @@ void requant_s32_f32_scalar(std::int64_t rows, std::int64_t n, const std::int32_
   }
 }
 
-}  // namespace detail
 }  // namespace kernels
 }  // namespace clado::tensor

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <optional>
 
 #include "clado/fault/fault.h"
 #include "clado/obs/obs.h"
@@ -42,7 +43,8 @@ struct ThreadPool::ForState {
     }
   }
 
-  // Claims and runs chunks until none remain. Only a failure of the
+  // Claims and runs chunks until none remain; a pool helper (span_chunks)
+  // times each of its chunks as a `pool/task` span. Only a failure of the
   // PRE-BODY injection site is retried (once): at that point the body has
   // not written anything, so re-running cannot double-apply work. A throw
   // from the body itself is never retried — GEMM-style bodies ACCUMULATE
@@ -51,40 +53,48 @@ struct ThreadPool::ForState {
   // (the old retry-in-place did exactly that; pinned by
   // ThreadPool.ThrowingBodyIsNotRetriedAfterPartialWrites). Body failures
   // are recorded and rethrown after the remaining chunks drain.
-  void run_chunks() {
+  void run_chunks(bool span_chunks) {
     for (;;) {
       const std::int64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      const std::int64_t cb = begin + c * grain;
-      const std::int64_t ce = std::min(end, cb + grain);
-      bool faulted = false;
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        try {
-          clado::fault::maybe_throw(clado::fault::Site::kPoolTask,
-                                    "thread pool: injected task failure");
-          faulted = false;
-          break;
-        } catch (...) {
-          faulted = true;
-          clado::obs::counter("pool.task_failures").add();
-          if (attempt == 0) {
-            clado::obs::counter("pool.chunk_retries").add();
-          } else {
-            record_error(c);
-          }
-        }
-      }
-      if (!faulted) {
-        try {
-          body(cb, ce);
-        } catch (...) {
-          clado::obs::counter("pool.task_failures").add();
-          record_error(c);
-        }
-      }
+      run_chunk(c, span_chunks);
+      // Nothing may touch obs after this increment: the last one releases
+      // the caller, and the process may exit while this thread runs on.
       if (done_chunks.fetch_add(1) + 1 == num_chunks) {
         std::lock_guard<std::mutex> lock(done_mutex);
         done_cv.notify_all();
+      }
+    }
+  }
+
+  void run_chunk(std::int64_t c, bool span_chunks) {
+    std::optional<clado::obs::Span> span;
+    if (span_chunks) span.emplace("pool/task");
+    const std::int64_t cb = begin + c * grain;
+    const std::int64_t ce = std::min(end, cb + grain);
+    bool faulted = false;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        clado::fault::maybe_throw(clado::fault::Site::kPoolTask,
+                                  "thread pool: injected task failure");
+        faulted = false;
+        break;
+      } catch (...) {
+        faulted = true;
+        clado::obs::counter("pool.task_failures").add();
+        if (attempt == 0) {
+          clado::obs::counter("pool.chunk_retries").add();
+        } else {
+          record_error(c);
+        }
+      }
+    }
+    if (!faulted) {
+      try {
+        body(cb, ce);
+      } catch (...) {
+        clado::obs::counter("pool.task_failures").add();
+        record_error(c);
       }
     }
   }
@@ -164,10 +174,7 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, std::int64_t
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::int64_t t = 0; t < helpers; ++t) {
-      queue_.emplace_back([state] {
-        clado::obs::Span task_span("pool/task");
-        state->run_chunks();
-      });
+      queue_.emplace_back([state] { state->run_chunks(/*span_chunks=*/true); });
     }
     clado::obs::gauge("pool.queue_depth").set(static_cast<double>(queue_.size()));
   }
@@ -178,7 +185,7 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end, std::int64_t
   }
 
   // The caller works too, then waits for straggler chunks on workers.
-  state->run_chunks();
+  state->run_chunks(/*span_chunks=*/false);
   {
     std::unique_lock<std::mutex> lock(state->done_mutex);
     state->done_cv.wait(lock, [&] { return state->done_chunks.load() == num_chunks; });

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,12 +26,14 @@
 #include "clado/models/model.h"
 #include "clado/nn/layers.h"
 #include "clado/quant/act_quant.h"
+#include "clado/quant/freeze.h"
 #include "clado/quant/int4.h"
 #include "clado/quant/int8.h"
 #include "clado/quant/qat.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/plan.h"
 #include "clado/solver/iqp.h"
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
 #include "test_models_util.h"
@@ -73,33 +76,73 @@ clado::quant::WeightCodes make_codes(int bits, float scale, std::vector<std::int
   return wc;
 }
 
-TEST(PrepareLayer, Int8KeepsCodesVerbatim) {
-  const auto wc = make_codes(8, 0.25F, {-128, -1, 0, 1, 127, 64});
-  const backend::PreparedLayer prep = backend::prepare_layer(wc, 2, 3);
-  EXPECT_EQ(prep.precision, Precision::kInt8);
-  EXPECT_EQ(prep.n, 2);
-  EXPECT_EQ(prep.k, 3);
-  EXPECT_EQ(prep.w_scale, 0.25F);
-  ASSERT_EQ(prep.w_s8.size(), 6u);
-  EXPECT_TRUE(prep.w_s4.empty());
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(prep.w_s8[i], wc.codes[i]);
+/// Reads every code of a prepared layer back through the kernel that
+/// consumes it: batch row p of the [k, 1, 1] linear input is the one-hot
+/// vector e_p, so output [p, j] is code (j, p) times rescale 1.
+std::vector<std::int8_t> codes_through_kernel(const backend::PreparedLayer& prep) {
+  namespace kernels = clado::tensor::kernels;
+  const kernels::Level level = kernels::active_level();
+  kernels::ConvGeometry g;
+  g.in_channels = prep.k;
+  g.height = 1;
+  g.width = 1;
+  g.out_channels = prep.n;
+  g.kernel = 1;
+  const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, g);
+  std::vector<std::int16_t> scratch(static_cast<std::size_t>(ws.codes));
+  std::vector<std::int32_t> table(static_cast<std::size_t>(ws.indices));
+  kernels::qconv2d_s8_table(level, g, table.data());
+  std::vector<std::int8_t> one_hot(static_cast<std::size_t>(prep.k * prep.k), 0);
+  for (std::int64_t p = 0; p < prep.k; ++p) one_hot[static_cast<std::size_t>(p * prep.k + p)] = 1;
+  std::vector<float> out(static_cast<std::size_t>(prep.k * prep.n));
+  kernels::qconv2d_s8(level, g, prep.k, one_hot.data(), 0, prep.weights(), 1.0F, nullptr,
+                      table.data(), scratch.data(), out.data());
+  std::vector<std::int8_t> codes(static_cast<std::size_t>(prep.n * prep.k));
+  for (std::int64_t p = 0; p < prep.k; ++p) {
+    for (std::int64_t j = 0; j < prep.n; ++j) {
+      codes[static_cast<std::size_t>(j * prep.k + p)] =
+          static_cast<std::int8_t>(out[static_cast<std::size_t>(p * prep.n + j)]);
+    }
+  }
+  return codes;
 }
 
-TEST(PrepareLayer, Int4PacksRowsAndRoundTrips) {
-  // Odd k so the per-row pad nibble is exercised.
+TEST(PrepareLayer, Int8PacksCodesTheKernelReadsBack) {
+  // n = 5 and odd k: the packed layout pads both the 4-row group and the
+  // final k-pair, and the kernel must still see exactly these codes.
+  Rng rng(3);
+  std::vector<std::int8_t> codes(5 * 7);
+  for (auto& c : codes) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
+  codes[0] = -128;
+  codes[1] = 127;
+  const auto wc = make_codes(8, 0.25F, codes);
+  const backend::PreparedLayer prep = backend::prepare_layer(wc, 5, 7);
+  EXPECT_EQ(prep.precision, Precision::kInt8);
+  EXPECT_EQ(prep.n, 5);
+  EXPECT_EQ(prep.k, 7);
+  EXPECT_EQ(prep.w_scale, 0.25F);
+  EXPECT_EQ(static_cast<std::int64_t>(prep.w_pairs.size()),
+            clado::tensor::kernels::qweights_pairs(5, 7));
+  ASSERT_EQ(prep.w_sums.size(), 5u);
+  for (std::size_t j = 0; j < 5; ++j) {
+    std::int32_t sum = 0;
+    for (std::size_t p = 0; p < 7; ++p) sum += codes[j * 7 + p];
+    EXPECT_EQ(prep.w_sums[j], sum) << "row " << j;
+  }
+  EXPECT_EQ(codes_through_kernel(prep), codes);
+}
+
+TEST(PrepareLayer, Int4WidensIntoTheSameLayoutAndRejectsWideCodes) {
   const auto wc = make_codes(4, 0.5F, {-8, 7, 0, 3, -1, 5});
   const backend::PreparedLayer prep = backend::prepare_layer(wc, 2, 3);
   EXPECT_EQ(prep.precision, Precision::kInt4);
-  EXPECT_TRUE(prep.w_s8.empty());
-  ASSERT_EQ(static_cast<std::int64_t>(prep.w_s4.size()),
-            2 * clado::quant::packed_s4_stride(3));
-  for (std::int64_t r = 0; r < 2; ++r) {
-    std::int8_t row[3];
-    clado::quant::unpack_s4(prep.w_s4.data() + r * clado::quant::packed_s4_stride(3), 3, row);
-    for (std::int64_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(row[j], wc.codes[static_cast<std::size_t>(r * 3 + j)]);
-    }
-  }
+  EXPECT_EQ(static_cast<std::int64_t>(prep.w_pairs.size()),
+            clado::tensor::kernels::qweights_pairs(2, 3));
+  EXPECT_EQ(prep.w_sums, (std::vector<std::int32_t>{-1, 7}));
+  EXPECT_EQ(codes_through_kernel(prep), wc.codes);
+
+  EXPECT_THROW(backend::prepare_layer(make_codes(4, 0.5F, {-8, 8, 0, 0, 0, 0}), 2, 3),
+               std::invalid_argument);
 }
 
 TEST(PrepareLayer, BitsZeroStaysFp32AndSizeMismatchThrows) {
@@ -107,33 +150,11 @@ TEST(PrepareLayer, BitsZeroStaysFp32AndSizeMismatchThrows) {
   fp.bits = 0;
   const backend::PreparedLayer prep = backend::prepare_layer(fp, 4, 9);
   EXPECT_EQ(prep.precision, Precision::kFp32);
-  EXPECT_TRUE(prep.w_s8.empty());
-  EXPECT_TRUE(prep.w_s4.empty());
+  EXPECT_TRUE(prep.w_pairs.empty());
+  EXPECT_TRUE(prep.w_sums.empty());
 
   const auto wc = make_codes(8, 1.0F, {1, 2, 3});
   EXPECT_THROW(backend::prepare_layer(wc, 2, 2), std::invalid_argument);
-}
-
-TEST(Backends, Int8GemmMatchesQuantReferenceAndFp32Throws) {
-  Rng rng(5);
-  const std::int64_t rows = 3, n = 4, k = 17;
-  std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
-  std::vector<std::int8_t> in(static_cast<std::size_t>(rows * k));
-  for (auto& c : codes) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
-  for (auto& c : in) c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) - 128);
-  backend::PreparedLayer prep =
-      backend::prepare_layer(make_codes(8, 1.0F, codes), n, k);
-
-  std::vector<std::int32_t> got(static_cast<std::size_t>(rows * n));
-  std::vector<std::int32_t> want(static_cast<std::size_t>(rows * n));
-  const backend::Backend& b8 = backend::backend_for(Precision::kInt8);
-  EXPECT_EQ(b8.precision(), Precision::kInt8);
-  b8.gemm(prep, rows, in.data(), /*za=*/-3, got.data());
-  clado::quant::gemm_s8s8_s32(rows, n, k, in.data(), -3, codes.data(), 0, want.data());
-  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << i;
-
-  const backend::Backend& bf = backend::backend_for(Precision::kFp32);
-  EXPECT_THROW(bf.gemm(prep, rows, in.data(), 0, got.data()), std::logic_error);
 }
 
 // ---- latency table ----------------------------------------------------------
@@ -302,13 +323,9 @@ TEST(BackendEngine, MixedAssignmentRunsEveryQuantLayerOnItsBackend) {
   ASSERT_EQ(prepared.size(), layers);
   for (std::size_t i = 0; i < layers; ++i) {
     EXPECT_EQ(prepared[i].precision, backend::precision_for_bits(bits[i])) << "layer " << i;
-    if (prepared[i].precision == Precision::kInt4) {
-      EXPECT_FALSE(prepared[i].w_s4.empty());
-      EXPECT_TRUE(prepared[i].w_s8.empty());
-    } else {
-      EXPECT_FALSE(prepared[i].w_s8.empty());
-      EXPECT_TRUE(prepared[i].w_s4.empty());
-    }
+    EXPECT_EQ(static_cast<std::int64_t>(prepared[i].w_pairs.size()),
+              clado::tensor::kernels::qweights_pairs(prepared[i].n, prepared[i].k));
+    EXPECT_EQ(static_cast<std::int64_t>(prepared[i].w_sums.size()), prepared[i].n);
   }
 
   // resnet_a compiles fully (no fallbacks, no grouped convs), so every
@@ -429,26 +446,6 @@ Model make_fq_linear_model(Rng& rng) {
   return m;
 }
 
-/// 8-bit fake quant -> 3x3 conv on a 3x3 image (pad 0): the conv output is
-/// spatially 1x1, so GlobalAvgPool is the identity and engine logits are
-/// exactly the conv's integer output.
-Model make_fq_conv_model(Rng& rng) {
-  using namespace clado::nn;
-  Model m;
-  m.name = "fq_conv";
-  m.net = std::make_unique<Sequential>();
-  m.candidate_bits = {4, 8};
-  m.scheme = clado::quant::WeightScheme::kPerTensorSymmetric;
-  m.num_classes = 5;
-  m.image_size = 3;
-  auto* aq = m.net->emplace_named<clado::quant::ActFakeQuant>("aq_in", 8);
-  m.act_quants.push_back(aq);
-  m.net->emplace_named<Conv2d>("conv", 3, 5, 3, /*stride=*/1, /*pad=*/0)->init(rng);
-  m.net->emplace_named<GlobalAvgPool>("gap");
-  m.finalize();
-  return m;
-}
-
 void calibrate(Model& model, std::uint64_t seed, std::int64_t n = 8) {
   clado::data::Batch calib;
   Rng rng(seed);
@@ -464,6 +461,16 @@ clado::quant::QParams static_qparams(const clado::quant::ActFakeQuant& aq) {
   p.scale = aq.scale();
   p.zero_point = static_cast<std::int32_t>(std::nearbyint(aq.zero_point())) - 128;
   return p;
+}
+
+/// The codes and scale freeze_quantized snaps `model`'s single quant layer
+/// to at `bits` — what the Engine's prepared layer packs, captured
+/// independently of it (freezing also overwrites `model`'s weights, which
+/// the oracles never read).
+clado::quant::WeightCodes frozen_codes(Model& model, int bits) {
+  std::vector<clado::quant::WeightCodes> codes;
+  clado::quant::freeze_quantized(*model.net, model.quant_layers, {bits}, model.scheme, &codes);
+  return codes.at(0);
 }
 
 TEST(BackendEngine, UniformInt8LinearIsBitIdenticalToQlinear) {
@@ -489,12 +496,12 @@ TEST(BackendEngine, UniformInt8LinearIsBitIdenticalToQlinear) {
   const Tensor fq_out = aq->forward(flat);
   const clado::quant::QTensor qx = clado::quant::quantize_int8(fq_out, static_qparams(*aq));
 
-  const auto& prep = engine.prepared_layers().at(0);
-  ASSERT_EQ(prep.precision, Precision::kInt8);
+  const clado::quant::WeightCodes wc = frozen_codes(twin, 8);
+  ASSERT_EQ(engine.prepared_layers().at(0).w_scale, wc.scale);
   clado::quant::QTensor qw;
   qw.shape = {5, 192};
-  qw.data = prep.w_s8;
-  qw.scale = prep.w_scale;
+  qw.data = wc.codes;
+  qw.scale = wc.scale;
   qw.zero_point = 0;
   auto* fc = dynamic_cast<clado::nn::Linear*>(twin.quant_layers.at(0).layer);
   ASSERT_NE(fc, nullptr);
@@ -506,86 +513,174 @@ TEST(BackendEngine, UniformInt8LinearIsBitIdenticalToQlinear) {
   }
 }
 
-TEST(BackendEngine, UniformInt8ConvIsBitIdenticalToQconv2d) {
+/// Conv geometry of one bit-identity case. The model is [8-bit fake quant]
+/// -> Conv2d -> Flatten, so engine logits are exactly the conv's integer
+/// output, NCHW-flattened.
+struct ConvCase {
+  const char* name;
+  std::int64_t in_c, image, out_c, kernel, stride, pad;
+  bool fake_quant;  ///< false: the conv reads the raw image (in=dynamic)
+};
+
+std::ostream& operator<<(std::ostream& os, const ConvCase& c) { return os << c.name; }
+
+std::int64_t conv_out(const ConvCase& c) { return (c.image + 2 * c.pad - c.kernel) / c.stride + 1; }
+
+Model make_conv_model(const ConvCase& c, Rng& rng) {
+  using namespace clado::nn;
+  Model m;
+  m.name = c.name;
+  m.net = std::make_unique<Sequential>();
+  m.candidate_bits = {4, 8};
+  m.scheme = clado::quant::WeightScheme::kPerTensorSymmetric;
+  m.channels = c.in_c;
+  m.image_size = c.image;
+  m.num_classes = c.out_c * conv_out(c) * conv_out(c);
+  if (c.fake_quant) {
+    m.act_quants.push_back(m.net->emplace_named<clado::quant::ActFakeQuant>("aq_in", 8));
+  }
+  m.net->emplace_named<Conv2d>("conv", c.in_c, c.out_c, c.kernel, c.stride, c.pad)->init(rng);
+  m.net->emplace_named<Flatten>("flatten");
+  m.finalize();
+  return m;
+}
+
+constexpr std::int64_t kConvMaxBatch = 8;
+
+/// Batch sizes each case runs: 1, 3, max_batch, and one that the engine
+/// chunks past max_batch (8 + 3).
+const std::int64_t kConvBatches[] = {1, 3, kConvMaxBatch, kConvMaxBatch + 3};
+
+/// Integer oracle for one engine chunk: `part` quantized as the plan does
+/// (on the frozen fake-quant grid, or by min/max over the chunk when the
+/// conv reads the raw image), then `conv` maps the QTensor to logits.
+template <typename ConvFn>
+Tensor chunked_oracle(Model& twin, const ConvCase& c, const Tensor& batch, ConvFn conv) {
+  twin.net->set_training(false);
+  const std::int64_t n = batch.size(0);
+  const std::int64_t per = c.in_c * c.image * c.image;
+  const std::int64_t logits = c.out_c * conv_out(c) * conv_out(c);
+  Tensor want({n, logits});
+  for (std::int64_t at = 0; at < n; at += kConvMaxBatch) {
+    const std::int64_t take = std::min(kConvMaxBatch, n - at);
+    Tensor part({take, c.in_c, c.image, c.image});
+    std::memcpy(part.data(), batch.data() + at * per,
+                sizeof(float) * static_cast<std::size_t>(take * per));
+    clado::quant::QTensor qx;
+    if (c.fake_quant) {
+      auto* aq = twin.act_quants.at(0);
+      qx = clado::quant::quantize_int8(aq->forward(part), static_qparams(*aq));
+    } else {
+      qx = clado::quant::quantize_int8_minmax(part);
+    }
+    const Tensor y = conv(qx);
+    std::memcpy(want.data() + at * logits, y.data(),
+                sizeof(float) * static_cast<std::size_t>(take * logits));
+  }
+  return want;
+}
+
+class BackendConvBitIdentity : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(BackendConvBitIdentity, UniformInt8ConvIsBitIdenticalToQconv2d) {
+  const ConvCase& c = GetParam();
   Rng rng(83);
-  Model model = make_fq_conv_model(rng);
+  Model model = make_conv_model(c, rng);
   calibrate(model, 89);
   Model twin = model.clone();
-  Engine engine(std::move(model), backend_spec({8}, 4));
+  Engine engine(std::move(model), backend_spec({8}, kConvMaxBatch));
   ASSERT_EQ(engine.plan(0)->backend_steps(), 1u);
+  const std::string dump = engine.plan(0)->dump();
+  EXPECT_NE(dump.find(c.fake_quant ? "in=static" : "in=dynamic"), std::string::npos) << dump;
 
-  Rng data_rng(97);
-  const Tensor batch = Tensor::randn({4, 3, 3, 3}, data_rng);
-  const Tensor got = engine.infer(batch);
-
-  twin.net->set_training(false);
-  auto* aq = twin.act_quants.at(0);
-  const Tensor fq_out = aq->forward(batch);
-  const clado::quant::QTensor qx = clado::quant::quantize_int8(fq_out, static_qparams(*aq));
-
-  const auto& prep = engine.prepared_layers().at(0);
-  ASSERT_EQ(prep.precision, Precision::kInt8);
+  const clado::quant::WeightCodes wc = frozen_codes(twin, 8);
+  ASSERT_EQ(engine.prepared_layers().at(0).precision, Precision::kInt8);
+  ASSERT_EQ(engine.prepared_layers().at(0).w_scale, wc.scale);
   clado::quant::QTensor qw;
-  qw.shape = {5, 3, 3, 3};
-  qw.data = prep.w_s8;
-  qw.scale = prep.w_scale;
+  qw.shape = {c.out_c, c.in_c, c.kernel, c.kernel};
+  qw.data = wc.codes;
+  qw.scale = wc.scale;
   qw.zero_point = 0;
   auto* conv = dynamic_cast<clado::nn::Conv2d*>(twin.quant_layers.at(0).layer);
   ASSERT_NE(conv, nullptr);
-  const Tensor want =
-      clado::quant::qconv2d(qx, qw, conv->bias_data(), 1, 0).reshape({4, 5});
 
-  ASSERT_EQ(got.shape(), want.shape());
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << "logit " << i;
+  Rng data_rng(97);
+  for (const std::int64_t n : kConvBatches) {
+    const Tensor batch = Tensor::randn({n, c.in_c, c.image, c.image}, data_rng);
+    const Tensor got = engine.infer(batch);
+    const Tensor want = chunked_oracle(twin, c, batch, [&](const clado::quant::QTensor& qx) {
+      return clado::quant::qconv2d(qx, qw, conv->bias_data(), c.stride, c.pad);
+    });
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "batch " << n << " logit " << i;
+    }
   }
 }
 
-TEST(BackendEngine, Int4ConvIsBitIdenticalToThePackedKernelPath) {
+TEST_P(BackendConvBitIdentity, Int4ConvIsBitIdenticalToThePackedKernelPath) {
+  const ConvCase& c = GetParam();
   Rng rng(101);
-  Model model = make_fq_conv_model(rng);
+  Model model = make_conv_model(c, rng);
   calibrate(model, 103);
   Model twin = model.clone();
-  Engine engine(std::move(model), backend_spec({4}, 4));
+  Engine engine(std::move(model), backend_spec({4}, kConvMaxBatch));
   ASSERT_EQ(engine.plan(0)->backend_steps(), 1u);
   EXPECT_NE(engine.plan(0)->dump().find("backend=int4"), std::string::npos);
 
-  Rng data_rng(107);
-  const Tensor batch = Tensor::randn({4, 3, 3, 3}, data_rng);
-  const Tensor got = engine.infer(batch);
-
-  twin.net->set_training(false);
-  auto* aq = twin.act_quants.at(0);
-  const Tensor fq_out = aq->forward(batch);
-  const clado::quant::QParams qp = static_qparams(*aq);
-  const clado::quant::QTensor qx = clado::quant::quantize_int8(fq_out, qp);
-
-  const auto& prep = engine.prepared_layers().at(0);
-  ASSERT_EQ(prep.precision, Precision::kInt4);
+  const clado::quant::WeightCodes wc = frozen_codes(twin, 4);
+  ASSERT_EQ(engine.prepared_layers().at(0).precision, Precision::kInt4);
+  ASSERT_EQ(engine.prepared_layers().at(0).w_scale, wc.scale);
+  const std::int64_t patch = c.in_c * c.kernel * c.kernel;
+  const std::vector<std::uint8_t> w_s4 =
+      clado::quant::pack_s4_rows(wc.codes.data(), c.out_c, patch);
   auto* conv = dynamic_cast<clado::nn::Conv2d*>(twin.quant_layers.at(0).layer);
   ASSERT_NE(conv, nullptr);
 
-  // Replay the backend's conv by hand: per-sample im2col at the static zero
-  // point, the packed s4 GEMM, and the shared requant epilogue.
-  const std::int64_t patch = 3 * 3 * 3;  // C * k * k; one output position
-  Tensor want({4, 5});
-  std::vector<std::int8_t> cols(static_cast<std::size_t>(patch));
-  std::vector<std::int32_t> acc(5);
-  for (std::int64_t sample = 0; sample < 4; ++sample) {
-    clado::quant::im2col_s8(qx.data.data() + sample * patch, 3, 3, 3, /*kernel=*/3,
-                            /*stride=*/1, /*pad=*/0, /*oh=*/1, /*ow=*/1, qp.zero_point,
-                            cols.data());
-    clado::quant::gemm_s8s4_s32(1, 5, patch, cols.data(), qp.zero_point, prep.w_s4.data(), 0,
-                                acc.data());
-    clado::quant::requant_scatter(acc.data(), /*positions=*/1, /*out_c=*/5,
-                                  qp.scale * prep.w_scale, conv->bias_data(),
-                                  want.data() + sample * 5);
-  }
+  // Replay the conv on packed nibbles by hand: per-sample im2col at the
+  // input zero point, the reference s4 GEMM, and the requant epilogue.
+  const std::int64_t out = conv_out(c);
+  const std::int64_t positions = out * out;
+  std::vector<std::int8_t> cols(static_cast<std::size_t>(positions * patch));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(positions * c.out_c));
+  const auto replay = [&](const clado::quant::QTensor& qx) {
+    const std::int64_t n = qx.shape[0];
+    const std::int64_t per = c.in_c * c.image * c.image;
+    Tensor y({n, c.out_c * positions});
+    for (std::int64_t s = 0; s < n; ++s) {
+      clado::quant::im2col_s8(qx.data.data() + s * per, c.in_c, c.image, c.image, c.kernel,
+                              c.stride, c.pad, out, out, qx.zero_point, cols.data());
+      clado::tensor::kernels::gemm_s8s4_s32(positions, c.out_c, patch, cols.data(),
+                                            qx.zero_point, w_s4.data(), 0, acc.data());
+      clado::quant::requant_scatter(acc.data(), positions, c.out_c, qx.scale * wc.scale,
+                                    conv->bias_data(), y.data() + s * c.out_c * positions);
+    }
+    return y;
+  };
 
-  ASSERT_EQ(got.shape(), want.shape());
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << "logit " << i;
+  Rng data_rng(107);
+  for (const std::int64_t n : kConvBatches) {
+    const Tensor batch = Tensor::randn({n, c.in_c, c.image, c.image}, data_rng);
+    const Tensor got = engine.infer(batch);
+    const Tensor want = chunked_oracle(twin, c, batch, replay);
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "batch " << n << " logit " << i;
+    }
   }
 }
+
+// Geometry the kernel's tiles and panels can get wrong: stride 2 with pad
+// 1 and k = 27 (odd: not a multiple of the k-pair or the vector width),
+// out_c = 5 (not a multiple of the 4-channel tile), a 7x7 output (49
+// positions, not a multiple of the 16-lane panel), the same geometry with
+// no fake quant in front (in=dynamic), and the one-position pad-0 case.
+INSTANTIATE_TEST_SUITE_P(
+    RaggedGeometry, BackendConvBitIdentity,
+    ::testing::Values(ConvCase{"s2p1_k27_oc5_7x7", 3, 13, 5, 3, 2, 1, true},
+                      ConvCase{"s2p1_k27_oc5_7x7_dynamic", 3, 13, 5, 3, 2, 1, false},
+                      ConvCase{"s1p1_k36_oc6_7x7", 4, 7, 6, 3, 1, 1, true},
+                      ConvCase{"s1p0_k27_oc5_1x1", 3, 3, 5, 3, 1, 0, true}),
+    [](const ::testing::TestParamInfo<ConvCase>& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Cross-path consistency suite for the runtime-dispatched GEMM kernel
-// layer: every level must agree with the scalar reference — bit-exactly
-// for int8 (integer arithmetic, no excuses), within accumulation-order
-// tolerance for fp32 — across randomized shapes including ragged tails
-// that do not divide any block or tile size.
+// Cross-path consistency suite for the runtime-dispatched kernel layer:
+// every level must agree with the scalar reference — bit-exactly for the
+// integer conv entry (integer arithmetic, no excuses), within
+// accumulation-order tolerance for fp32 — across randomized shapes
+// including ragged tails that do not divide any block or tile size.
 #include "clado/tensor/kernels.h"
 
 #include <gtest/gtest.h>
@@ -143,41 +143,6 @@ TEST(GemmKernels, F32ScalarVsAvx2AcrossRandomShapes) {
   }
 }
 
-// int8 must be BIT-EXACT across levels for any shape, including k tails
-// shorter than one 16-lane vector and zero points at the int8 extremes.
-TEST(GemmKernels, S8ScalarVsAvx2BitExactAcrossRandomShapes) {
-  if (!kernels::cpu_supports_avx2()) {
-    GTEST_SKIP() << "no AVX2 on this host; scalar is the only level";
-  }
-  struct Case {
-    std::int64_t m, n, k;
-    std::int32_t za, zb;
-  };
-  const std::vector<Case> cases = {
-      {1, 1, 1, 0, 0},       {1, 4, 7, -3, 5},     {2, 5, 15, 10, -7},
-      {3, 3, 16, -128, 127}, {5, 9, 17, 127, -128}, {4, 4, 31, 1, 1},
-      {7, 13, 33, -5, 9},    {8, 8, 64, 0, -128},  {17, 5, 100, -64, 64},
-      {33, 9, 129, 7, -3},   {2, 1, 257, -1, 2},
-  };
-  Rng rng(4096);
-  for (const Case& cs : cases) {
-    SCOPED_TRACE("m=" + std::to_string(cs.m) + " n=" + std::to_string(cs.n) +
-                 " k=" + std::to_string(cs.k) + " za=" + std::to_string(cs.za) +
-                 " zb=" + std::to_string(cs.zb));
-    const auto a = rand_s8_buffer(cs.m * cs.k, rng);
-    const auto b = rand_s8_buffer(cs.n * cs.k, rng);
-    std::vector<std::int32_t> c_scalar(static_cast<std::size_t>(cs.m * cs.n), 7);
-    std::vector<std::int32_t> c_avx2(static_cast<std::size_t>(cs.m * cs.n), -7);
-    kernels::gemm_s8s8_s32(Level::kScalar, cs.m, cs.n, cs.k, a.data(), cs.za, b.data(), cs.zb,
-                           c_scalar.data());
-    kernels::gemm_s8s8_s32(Level::kAvx2, cs.m, cs.n, cs.k, a.data(), cs.za, b.data(), cs.zb,
-                           c_avx2.data());
-    for (std::size_t i = 0; i < c_scalar.size(); ++i) {
-      ASSERT_EQ(c_scalar[i], c_avx2[i]) << "element " << i;
-    }
-  }
-}
-
 // The pool-parallel public gemm() must agree with a direct single-range
 // kernel call at the active level — bit-exactly, because chunks start on
 // kGemmBlockM boundaries and rows never interact.
@@ -308,6 +273,134 @@ TEST(GemmKernels, ConvEntryMatchesPerSampleReferenceBitExactly) {
           << " p=" << g.pad << " groups=" << g.groups << " batch=" << cc.batch;
     }
   }
+}
+
+// The naive definition qconv2d_s8 must reproduce at every level: each
+// output is rescale * float(sum over taps of (x - za) * w), padding taps
+// contributing nothing, then (separately) + bias.
+std::vector<float> qconv_reference(const kernels::ConvGeometry& g, std::int64_t batch,
+                                   const std::vector<std::int8_t>& input, std::int32_t za,
+                                   const std::vector<std::int8_t>& codes, float rescale,
+                                   const float* bias) {
+  const std::int64_t oh = conv_out_size(g.height, g.kernel, g.stride, g.pad);
+  const std::int64_t ow = conv_out_size(g.width, g.kernel, g.stride, g.pad);
+  const std::int64_t patch = g.in_channels * g.kernel * g.kernel;
+  std::vector<float> out;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    const std::int8_t* img = input.data() + s * g.in_channels * g.height * g.width;
+    for (std::int64_t o = 0; o < g.out_channels; ++o) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          std::int32_t acc = 0;
+          for (std::int64_t p = 0; p < patch; ++p) {
+            const std::int64_t c = p / (g.kernel * g.kernel);
+            const std::int64_t iy = oy * g.stride + p / g.kernel % g.kernel - g.pad;
+            const std::int64_t ix = ox * g.stride + p % g.kernel - g.pad;
+            if (iy < 0 || iy >= g.height || ix < 0 || ix >= g.width) continue;
+            acc += (img[(c * g.height + iy) * g.width + ix] - za) * codes[o * patch + p];
+          }
+          float v = rescale * static_cast<float>(acc);
+          if (bias != nullptr) v += bias[o];
+          out.push_back(v);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The integer conv entry at every available level against the naive
+// definition and against each other, bit for bit, over ragged geometry:
+// stride 2 with pad 1, odd k (27, not a multiple of the k-pair or the
+// vector width), out_c not a multiple of the 4-channel tile, 7x7 and 5x5
+// outputs (positions not a multiple of the 16-lane panel), 8-wide stride-1
+// outputs that the AVX2 row route fills (a panel spanning two output rows,
+// and a 7x8 output whose last panel has one live half), a linear layer as
+// the 1x1 conv of a [k, 1, 1] image, batches 1, 3 and 8, int8 and int4
+// weight codes, and input zero points at both int8 extremes.
+TEST(GemmKernels, QConvEntryMatchesReferenceAndLevelsAgreeBitExactly) {
+  struct QCase {
+    kernels::ConvGeometry geom;
+    std::int64_t batch;
+  };
+  const std::vector<QCase> cases = {
+      {{3, 13, 13, 5, 3, 2, 1, 1}, 3},   // k 27, s2 p1 -> 7x7, out_c 5
+      {{3, 7, 7, 5, 3, 1, 1, 1}, 8},     // 7x7 output at stride 1
+      {{3, 9, 10, 6, 3, 2, 1, 1}, 1},    // non-square 5x5 output
+      {{8, 16, 16, 8, 3, 1, 1, 1}, 3},   // resnet_a body: 256 positions
+      {{4, 7, 8, 5, 3, 1, 1, 1}, 3},     // 7x8 output: 56 positions, half a panel left
+      {{16, 8, 8, 6, 3, 1, 1, 1}, 3},    // 8-wide rows: a panel spans two output rows
+      {{16, 8, 8, 32, 3, 2, 1, 1}, 1},   // k 144 at stride 2
+      {{8, 16, 16, 16, 1, 2, 0, 1}, 8},  // 1x1 downsample, k 8
+      {{5, 6, 7, 7, 2, 1, 0, 1}, 3},     // even kernel, k 20
+      {{32, 1, 1, 10, 1, 1, 0, 1}, 8},   // linear head as a 1x1 conv
+  };
+  std::vector<Level> levels = {Level::kScalar};
+  if (kernels::cpu_supports_avx2()) levels.push_back(Level::kAvx2);
+
+  Rng rng(2026);
+  for (const QCase& qc : cases) {
+    const kernels::ConvGeometry& g = qc.geom;
+    const std::int64_t n = g.out_channels;
+    const std::int64_t k = g.in_channels * g.kernel * g.kernel;
+    const std::vector<std::int8_t> input =
+        rand_s8_buffer(qc.batch * g.in_channels * g.height * g.width, rng);
+    const std::vector<float> bias = randn_buffer(n, rng);
+    for (const int code_span : {256, 16}) {  // int8, then int4 codes
+      std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
+      for (auto& c : codes) {
+        c = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(code_span)) -
+                                     code_span / 2);
+      }
+      std::vector<std::int16_t> pairs(static_cast<std::size_t>(kernels::qweights_pairs(n, k)));
+      std::vector<std::int32_t> sums(static_cast<std::size_t>(n));
+      kernels::pack_qweights(n, k, codes.data(), pairs.data(), sums.data());
+      const kernels::QWeights w{n, k, pairs.data(), sums.data()};
+      for (const std::int32_t za : {-128, 127, 3}) {
+        for (const float* bias_ptr : {static_cast<const float*>(nullptr), bias.data()}) {
+          const std::vector<float> want =
+              qconv_reference(g, qc.batch, input, za, codes, 0.0123F, bias_ptr);
+          std::vector<std::vector<float>> got_by_level;
+          for (const Level level : levels) {
+            const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, g);
+            std::vector<std::int16_t> scratch(static_cast<std::size_t>(ws.codes));
+            std::vector<std::int32_t> table(static_cast<std::size_t>(ws.indices));
+            kernels::qconv2d_s8_table(level, g, table.data());
+            std::vector<float> got(want.size(), std::numeric_limits<float>::quiet_NaN());
+            kernels::qconv2d_s8(level, g, qc.batch, input.data(), za, w, 0.0123F, bias_ptr,
+                                table.data(), scratch.data(), got.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
+                << kernels::level_name(level) << " c=" << g.in_channels << " " << g.height
+                << "x" << g.width << " oc=" << g.out_channels << " k=" << g.kernel
+                << " s=" << g.stride << " p=" << g.pad << " batch=" << qc.batch
+                << " za=" << za << " span=" << code_span << " bias=" << (bias_ptr != nullptr);
+            got_by_level.push_back(std::move(got));
+          }
+          for (const auto& got : got_by_level) {
+            ASSERT_EQ(std::memcmp(got.data(), got_by_level.front().data(),
+                                  got.size() * sizeof(float)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmKernels, QConvEntryRejectsGroupsAndMismatchedWeights) {
+  const kernels::ConvGeometry grouped{8, 4, 4, 8, 3, 1, 1, 2};
+  EXPECT_THROW(kernels::qconv2d_s8_workspace(Level::kScalar, grouped), std::invalid_argument);
+  const kernels::ConvGeometry g{2, 3, 3, 4, 3, 1, 0, 1};
+  std::vector<std::int16_t> pairs(static_cast<std::size_t>(kernels::qweights_pairs(4, 17)));
+  std::vector<std::int32_t> sums(4);
+  const kernels::QWeights wrong_k{4, 17, pairs.data(), sums.data()};
+  const std::vector<std::int8_t> input(18);
+  std::vector<std::int16_t> scratch(
+      static_cast<std::size_t>(kernels::qconv2d_s8_workspace(Level::kScalar, g).codes));
+  std::vector<float> out(4);
+  EXPECT_THROW(kernels::qconv2d_s8(Level::kScalar, g, 1, input.data(), 0, wrong_k, 1.0F, nullptr,
+                                   nullptr, scratch.data(), out.data()),
+               std::invalid_argument);
 }
 
 }  // namespace

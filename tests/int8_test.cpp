@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "clado/nn/layers.h"
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/ops.h"
 
 namespace clado::quant {
@@ -83,8 +84,8 @@ TEST(GemmS8, MatchesFloatReferenceOnDequantizedValues) {
   const QTensor qb = quantize_int8_minmax(b);
 
   std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-  gemm_s8s8_s32(m, n, k, qa.data.data(), qa.zero_point, qb.data.data(), qb.zero_point,
-                acc.data());
+  clado::tensor::kernels::gemm_s8s8_s32(m, n, k, qa.data.data(), qa.zero_point, qb.data.data(),
+                                        qb.zero_point, acc.data());
 
   // Reference: float GEMM over the dequantized tensors. The int32 path
   // must match exactly (same discrete values, exact integer arithmetic).
