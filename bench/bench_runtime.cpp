@@ -11,6 +11,8 @@
 // thread count (CLADO_NUM_THREADS / hardware); on a multi-core host the
 // parallel row shows the replica-sweep speedup at bit-identical output.
 #include <chrono>
+#include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "clado/core/report.h"
 #include "clado/obs/obs.h"
 #include "clado/solver/iqp.h"
+#include "clado/tensor/env.h"
 #include "clado/tensor/thread_pool.h"
 
 int main(int argc, char** argv) {
@@ -46,7 +49,12 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--budget-ms=", 0) == 0) {
       latency_requested = true;
-      budget_ms_arg = std::stod(arg.substr(12));
+      try {
+        budget_ms_arg = clado::tensor::parse_double_strict(arg.substr(12), "--budget-ms");
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     } else if (arg.rfind("--latency-table=", 0) == 0) {
       latency_path = arg.substr(16);
     } else {

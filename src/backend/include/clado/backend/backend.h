@@ -11,9 +11,9 @@
 //   fp32  layers with no integer realization (bits == 0, affine /
 //         per-channel schemes, > 8 bits) keep the fp32 kernels.
 //   int8  5-8-bit codes.
-//   int4  1-4-bit codes in [-8, 7], widened at prepare time into the same
-//         int16 k-pairs as int8, so both precisions share one kernel; the
-//         engine holds them at 16 bits per code, not as packed nibbles.
+//   int4  1-4-bit codes: int8 codes in [-8, 7], widened at prepare time
+//         into the same int16 k-pairs as int8, so both precisions share
+//         one kernel.
 //
 // Precision boundaries stay in fp32: inputs are quantized to int8 right
 // before the integer kernel and its int32 sums are requantized to fp32

@@ -241,10 +241,6 @@ void set_seed(std::uint64_t seed) {
   registry().seed.store(seed, std::memory_order_relaxed);
 }
 
-void disarm(Site site) {
-  registry().armed_mask.fetch_and(~(1U << static_cast<int>(site)), std::memory_order_release);
-}
-
 void disarm_all() {
   Registry& r = registry();
   r.armed_mask.store(0, std::memory_order_release);

@@ -89,7 +89,6 @@ void arm_spec(Site site, const std::string& spec);
 /// Seed for probability mode (also settable via CLADO_FAULT_SEED).
 void set_seed(std::uint64_t seed);
 
-void disarm(Site site);
 /// Disarms every site and resets all hit/injection counters.
 void disarm_all();
 

@@ -36,35 +36,4 @@ std::optional<Tensor> cholesky(const Tensor& a, double jitter) {
   return out;
 }
 
-Tensor cholesky_solve(const Tensor& l, const Tensor& b) {
-  if (l.dim() != 2 || l.size(0) != l.size(1)) {
-    throw std::invalid_argument("cholesky_solve: L must be square");
-  }
-  const std::int64_t n = l.size(0);
-  if (b.dim() != 1 || b.size(0) != n) {
-    throw std::invalid_argument("cholesky_solve: b must be a length-n vector");
-  }
-  // Forward solve L y = b.
-  std::vector<double> y(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::int64_t k = 0; k < i; ++k) {
-      acc -= static_cast<double>(l.data()[i * n + k]) * y[static_cast<std::size_t>(k)];
-    }
-    y[static_cast<std::size_t>(i)] = acc / l.data()[i * n + i];
-  }
-  // Backward solve Lᵀ x = y.
-  Tensor x({n});
-  std::vector<double> xd(static_cast<std::size_t>(n));
-  for (std::int64_t i = n - 1; i >= 0; --i) {
-    double acc = y[static_cast<std::size_t>(i)];
-    for (std::int64_t k = i + 1; k < n; ++k) {
-      acc -= static_cast<double>(l.data()[k * n + i]) * xd[static_cast<std::size_t>(k)];
-    }
-    xd[static_cast<std::size_t>(i)] = acc / l.data()[i * n + i];
-    x[i] = static_cast<float>(xd[static_cast<std::size_t>(i)]);
-  }
-  return x;
-}
-
 }  // namespace clado::linalg

@@ -1,5 +1,6 @@
-// Cholesky factorization — used in tests to certify PSD-ness of projected
-// sensitivity matrices and by the QP machinery for well-conditioned solves.
+// Cholesky factorization — the reference the tests use to certify that a
+// PSD-projected sensitivity matrix is positive semi-definite. No shipped
+// path calls it.
 #pragma once
 
 #include <optional>
@@ -14,8 +15,5 @@ using clado::tensor::Tensor;
 /// if a non-positive pivot (beyond `jitter`) is encountered, i.e. A is not
 /// PD to within tolerance.
 std::optional<Tensor> cholesky(const Tensor& a, double jitter = 0.0);
-
-/// Solves A x = b using a Cholesky factor L (lower triangular).
-Tensor cholesky_solve(const Tensor& l, const Tensor& b);
 
 }  // namespace clado::linalg

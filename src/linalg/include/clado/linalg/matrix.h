@@ -16,19 +16,7 @@ using clado::tensor::Tensor;
 /// triangle of Ĝ; symmetrization is applied before PSD projection.
 Tensor symmetrize(const Tensor& a);
 
-/// Maximum |A[i][j] − A[j][i]| — symmetry defect of a square matrix.
-double symmetry_defect(const Tensor& a);
-
 /// Quadratic form xᵀ A x with double accumulation.
 double quad_form(const Tensor& a, std::span<const float> x);
-
-/// Matrix-vector product y = A x (A square, row-major).
-void matvec(const Tensor& a, std::span<const float> x, std::span<float> y);
-
-/// Identity matrix of size n.
-Tensor identity(std::int64_t n);
-
-/// Frobenius norm.
-double frobenius_norm(const Tensor& a);
 
 }  // namespace clado::linalg

@@ -1,7 +1,7 @@
 #include "clado/linalg/matrix.h"
 
-#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace clado::linalg {
 
@@ -28,18 +28,6 @@ Tensor symmetrize(const Tensor& a) {
   return out;
 }
 
-double symmetry_defect(const Tensor& a) {
-  const std::int64_t n = square_size(a, "symmetry_defect");
-  double defect = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = i + 1; j < n; ++j) {
-      defect = std::max(defect,
-                        std::abs(static_cast<double>(a.data()[i * n + j]) - a.data()[j * n + i]));
-    }
-  }
-  return defect;
-}
-
 double quad_form(const Tensor& a, std::span<const float> x) {
   const std::int64_t n = square_size(a, "quad_form");
   if (static_cast<std::int64_t>(x.size()) != n) {
@@ -54,26 +42,5 @@ double quad_form(const Tensor& a, std::span<const float> x) {
   }
   return acc;
 }
-
-void matvec(const Tensor& a, std::span<const float> x, std::span<float> y) {
-  const std::int64_t n = square_size(a, "matvec");
-  if (static_cast<std::int64_t>(x.size()) != n || static_cast<std::int64_t>(y.size()) != n) {
-    throw std::invalid_argument("matvec: vector size mismatch");
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    const float* arow = a.data() + i * n;
-    for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(arow[j]) * x[j];
-    y[i] = static_cast<float>(acc);
-  }
-}
-
-Tensor identity(std::int64_t n) {
-  Tensor out({n, n});
-  for (std::int64_t i = 0; i < n; ++i) out.data()[i * n + i] = 1.0F;
-  return out;
-}
-
-double frobenius_norm(const Tensor& a) { return std::sqrt(static_cast<double>(a.sq_norm())); }
 
 }  // namespace clado::linalg

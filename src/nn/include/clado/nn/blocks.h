@@ -144,8 +144,6 @@ class PatchEmbed : public Module {
 
   void init(clado::tensor::Rng& rng);
 
-  std::int64_t num_tokens() const { return tokens_ + 1; }
-
  private:
   std::int64_t embed_dim_, grid_, tokens_;
   Conv2d proj_;

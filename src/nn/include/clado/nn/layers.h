@@ -56,7 +56,6 @@ class Conv2d : public Module, public QuantizableLayer {
   std::int64_t stride() const { return stride_; }
   std::int64_t padding() const { return pad_; }
   std::int64_t groups() const { return groups_; }
-  bool has_bias() const { return has_bias_; }
   /// Raw bias pointer for the serving backends; nullptr without a bias.
   const float* bias_data() const { return has_bias_ ? bias_.value.data() : nullptr; }
   bool has_weight_transform() const { return static_cast<bool>(weight_transform_); }
@@ -112,7 +111,6 @@ class Linear : public Module, public QuantizableLayer {
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
-  bool has_bias() const { return has_bias_; }
   /// Raw bias pointer for the serving backends; nullptr without a bias.
   const float* bias_data() const { return has_bias_ ? bias_.value.data() : nullptr; }
   bool has_weight_transform() const { return static_cast<bool>(weight_transform_); }

@@ -119,7 +119,6 @@ class Module {
   /// forward is undefined. Containers propagate to children like
   /// set_training; only serve::Engine turns this on.
   virtual void set_inference(bool inference) { inference_ = inference; }
-  bool inference_mode() const { return inference_; }
 
   /// Short human-readable type tag for diagnostics.
   virtual std::string type_name() const = 0;
@@ -140,8 +139,5 @@ std::string join_name(const std::string& prefix, const std::string& leaf);
 /// Copies all parameters of a module tree into a state dict / back.
 StateDict extract_state(Module& root);
 void load_state(Module& root, const StateDict& dict);
-
-/// Sum of parameter element counts.
-std::int64_t count_params(Module& root);
 
 }  // namespace clado::nn

@@ -28,7 +28,6 @@ class Sgd {
   /// Clears every bound parameter's gradient.
   void zero_grad();
 
-  void set_lr(float lr) { config_.lr = lr; }
   float lr() const { return config_.lr; }
 
   /// Cosine decay from `base_lr` to ~0 over `total_steps`.

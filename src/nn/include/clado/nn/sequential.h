@@ -4,7 +4,7 @@
 // weight perturbations of *one or two* layers at a time. For a perturbation
 // whose earliest affected layer lives in top-level stage k, all activations
 // before stage k equal the clean forward pass. Sequential::forward_cached /
-// forward_from exploit that: the clean pass stores each stage's input, and
+// forward_span exploit that: the clean pass stores each stage's input, and
 // perturbed passes re-execute only stages >= k.
 #pragma once
 
@@ -20,7 +20,7 @@ class Sequential : public Module {
   Sequential() = default;
 
   /// Deep copy: clones every child and copies the activation cache, so a
-  /// copied container can serve forward_from / cached_input immediately
+  /// copied container can serve cached_input immediately
   /// (the parallel sensitivity sweep clones an already-cached model).
   Sequential(const Sequential& other);
 
@@ -58,13 +58,8 @@ class Sequential : public Module {
   Tensor backward(const Tensor& grad_output) override;
 
   /// Clean forward pass that records each stage's input for later
-  /// forward_from calls. Returns the network output.
+  /// cached_input calls. Returns the network output.
   Tensor forward_cached(const Tensor& input);
-
-  /// Re-executes stages [stage, end) starting from the activation cached by
-  /// the last forward_cached call. Requires 0 <= stage <= size(); stage ==
-  /// size() returns the cached final output directly.
-  Tensor forward_from(std::size_t stage);
 
   /// Runs stages [start, end) from an explicit input (independent of the
   /// forward_cached cache). When `record` is non-null it receives the input

@@ -43,12 +43,4 @@ void load_state(Module& root, const StateDict& dict) {
   }
 }
 
-std::int64_t count_params(Module& root) {
-  std::vector<ParamRef> params;
-  root.collect_params("", params);
-  std::int64_t n = 0;
-  for (const auto& p : params) n += p.param->value.numel();
-  return n;
-}
-
 }  // namespace clado::nn

@@ -46,19 +46,6 @@ Tensor Sequential::forward_cached(const Tensor& input) {
   return x;
 }
 
-Tensor Sequential::forward_from(std::size_t stage) {
-  if (cache_.size() != children_.size() + 1) {
-    throw std::logic_error("Sequential::forward_from: no cached forward pass");
-  }
-  if (stage > children_.size()) {
-    throw std::out_of_range("Sequential::forward_from: stage out of range");
-  }
-  if (stage == children_.size()) return cache_.back();
-  Tensor x = cache_[stage];
-  for (std::size_t k = stage; k < children_.size(); ++k) x = children_[k]->forward(x);
-  return x;
-}
-
 Tensor Sequential::forward_span(std::size_t start, const Tensor& input,
                                 std::vector<Tensor>* record) {
   if (start > children_.size()) {

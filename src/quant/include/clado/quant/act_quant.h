@@ -9,20 +9,11 @@
 //               backward is the straight-through estimator with clipping
 //               (gradients are zeroed outside the representable range).
 //
-// Three observers decide how the frozen range is derived from what was
-// seen during calibration (the observer menu MQBench exposes):
-//   kMinMax      — exact running min/max (default; sensitive to outliers)
-//   kPercentile  — symmetric percentile clip on a deterministic reservoir
-//   kMse         — clipping range minimizing quantization MSE on the
-//                  reservoir (the activation analogue of the weight
-//                  calibration in quantizer.h)
+// Calibration observes the exact running min/max of everything seen in
+// kObserve mode; the frozen range is that min/max, widened to contain zero.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "clado/nn/module.h"
-#include "clado/tensor/rng.h"
 
 namespace clado::quant {
 
@@ -31,14 +22,9 @@ using clado::nn::Tensor;
 
 enum class ActQuantMode { kBypass, kObserve, kQuantize };
 
-enum class ObserverKind { kMinMax, kPercentile, kMse };
-
-const char* observer_name(ObserverKind k);
-
 class ActFakeQuant : public Module {
  public:
-  explicit ActFakeQuant(int bits = 8, ObserverKind observer = ObserverKind::kMinMax,
-                        double percentile = 0.999);
+  explicit ActFakeQuant(int bits = 8) : bits_(bits) {}
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -62,25 +48,16 @@ class ActFakeQuant : public Module {
   float lo() const { return lo_; }
   float hi() const { return hi_; }
   bool calibrated() const { return calibrated_; }
-  ObserverKind observer() const { return observer_; }
 
  private:
   void observe(const Tensor& input);
-  /// Chooses the clipping range [lo, hi] according to the observer.
-  void choose_range(float& lo, float& hi) const;
 
   int bits_;
-  ObserverKind observer_;
-  double percentile_;
   ActQuantMode mode_ = ActQuantMode::kBypass;
 
   bool observed_ = false;
   bool calibrated_ = false;
   float obs_min_ = 0.0F, obs_max_ = 0.0F;
-  // Deterministic reservoir sample of observed values (percentile / MSE).
-  std::vector<float> reservoir_;
-  std::int64_t seen_ = 0;
-  clado::tensor::Rng reservoir_rng_{0x0B5E7E};
 
   float scale_ = 1.0F, zero_point_ = 0.0F;
   float lo_ = 0.0F, hi_ = 0.0F;  // representable range after calibration

@@ -31,9 +31,6 @@ class WeightSnapshot {
   /// Puts the saved weights back.
   void restore();
 
-  /// Keeps current (possibly quantized) weights; disables restore-on-exit.
-  void dismiss();
-
  private:
   std::vector<QuantLayerRef> layers_;
   std::vector<clado::nn::Tensor> saved_;

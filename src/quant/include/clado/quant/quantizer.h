@@ -17,13 +17,9 @@ namespace clado::quant {
 using clado::tensor::Tensor;
 
 enum class WeightScheme {
-  kPerTensorSymmetric,   ///< paper default (§4.1)
-  kPerChannelAffine,     ///< the "+" experiments (MobileNetV3, ViT)
-  kPerChannelSymmetric,  ///< per-channel scale, zero-centred grid
-  kPerTensorAffine,      ///< single scale + zero point
+  kPerTensorSymmetric,  ///< paper default (§4.1)
+  kPerChannelAffine,    ///< the "+" experiments (MobileNetV3, ViT)
 };
-
-const char* scheme_name(WeightScheme s);
 
 /// Affine quantization parameters derived from a clipping range [lo, hi].
 /// The range is first nudged to contain zero and the zero-point clamped to
@@ -48,8 +44,8 @@ Tensor quantize_symmetric(const Tensor& w, int bits, float scale);
 /// quantize_symmetric but returning q = clip(round(w/s), −2^{b−1},
 /// 2^{b−1}−1) itself, so codes[i] * scale reproduces the fake-quantized
 /// weight bit-for-bit. bits must be in [1, 8] (codes are int8; bits <= 4
-/// codes also fit the packed s4 range [-8, 7]). This is what the integer
-/// execution backends store.
+/// codes lie in [-8, 7]). This is what the integer execution backends
+/// store.
 std::vector<std::int8_t> quantize_symmetric_codes(const Tensor& w, int bits, float scale);
 
 /// Mean squared error between w and Q(w, bits, scale).
@@ -67,14 +63,6 @@ Tensor quantize_symmetric_mse(const Tensor& w, int bits);
 /// shrinking. `w`'s first axis is the channel axis ([out, ...]).
 Tensor quantize_per_channel_affine_mse(const Tensor& w, int bits,
                                        int grid_points = 40);
-
-/// Per-output-channel symmetric fake quantization (MSE-optimal scale per
-/// channel).
-Tensor quantize_per_channel_symmetric_mse(const Tensor& w, int bits,
-                                          int grid_points = 40);
-
-/// Whole-tensor affine fake quantization with MSE range shrinking.
-Tensor quantize_per_tensor_affine_mse(const Tensor& w, int bits, int grid_points = 40);
 
 /// Dispatches on scheme; the entry point the sensitivity engine uses to
 /// build Δw_m^(i) = Q(w, b_m) − w.

@@ -22,8 +22,6 @@ void WeightSnapshot::restore() {
   active_ = false;
 }
 
-void WeightSnapshot::dismiss() { active_ = false; }
-
 namespace {
 
 void check_sizes(const std::vector<QuantLayerRef>& layers, const std::vector<int>& bits) {

@@ -8,16 +8,6 @@
 
 namespace clado::quant {
 
-const char* scheme_name(WeightScheme s) {
-  switch (s) {
-    case WeightScheme::kPerTensorSymmetric: return "per-tensor-symmetric";
-    case WeightScheme::kPerChannelAffine: return "per-channel-affine";
-    case WeightScheme::kPerChannelSymmetric: return "per-channel-symmetric";
-    case WeightScheme::kPerTensorAffine: return "per-tensor-affine";
-  }
-  return "?";
-}
-
 namespace {
 
 void check_bits(int bits) {
@@ -197,71 +187,10 @@ Tensor quantize_per_channel_affine_mse(const Tensor& w, int bits, int grid_point
   return out;
 }
 
-Tensor quantize_per_channel_symmetric_mse(const Tensor& w, int bits, int grid_points) {
-  check_bits(bits);
-  if (w.dim() < 1) throw std::invalid_argument("per-channel quant: rank >= 1 required");
-  const std::int64_t channels = w.size(0);
-  const std::int64_t per = w.numel() / channels;
-  Tensor out(w.shape());
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float* wc = w.data() + c * per;
-    float* oc = out.data() + c * per;
-    const float amax = max_abs(wc, per);
-    const float qmax = std::ldexp(1.0F, bits - 1) - 1.0F;
-    if (amax == 0.0F) {
-      std::fill(oc, oc + per, 0.0F);
-      continue;
-    }
-    const float s_full = amax / qmax;
-    float best_scale = s_full;
-    double best_mse = mse_of_symmetric(wc, per, bits, s_full);
-    for (int g = 1; g < grid_points; ++g) {
-      const float s =
-          s_full * (1.0F - 0.8F * static_cast<float>(g) / static_cast<float>(grid_points));
-      const double mse = mse_of_symmetric(wc, per, bits, s);
-      if (mse < best_mse) {
-        best_mse = mse;
-        best_scale = s;
-      }
-    }
-    fake_quant_symmetric(wc, per, bits, best_scale, oc);
-  }
-  return out;
-}
-
-Tensor quantize_per_tensor_affine_mse(const Tensor& w, int bits, int grid_points) {
-  check_bits(bits);
-  const std::int64_t n = w.numel();
-  Tensor out(w.shape());
-  float lo = w.data()[0], hi = w.data()[0];
-  for (std::int64_t i = 1; i < n; ++i) {
-    lo = std::min(lo, w.data()[i]);
-    hi = std::max(hi, w.data()[i]);
-  }
-  if (hi <= lo) {
-    out.fill(lo);
-    return out;
-  }
-  std::vector<float> tmp(static_cast<std::size_t>(n));
-  double best_mse = fake_quant_affine_range(w.data(), n, bits, lo, hi, out.data());
-  for (int g = 1; g < grid_points; ++g) {
-    const float shrink = 1.0F - 0.7F * static_cast<float>(g) / static_cast<float>(grid_points);
-    const double mse =
-        fake_quant_affine_range(w.data(), n, bits, lo * shrink, hi * shrink, tmp.data());
-    if (mse < best_mse) {
-      best_mse = mse;
-      std::copy(tmp.begin(), tmp.end(), out.data());
-    }
-  }
-  return out;
-}
-
 Tensor quantize_weight(const Tensor& w, int bits, WeightScheme scheme) {
   switch (scheme) {
     case WeightScheme::kPerTensorSymmetric: return quantize_symmetric_mse(w, bits);
     case WeightScheme::kPerChannelAffine: return quantize_per_channel_affine_mse(w, bits);
-    case WeightScheme::kPerChannelSymmetric: return quantize_per_channel_symmetric_mse(w, bits);
-    case WeightScheme::kPerTensorAffine: return quantize_per_tensor_affine_mse(w, bits);
   }
   throw std::logic_error("quantize_weight: unknown scheme");
 }

@@ -29,7 +29,7 @@ using clado::tensor::Tensor;
 /// No choice left: every Engine compiles its plan. The enum and
 /// EngineSpec::fusion exist only because perfbench/serving.cpp sets
 /// `spec.fusion = Fusion::kOn`, and the benchmark's sources change only
-/// together with the benchmark (ROADMAP item 6 deletes both then).
+/// together with the benchmark (ROADMAP item 10 deletes both then).
 enum class Fusion { kOn };
 
 /// Whether quantized layers execute on true integer backends (int8/int4

@@ -8,14 +8,19 @@
 //     precomputed for the engine's max_batch,
 //   * buffers get arena offsets via liveness-based first-fit, so two
 //     tensors share storage only when their live ranges are disjoint.
-// Steady-state run() therefore performs zero heap allocation on fully
-// plannable graphs (all CNN zoo models); modules the compiler does not
-// understand (transformer blocks, un-folded BatchNorm) become fallback
-// steps that stage through the module's own forward().
+// Steady-state run() therefore allocates no tensors on fully plannable
+// graphs (all CNN zoo models); modules the compiler does not understand
+// (transformer blocks, un-folded BatchNorm) become fallback steps that
+// stage through the module's own forward(). Integer-backend conv/linear
+// steps touch no heap at all (plan_alloc_test), but the fp32 blocked GEMM
+// under fp32 conv/linear steps still allocates its packing buffers per call.
 //
-// Every step replays the exact kernel call sequence and elementwise loop
-// order of the eager forwards, so plan logits are bit-identical to
-// Sequential::forward — verified across the model zoo in plan_test.
+// fp32 and fake-quant steps replay the exact kernel call sequence and
+// elementwise loop order of the eager forwards, so fp32 and fake-quant plan
+// logits are bit-identical to Sequential::forward — verified across the
+// model zoo in plan_test. Integer-backend steps run
+// tensor::kernels::qconv2d_s8 instead, bit-identical to the tests' int8
+// reference chain (backend_test).
 #pragma once
 
 #include <cstdint>
@@ -172,7 +177,6 @@ class CompiledPlan {
   std::int64_t max_batch() const { return max_batch_; }
   std::int64_t sample_numel() const { return sample_numel_; }
   std::int64_t arena_numel() const { return static_cast<std::int64_t>(arena_.size()); }
-  std::size_t num_steps() const { return steps_.size(); }
   /// Steps the compiler could not fuse into the arena program.
   std::size_t fallback_steps() const;
   /// Conv/linear steps running on an integer backend.

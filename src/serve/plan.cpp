@@ -636,8 +636,8 @@ void CompiledPlan::run_backend(PlanStep& step, std::int64_t n) {
   const float* x = buf(step.in);
   const std::int64_t total = n * step.per_sample_in;
   if (!step.in_static_q) {
-    // Dynamic input quantization: derive per-run qparams from the batch's
-    // own range, exactly quantize_int8_minmax on the staged buffer.
+    // Dynamic input quantization: derive per-run qparams from the min/max
+    // of the whole staged batch.
     float lo = x[0];
     float hi = x[0];
     for (std::int64_t i = 1; i < total; ++i) {

@@ -140,17 +140,11 @@ struct Endpoint {
 };
 
 int parse_port(const std::string& text, const std::string& endpoint) {
-  std::size_t pos = 0;
-  int port = 0;
   try {
-    port = std::stoi(text, &pos, 10);
-  } catch (const std::exception&) {
-    pos = 0;
+    return static_cast<int>(clado::tensor::parse_int_strict(text, 1, 65535, "TCP port"));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error("serve endpoint '" + endpoint + "': " + e.what());
   }
-  if (pos == 0 || pos != text.size() || port < 1 || port > 65535) {
-    throw std::runtime_error("serve endpoint '" + endpoint + "': bad TCP port '" + text + "'");
-  }
-  return port;
 }
 
 Endpoint parse_endpoint(const std::string& endpoint) {

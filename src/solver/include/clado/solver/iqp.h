@@ -38,8 +38,6 @@ enum class IqpStatus {
   kLimitNoIncumbent,  ///< node/time limit hit before any incumbent
 };
 
-const char* iqp_status_name(IqpStatus status);
-
 /// Which tier of the degradation chain produced the returned assignment;
 /// benches report this so a silently degraded run is visible.
 enum class SolutionSource {

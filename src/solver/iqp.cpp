@@ -83,16 +83,6 @@ bool allowed_at(const std::vector<std::vector<char>>& allowed, std::size_t g, st
 
 }  // namespace
 
-const char* iqp_status_name(IqpStatus status) {
-  switch (status) {
-    case IqpStatus::kOptimal: return "optimal";
-    case IqpStatus::kFeasible: return "feasible";
-    case IqpStatus::kInfeasible: return "infeasible";
-    case IqpStatus::kLimitNoIncumbent: return "limit_no_incumbent";
-  }
-  return "unknown";
-}
-
 const char* solution_source_name(SolutionSource source) {
   switch (source) {
     case SolutionSource::kIqp: return "iqp";

@@ -121,26 +121,6 @@ void conv2d_f32(Level level, const ConvGeometry& geom, std::int64_t batch, const
                 const float* weight, const float* bias, float* floats, std::int32_t* indices,
                 float* output);
 
-/// Reference int8 x int8 -> int32 GEMM with zero-point correction:
-///   c[i,j] = sum_p (a[i,p] - za) * (b[j,p] - zb)
-/// a is [m,k] row-major, b is [n,k] row-major (both k-contiguous). Portable
-/// scalar code only: the oracle behind quant::qlinear / quant::qconv2d and
-/// the tests. Serving runs qconv2d_s8.
-void gemm_s8s8_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::int8_t* b, std::int32_t zb, std::int32_t* c);
-
-/// Reference int8 x packed-int4 -> int32 GEMM with zero-point correction:
-///   c[i,j] = sum_p (a[i,p] - za) * (b[j,p] - zb)
-/// a is [m,k] row-major int8. b_packed holds each B row's k 4-bit codes
-/// (values in [-8, 7]) two per byte — position 2t in the low nibble,
-/// 2t+1 in the high nibble — with row stride (k+1)/2 bytes and a zero pad
-/// nibble when k is odd (the pad contributes -zb per row, so callers
-/// quantizing with zb == 0 lose nothing). Portable scalar code only, like
-/// gemm_s8s8_s32.
-void gemm_s8s4_s32(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
-                   std::int32_t za, const std::uint8_t* b_packed, std::int32_t zb,
-                   std::int32_t* c);
-
 /// The weights of one integer conv/linear layer as qconv2d_s8 reads them
 /// at every level: n rows (output channels) of k codes in [-128, 127],
 /// zero point 0, packed once by pack_qweights. `pairs` holds the codes
@@ -210,22 +190,12 @@ void qconv2d_s8(Level level, const ConvGeometry& geom, std::int64_t batch,
 
 /// Affine fp32 -> int8 quantization:
 ///   out[i] = clamp(nearbyint(x[i] * inv_scale) + zero_point, -128, 127)
-/// inv_scale is passed pre-inverted so every caller divides exactly once
-/// (the historical quant::quantize_int8 arithmetic). Inputs must be finite.
-/// All levels are bit-identical: both paths round to nearest-even and clamp
-/// the pre-integral value to +/-2e9 before the int conversion.
+/// inv_scale is passed pre-inverted so every caller divides exactly once.
+/// Inputs must be finite. All levels are bit-identical: both paths round
+/// to nearest-even and clamp the pre-integral value to +/-2e9 before the
+/// int conversion.
 void quantize_f32_s8(Level level, std::int64_t count, const float* x, float inv_scale,
                      std::int32_t zero_point, std::int8_t* out);
-
-/// Reference requantization of integer GEMM accumulators:
-///   out[i*n+j] = rescale * float(acc[i*n+j]) + (bias ? bias[j] : 0)
-/// acc and out are [rows, n] row-major and must not alias; bias may be
-/// null. A single multiply then a separate add (no FMA contraction), with
-/// the int32->float conversion rounding to nearest: the epilogue
-/// qconv2d_s8 fuses at every level. Portable scalar code only, the requant
-/// of quant::qlinear.
-void requant_s32_f32(std::int64_t rows, std::int64_t n, const std::int32_t* acc, float rescale,
-                     const float* bias, float* out);
 
 }  // namespace kernels
 }  // namespace clado::tensor

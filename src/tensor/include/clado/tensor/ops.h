@@ -41,12 +41,6 @@ void gemm(kernels::Level level, bool trans_a, bool trans_b, std::int64_t m, std:
 void gemm_serial(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
                  float alpha, const float* a, const float* b, float beta, float* c);
 
-/// out = A(MxK) * B(KxN); both 2-d tensors.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// 2-d transpose.
-Tensor transpose2d(const Tensor& a);
-
 /// im2col for NCHW input. Input [N,C,H,W]; output is a matrix of shape
 /// [N * out_h * out_w, C * kh * kw] whose rows are flattened receptive
 /// fields — ready for a GEMM against a [C*kh*kw, out_c] weight matrix.
@@ -63,7 +57,7 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t height, std::
 /// Output spatial size of a convolution. Throws std::invalid_argument on
 /// degenerate geometry (kernel or stride <= 0, negative pad or input, or a
 /// kernel larger than the padded input) instead of dividing by zero or
-/// returning a negative size; im2col / col2im / qconv2d inherit the checks.
+/// returning a negative size; im2col / col2im / qconv2d_s8 inherit the checks.
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel, std::int64_t stride,
                            std::int64_t pad);
 
@@ -75,9 +69,6 @@ void log_softmax_rows(const float* data, std::int64_t rows, std::int64_t cols, f
 
 /// y += x (spans of equal length).
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
-
-/// Dot product with double accumulation.
-double dot(std::span<const float> x, std::span<const float> y);
 
 /// Row `row` of a batch tensor with the leading axis removed: [N, d0, ...]
 /// -> [d0, ...]. Splits batched outputs back into per-request results.

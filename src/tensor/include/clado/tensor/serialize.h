@@ -61,9 +61,6 @@ struct LoadResult {
 /// files; I/O faults injected via clado::fault surface as kCorrupt.
 LoadResult try_load_state_dict(const std::string& path);
 
-/// True if `path` exists and carries the state-dict magic.
-bool state_dict_exists(const std::string& path);
-
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `len` bytes,
 /// continuing from `seed` (pass 0 to start). Exposed for the tests that
 /// hand-craft corrupt artifacts.

@@ -84,15 +84,12 @@ class Tensor {
   Tensor(Shape shape, FloatBuffer values);
 
   // -- factories ------------------------------------------------------------
-  static Tensor zeros(Shape shape);
   static Tensor ones(Shape shape);
   static Tensor full(Shape shape, float value);
   /// iid N(0, stddev^2).
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0F);
   /// iid U[lo, hi).
   static Tensor uniform(Shape shape, Rng& rng, float lo = 0.0F, float hi = 1.0F);
-  /// 1-d tensor [0, 1, ..., n-1].
-  static Tensor arange(std::int64_t n);
 
   // -- metadata ---------------------------------------------------------------
   const Shape& shape() const { return shape_; }

@@ -40,21 +40,11 @@ inline constexpr std::int32_t kZeroSlot = -1;
 inline constexpr std::int64_t kQr = 4;
 inline constexpr std::int64_t kQc = 16;
 
-// Portable reference kernels (gemm_f32_scalar.cpp / requant_scalar.cpp).
+// Portable reference kernels (gemm_f32_scalar.cpp / quantize_scalar.cpp).
 void gemm_f32_row_range_scalar(bool trans_a, bool trans_b, std::int64_t m_begin,
                                std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                                const float* a, const float* b, float* c, std::int64_t lda,
                                std::int64_t ldb);
-
-// Per-row sums of `count` rows of length k — the O(mk + nk) half of the
-// reference GEMMs' zero-point correction (gemm_s8_scalar.cpp).
-void s8_row_sums(const std::int8_t* rows, std::int64_t count, std::int64_t k,
-                 std::int32_t* sums);
-
-// Packed-int4 variant (gemm_s4_scalar.cpp): rows have stride (k+1)/2 bytes,
-// low nibble first; the odd-k pad nibble is counted (it must be zero).
-void s4_row_sums(const std::uint8_t* packed, std::int64_t count, std::int64_t k,
-                 std::int32_t* sums);
 
 void quantize_f32_s8_scalar(std::int64_t count, const float* x, float inv_scale,
                             std::int32_t zero_point, std::int8_t* out);

@@ -1,4 +1,4 @@
-// AVX2 input quantization kernel. Bit-exactness with requant_scalar.cpp
+// AVX2 input quantization kernel. Bit-exactness with quantize_scalar.cpp
 // is a hard requirement and pins every instruction choice:
 //
 //   * vroundps with _MM_FROUND_TO_NEAREST_INT is ties-to-even — the same

@@ -110,33 +110,9 @@ void gemm(kernels::Level level, bool trans_a, bool trans_b, std::int64_t m, std:
   kernels::gemm_f32_row_range(level, trans_a, trans_b, 0, m, n, k, alpha, a, b, c, lda, ldb);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.dim() != 2 || b.dim() != 2) throw std::invalid_argument("matmul: expects 2-d tensors");
-  if (a.size(1) != b.size(0)) {
-    throw std::invalid_argument("matmul: inner dims mismatch " + a.shape_str() + " x " +
-                                b.shape_str());
-  }
-  Tensor c({a.size(0), b.size(1)});
-  gemm(false, false, a.size(0), b.size(1), a.size(1), 1.0F, a.data(), b.data(), 0.0F, c.data());
-  return c;
-}
-
-Tensor transpose2d(const Tensor& a) {
-  if (a.dim() != 2) throw std::invalid_argument("transpose2d: expects 2-d tensor");
-  const std::int64_t rows = a.size(0);
-  const std::int64_t cols = a.size(1);
-  Tensor out({cols, rows});
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      out.data()[j * rows + i] = a.data()[i * cols + j];
-    }
-  }
-  return out;
-}
-
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel, std::int64_t stride,
                            std::int64_t pad) {
-  // Validate here so every conv-shaped entry point (im2col, col2im, qconv2d,
+  // Validate here so every conv-shaped entry point (im2col, col2im, qconv2d_s8,
   // the nn layers) inherits the checks: stride <= 0 used to divide by zero,
   // and kernel > in + 2*pad produced a negative output size that callers
   // cast to huge size_t allocation lengths.
@@ -233,13 +209,6 @@ void log_softmax_rows(const float* data, std::int64_t rows, std::int64_t cols, f
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double dot(std::span<const float> x, std::span<const float> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("dot: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += static_cast<double>(x[i]) * y[i];
-  return acc;
 }
 
 Tensor slice_row(const Tensor& batch, std::int64_t row) {

@@ -183,12 +183,4 @@ StateDict load_state_dict(const std::string& path) {
   return std::move(result.dict);
 }
 
-bool state_dict_exists(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return is && magic == kMagic;
-}
-
 }  // namespace clado::tensor

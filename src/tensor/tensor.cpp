@@ -71,7 +71,6 @@ Tensor::Tensor(Shape shape, FloatBuffer values)
   }
 }
 
-Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
 Tensor Tensor::ones(Shape shape) { return Tensor(std::move(shape), 1.0F); }
 Tensor Tensor::full(Shape shape, float value) { return Tensor(std::move(shape), value); }
 
@@ -84,12 +83,6 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
 Tensor Tensor::uniform(Shape shape, Rng& rng, float lo, float hi) {
   Tensor t(std::move(shape));
   for (auto& v : t.data_) v = static_cast<float>(rng.uniform(lo, hi));
-  return t;
-}
-
-Tensor Tensor::arange(std::int64_t n) {
-  Tensor t({n});
-  for (std::int64_t i = 0; i < n; ++i) t.data_[static_cast<std::size_t>(i)] = static_cast<float>(i);
   return t;
 }
 

@@ -164,80 +164,11 @@ TEST_P(ActBitsTest, ErrorShrinksWithBits) {
 
 INSTANTIATE_TEST_SUITE_P(Bits2To6, ActBitsTest, ::testing::Range(2, 7));
 
-// --- observer variants -----------------------------------------------------
-
-Tensor outlier_batch(Rng& rng, std::int64_t n = 8192) {
-  Tensor x = Tensor::randn({n}, rng);  // bulk ~N(0,1)
-  x[0] = 60.0F;                        // extreme outliers
-  x[1] = -45.0F;
-  return x;
-}
-
-double quant_mse(ActFakeQuant& aq, const Tensor& bulk) {
-  const Tensor y = aq.forward(bulk);
-  double mse = 0.0;
-  for (std::int64_t i = 0; i < bulk.numel(); ++i) {
-    mse += std::pow(static_cast<double>(y[i]) - bulk[i], 2);
-  }
-  return mse / static_cast<double>(bulk.numel());
-}
-
-TEST(Observers, PercentileClipsOutliers) {
-  Rng rng(10);
-  const Tensor x = outlier_batch(rng);
-  ActFakeQuant minmax(4, ObserverKind::kMinMax);
-  ActFakeQuant pct(4, ObserverKind::kPercentile, 0.995);
-  for (auto* aq : {&minmax, &pct}) {
-    aq->set_mode(ActQuantMode::kObserve);
-    aq->forward(x);
-    aq->freeze_from_observed();
-    aq->set_mode(ActQuantMode::kQuantize);
-  }
-  // The percentile range must be far tighter than the outlier-driven one.
-  EXPECT_LT(pct.hi(), minmax.hi() * 0.3F);
-  // And the bulk MSE far lower.
-  Tensor bulk = x;
-  bulk[0] = 0.0F;
-  bulk[1] = 0.0F;
-  EXPECT_LT(quant_mse(pct, bulk), quant_mse(minmax, bulk) * 0.2);
-}
-
-TEST(Observers, MseObserverBeatsMinMaxOnOutliers) {
-  Rng rng(11);
-  const Tensor x = outlier_batch(rng);
-  ActFakeQuant minmax(4, ObserverKind::kMinMax);
-  ActFakeQuant mse(4, ObserverKind::kMse);
-  for (auto* aq : {&minmax, &mse}) {
-    aq->set_mode(ActQuantMode::kObserve);
-    aq->forward(x);
-    aq->freeze_from_observed();
-    aq->set_mode(ActQuantMode::kQuantize);
-  }
-  Tensor bulk = x;
-  bulk[0] = 0.0F;
-  bulk[1] = 0.0F;
-  EXPECT_LT(quant_mse(mse, bulk), quant_mse(minmax, bulk) * 0.5);
-}
-
-TEST(Observers, AllAgreeOnCleanUniformData) {
-  Rng rng(12);
-  const Tensor x = Tensor::uniform({8192}, rng, -1.0F, 1.0F);
-  std::vector<double> errs;
-  for (auto kind : {ObserverKind::kMinMax, ObserverKind::kPercentile, ObserverKind::kMse}) {
-    ActFakeQuant aq(8, kind);
-    aq.set_mode(ActQuantMode::kObserve);
-    aq.forward(x);
-    aq.freeze_from_observed();
-    aq.set_mode(ActQuantMode::kQuantize);
-    errs.push_back(quant_mse(aq, x));
-  }
-  // Without outliers the three observers land on similar ranges.
-  for (double e : errs) EXPECT_LT(e, errs[0] * 4.0 + 1e-12);
-}
+// --- recalibration ----------------------------------------------------------
 
 TEST(Observers, ResetObserverClearsCalibration) {
   Rng rng(13);
-  ActFakeQuant aq(8, ObserverKind::kPercentile);
+  ActFakeQuant aq(8);
   aq.set_mode(ActQuantMode::kObserve);
   aq.forward(Tensor::randn({256}, rng));
   aq.freeze_from_observed();
@@ -249,30 +180,6 @@ TEST(Observers, ResetObserverClearsCalibration) {
   const Tensor x = Tensor::randn({8}, rng);
   const Tensor y = aq.forward(x);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Observers, DeterministicReservoir) {
-  Rng rng_a(14);
-  Rng rng_b(14);
-  ActFakeQuant a(6, ObserverKind::kPercentile);
-  ActFakeQuant b(6, ObserverKind::kPercentile);
-  for (int i = 0; i < 5; ++i) {
-    a.set_mode(ActQuantMode::kObserve);
-    b.set_mode(ActQuantMode::kObserve);
-    a.forward(Tensor::randn({4096}, rng_a));
-    b.forward(Tensor::randn({4096}, rng_b));
-  }
-  a.freeze_from_observed();
-  b.freeze_from_observed();
-  EXPECT_EQ(a.scale(), b.scale());
-  EXPECT_EQ(a.lo(), b.lo());
-  EXPECT_EQ(a.hi(), b.hi());
-}
-
-TEST(Observers, Names) {
-  EXPECT_STREQ(observer_name(ObserverKind::kMinMax), "minmax");
-  EXPECT_STREQ(observer_name(ObserverKind::kPercentile), "percentile");
-  EXPECT_STREQ(observer_name(ObserverKind::kMse), "mse");
 }
 
 }  // namespace

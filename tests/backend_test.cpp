@@ -27,7 +27,6 @@
 #include "clado/nn/layers.h"
 #include "clado/quant/act_quant.h"
 #include "clado/quant/freeze.h"
-#include "clado/quant/int4.h"
 #include "clado/quant/int8.h"
 #include "clado/quant/qat.h"
 #include "clado/serve/engine.h"
@@ -36,6 +35,7 @@
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
+#include "int8_oracle.h"
 #include "test_models_util.h"
 
 namespace {
@@ -582,19 +582,26 @@ Tensor chunked_oracle(Model& twin, const ConvCase& c, const Tensor& batch, ConvF
 
 class BackendConvBitIdentity : public ::testing::TestWithParam<ConvCase> {};
 
-TEST_P(BackendConvBitIdentity, UniformInt8ConvIsBitIdenticalToQconv2d) {
-  const ConvCase& c = GetParam();
-  Rng rng(83);
+/// Serves `c` at uniform `bits` and holds every chunk's logits to qconv2d
+/// on the same codes. int4 codes are int8 codes in [-8, 7], so one
+/// reference serves both precisions.
+void expect_conv_matches_qconv2d(const ConvCase& c, int bits, Precision precision,
+                                 std::uint64_t model_seed, std::uint64_t calib_seed,
+                                 std::uint64_t data_seed) {
+  Rng rng(model_seed);
   Model model = make_conv_model(c, rng);
-  calibrate(model, 89);
+  calibrate(model, calib_seed);
   Model twin = model.clone();
-  Engine engine(std::move(model), backend_spec({8}, kConvMaxBatch));
+  Engine engine(std::move(model), backend_spec({bits}, kConvMaxBatch));
   ASSERT_EQ(engine.plan(0)->backend_steps(), 1u);
   const std::string dump = engine.plan(0)->dump();
+  EXPECT_NE(dump.find(std::string("backend=") + backend::precision_name(precision)),
+            std::string::npos)
+      << dump;
   EXPECT_NE(dump.find(c.fake_quant ? "in=static" : "in=dynamic"), std::string::npos) << dump;
 
-  const clado::quant::WeightCodes wc = frozen_codes(twin, 8);
-  ASSERT_EQ(engine.prepared_layers().at(0).precision, Precision::kInt8);
+  const clado::quant::WeightCodes wc = frozen_codes(twin, bits);
+  ASSERT_EQ(engine.prepared_layers().at(0).precision, precision);
   ASSERT_EQ(engine.prepared_layers().at(0).w_scale, wc.scale);
   clado::quant::QTensor qw;
   qw.shape = {c.out_c, c.in_c, c.kernel, c.kernel};
@@ -604,7 +611,7 @@ TEST_P(BackendConvBitIdentity, UniformInt8ConvIsBitIdenticalToQconv2d) {
   auto* conv = dynamic_cast<clado::nn::Conv2d*>(twin.quant_layers.at(0).layer);
   ASSERT_NE(conv, nullptr);
 
-  Rng data_rng(97);
+  Rng data_rng(data_seed);
   for (const std::int64_t n : kConvBatches) {
     const Tensor batch = Tensor::randn({n, c.in_c, c.image, c.image}, data_rng);
     const Tensor got = engine.infer(batch);
@@ -618,56 +625,12 @@ TEST_P(BackendConvBitIdentity, UniformInt8ConvIsBitIdenticalToQconv2d) {
   }
 }
 
-TEST_P(BackendConvBitIdentity, Int4ConvIsBitIdenticalToThePackedKernelPath) {
-  const ConvCase& c = GetParam();
-  Rng rng(101);
-  Model model = make_conv_model(c, rng);
-  calibrate(model, 103);
-  Model twin = model.clone();
-  Engine engine(std::move(model), backend_spec({4}, kConvMaxBatch));
-  ASSERT_EQ(engine.plan(0)->backend_steps(), 1u);
-  EXPECT_NE(engine.plan(0)->dump().find("backend=int4"), std::string::npos);
+TEST_P(BackendConvBitIdentity, UniformInt8ConvIsBitIdenticalToQconv2d) {
+  expect_conv_matches_qconv2d(GetParam(), 8, Precision::kInt8, 83, 89, 97);
+}
 
-  const clado::quant::WeightCodes wc = frozen_codes(twin, 4);
-  ASSERT_EQ(engine.prepared_layers().at(0).precision, Precision::kInt4);
-  ASSERT_EQ(engine.prepared_layers().at(0).w_scale, wc.scale);
-  const std::int64_t patch = c.in_c * c.kernel * c.kernel;
-  const std::vector<std::uint8_t> w_s4 =
-      clado::quant::pack_s4_rows(wc.codes.data(), c.out_c, patch);
-  auto* conv = dynamic_cast<clado::nn::Conv2d*>(twin.quant_layers.at(0).layer);
-  ASSERT_NE(conv, nullptr);
-
-  // Replay the conv on packed nibbles by hand: per-sample im2col at the
-  // input zero point, the reference s4 GEMM, and the requant epilogue.
-  const std::int64_t out = conv_out(c);
-  const std::int64_t positions = out * out;
-  std::vector<std::int8_t> cols(static_cast<std::size_t>(positions * patch));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(positions * c.out_c));
-  const auto replay = [&](const clado::quant::QTensor& qx) {
-    const std::int64_t n = qx.shape[0];
-    const std::int64_t per = c.in_c * c.image * c.image;
-    Tensor y({n, c.out_c * positions});
-    for (std::int64_t s = 0; s < n; ++s) {
-      clado::quant::im2col_s8(qx.data.data() + s * per, c.in_c, c.image, c.image, c.kernel,
-                              c.stride, c.pad, out, out, qx.zero_point, cols.data());
-      clado::tensor::kernels::gemm_s8s4_s32(positions, c.out_c, patch, cols.data(),
-                                            qx.zero_point, w_s4.data(), 0, acc.data());
-      clado::quant::requant_scatter(acc.data(), positions, c.out_c, qx.scale * wc.scale,
-                                    conv->bias_data(), y.data() + s * c.out_c * positions);
-    }
-    return y;
-  };
-
-  Rng data_rng(107);
-  for (const std::int64_t n : kConvBatches) {
-    const Tensor batch = Tensor::randn({n, c.in_c, c.image, c.image}, data_rng);
-    const Tensor got = engine.infer(batch);
-    const Tensor want = chunked_oracle(twin, c, batch, replay);
-    ASSERT_EQ(got.shape(), want.shape());
-    for (std::int64_t i = 0; i < got.numel(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "batch " << n << " logit " << i;
-    }
-  }
+TEST_P(BackendConvBitIdentity, Int4ConvIsBitIdenticalToQconv2d) {
+  expect_conv_matches_qconv2d(GetParam(), 4, Precision::kInt4, 101, 103, 107);
 }
 
 // Geometry the kernel's tiles and panels can get wrong: stride 2 with pad

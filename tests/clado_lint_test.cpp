@@ -109,6 +109,32 @@ TEST(CladoLintTest, NoRandIgnoresSubstringsCommentsAndStrings) {
   EXPECT_FALSE(r.flags("no-rand")) << r.output;
 }
 
+TEST(CladoLintTest, NoAtoiFiresOnEveryUnreportingParserInEveryDir) {
+  for (const char* path : {"tools/example.cpp", "tests/example_test.cpp"}) {
+    const LintResult r = run_lint(path,
+                                  "#include <cstdlib>\n"
+                                  "long f(const char* s) {\n"
+                                  "  return std::atoi(s) + atol(s) + std::atoll(s) +\n"
+                                  "         static_cast<long>(atof(s)) + strtoll(s, 0, 10);\n"
+                                  "}\n");
+    EXPECT_EQ(r.exit_code, 1) << path;
+    for (const char* call : {"atoi()", "atol()", "atoll()", "atof()"}) {
+      EXPECT_NE(r.output.find(std::string(call) + " cannot report"), std::string::npos)
+          << path << ": " << r.output;
+    }
+    EXPECT_EQ(r.output.find("strtoll"), std::string::npos) << r.output;
+  }
+}
+
+TEST(CladoLintTest, NoAtoiSuppressionHolds) {
+  const LintResult r = run_lint(
+      "bench/example.cpp",
+      "#include <cstdlib>\n"
+      "// clado-lint: allow(no-atoi) -- fixture input is a compile-time literal\n"
+      "int f() { return std::atoi(\"42\"); }\n");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 TEST(CladoLintTest, NoRandomDeviceFiresOutsideTests) {
   const LintResult r = run_lint("src/data/example.cpp",
                                 "#include <random>\nstd::random_device rd;\n");

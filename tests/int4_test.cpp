@@ -1,135 +1,30 @@
-// Packed s4 storage and the sub-byte kernel seam.
+// Zero-point grid invariants and the quantize / requant arithmetic of the
+// integer path.
 //
-// Satellite coverage for the int4 execution path: exhaustive pack/unpack
-// round-trips (all 256 byte patterns, both nibble parities, seeded random
-// tensors — under ASan this also proves no over-read), the all-negative
-// zero-point grid invariants shared by the s8 and s4 ranges, the reference
-// gemm_s8s4_s32 against a naive loop, quantize_f32_s8 across kernel
-// levels, and requant_s32_f32's multiply-then-add. The
-// serving path's int4 layers run qconv2d_s8 on widened codes; its
-// cross-level sweep lives in gemm_kernels_test.
+// The all-negative zero-point grid invariants of the s8 and s4 ranges,
+// quantize_f32_s8 across kernel levels, and the multiply-then-add of
+// requant_s32_f32 (the tests' reference for qconv2d_s8's fused epilogue).
+// The serving path's int4 layers run qconv2d_s8 on int8 codes in [-8, 7];
+// its cross-level sweep lives in gemm_kernels_test, and its bit-identity
+// with the int8 reference in backend_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
-#include "clado/quant/int4.h"
 #include "clado/quant/int8.h"
 #include "clado/quant/quantizer.h"
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
+#include "int8_oracle.h"
 
 namespace {
 
-using clado::quant::pack_s4;
-using clado::quant::pack_s4_rows;
-using clado::quant::packed_s4_stride;
-using clado::quant::unpack_s4;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 namespace kernels = clado::tensor::kernels;
-
-// ---- pack/unpack round trips -----------------------------------------------
-
-TEST(Int4Pack, AllByteValuesRoundTripThroughUnpackPack) {
-  // Even count: both nibbles carry codes, so pack(unpack(byte)) must
-  // reproduce every one of the 256 possible bytes exactly.
-  for (int b = 0; b < 256; ++b) {
-    const std::uint8_t packed = static_cast<std::uint8_t>(b);
-    std::int8_t codes[2];
-    unpack_s4(&packed, 2, codes);
-    EXPECT_GE(codes[0], -8);
-    EXPECT_LE(codes[0], 7);
-    EXPECT_GE(codes[1], -8);
-    EXPECT_LE(codes[1], 7);
-    std::uint8_t repacked = 0xAA;
-    pack_s4(codes, 2, &repacked);
-    EXPECT_EQ(repacked, packed) << "byte " << b;
-  }
-}
-
-TEST(Int4Pack, OddCountKeepsLowNibbleAndZeroPads) {
-  // Odd count: only the low nibble is a code; the pad high nibble must be
-  // written as zero regardless of what unpack saw.
-  for (int b = 0; b < 256; ++b) {
-    const std::uint8_t packed = static_cast<std::uint8_t>(b);
-    std::int8_t code = 0;
-    unpack_s4(&packed, 1, &code);
-    std::uint8_t repacked = 0xFF;
-    pack_s4(&code, 1, &repacked);
-    EXPECT_EQ(repacked, static_cast<std::uint8_t>(b & 0x0F)) << "byte " << b;
-  }
-}
-
-TEST(Int4Pack, AllCodePairsRoundTripThroughPackUnpack) {
-  for (int lo = -8; lo <= 7; ++lo) {
-    for (int hi = -8; hi <= 7; ++hi) {
-      const std::int8_t codes[2] = {static_cast<std::int8_t>(lo), static_cast<std::int8_t>(hi)};
-      std::uint8_t packed = 0;
-      pack_s4(codes, 2, &packed);
-      std::int8_t back[2] = {99, 99};
-      unpack_s4(&packed, 2, back);
-      EXPECT_EQ(back[0], codes[0]);
-      EXPECT_EQ(back[1], codes[1]);
-    }
-  }
-}
-
-TEST(Int4Pack, SeededRandomTensorsRoundTripAtEveryParity) {
-  Rng rng(41);
-  for (const std::int64_t count : {1, 2, 3, 7, 8, 31, 32, 33, 255, 256, 1023}) {
-    std::vector<std::int8_t> codes(static_cast<std::size_t>(count));
-    for (auto& c : codes) {
-      c = static_cast<std::int8_t>(static_cast<std::int64_t>(rng.uniform_int(16)) - 8);
-    }
-    const std::vector<std::uint8_t> packed = pack_s4(codes);
-    ASSERT_EQ(static_cast<std::int64_t>(packed.size()), packed_s4_stride(count));
-    const std::vector<std::int8_t> back = unpack_s4(packed, count);
-    ASSERT_EQ(back.size(), codes.size());
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      ASSERT_EQ(back[i], codes[i]) << "count " << count << " index " << i;
-    }
-  }
-}
-
-TEST(Int4Pack, RejectsOutOfRangeCodes) {
-  for (const int bad : {-9, 8, 127, -128}) {
-    const std::int8_t codes[2] = {0, static_cast<std::int8_t>(bad)};
-    std::uint8_t packed = 0;
-    EXPECT_THROW(pack_s4(codes, 2, &packed), std::invalid_argument) << bad;
-  }
-}
-
-TEST(Int4Pack, VectorUnpackRejectsShortBuffer) {
-  const std::vector<std::uint8_t> packed(2);  // room for 4 codes
-  EXPECT_THROW(unpack_s4(packed, 5), std::invalid_argument);
-  EXPECT_NO_THROW(unpack_s4(packed, 4));
-  EXPECT_NO_THROW(unpack_s4(packed, 3));
-}
-
-TEST(Int4Pack, RowPackUsesPerRowStride) {
-  // k odd: each row pads independently, so row r starts at r * (k+1)/2.
-  const std::int64_t n = 3, k = 5;
-  std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
-  for (std::int64_t i = 0; i < n * k; ++i) {
-    codes[static_cast<std::size_t>(i)] = static_cast<std::int8_t>((i % 16) - 8);
-  }
-  const std::vector<std::uint8_t> packed = pack_s4_rows(codes.data(), n, k);
-  ASSERT_EQ(static_cast<std::int64_t>(packed.size()), n * packed_s4_stride(k));
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::vector<std::int8_t> row =
-        unpack_s4(std::vector<std::uint8_t>(
-                      packed.begin() + r * packed_s4_stride(k),
-                      packed.begin() + (r + 1) * packed_s4_stride(k)),
-                  k);
-    for (std::int64_t j = 0; j < k; ++j) {
-      EXPECT_EQ(row[static_cast<std::size_t>(j)], codes[static_cast<std::size_t>(r * k + j)]);
-    }
-  }
-}
 
 // ---- zero-point grid invariants (all-negative ranges) ----------------------
 
@@ -174,59 +69,6 @@ TEST(QParams, AffineQParamsHoldsGridInvariantAtS4Range) {
     EXPECT_GE(p.zero_point, 0.0F);
     EXPECT_LE(p.zero_point, 15.0F);
     EXPECT_GT(p.scale, 0.0F);
-  }
-}
-
-// ---- gemm_s8s4_s32 ----------------------------------------------------------
-
-void fill_random_s8(Rng& rng, std::vector<std::int8_t>& v, int span, int offset) {
-  for (auto& x : v) {
-    x = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(span))) +
-                                 offset);
-  }
-}
-
-/// Naive four-loop reference: c[i,j] = sum_p (a[i,p]-za)(b[j,p]-zb) with b
-/// stored as unpacked s4 codes.
-std::vector<std::int32_t> naive_s8s4(std::int64_t m, std::int64_t n, std::int64_t k,
-                                     const std::vector<std::int8_t>& a, std::int32_t za,
-                                     const std::vector<std::int8_t>& codes, std::int32_t zb) {
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc += (static_cast<std::int32_t>(a[static_cast<std::size_t>(i * k + p)]) - za) *
-               (static_cast<std::int32_t>(codes[static_cast<std::size_t>(j * k + p)]) - zb);
-      }
-      c[static_cast<std::size_t>(i * n + j)] = static_cast<std::int32_t>(acc);
-    }
-  }
-  return c;
-}
-
-TEST(GemmS8S4, ScalarMatchesNaiveReference) {
-  Rng rng(11);
-  for (const auto& [m, n, k] : {std::tuple<int, int, int>{1, 1, 1},
-                               {2, 3, 5},
-                               {4, 4, 32},
-                               {3, 7, 33},
-                               {5, 6, 64},
-                               {2, 9, 95}}) {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
-    std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
-    fill_random_s8(rng, a, 256, -128);
-    fill_random_s8(rng, codes, 16, -8);
-    const std::int32_t za = static_cast<std::int32_t>(rng.uniform_int(256)) - 128;
-    const std::int32_t zb = 0;  // weights are symmetric in the backend
-    const std::vector<std::uint8_t> packed = pack_s4_rows(codes.data(), n, k);
-
-    std::vector<std::int32_t> got(static_cast<std::size_t>(m * n), -1);
-    kernels::gemm_s8s4_s32(m, n, k, a.data(), za, packed.data(), zb, got.data());
-    const auto want = naive_s8s4(m, n, k, a, za, codes, zb);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " k=" << k << " idx " << i;
-    }
   }
 }
 

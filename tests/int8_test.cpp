@@ -8,6 +8,7 @@
 #include "clado/nn/layers.h"
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/ops.h"
+#include "int8_oracle.h"
 
 namespace clado::quant {
 namespace {

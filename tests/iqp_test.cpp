@@ -303,8 +303,6 @@ TEST(Iqp, StatusDistinguishesProvenInfeasibleFromStarvedSearch) {
   EXPECT_EQ(solved.status, IqpStatus::kOptimal);
   EXPECT_EQ(solved.source, SolutionSource::kIqp);
 
-  EXPECT_STREQ(iqp_status_name(IqpStatus::kOptimal), "optimal");
-  EXPECT_STREQ(iqp_status_name(IqpStatus::kLimitNoIncumbent), "limit_no_incumbent");
   EXPECT_STREQ(solution_source_name(SolutionSource::kMckpDp), "mckp_dp");
 }
 

@@ -26,11 +26,9 @@ Tensor random_psd(std::int64_t n, Rng& rng) {
   return symmetrize(out);
 }
 
-TEST(Matrix, SymmetrizeAndDefect) {
+TEST(Matrix, Symmetrize) {
   Tensor a({2, 2}, std::vector<float>{1, 2, 4, 3});
-  EXPECT_FLOAT_EQ(symmetry_defect(a), 2.0F);
   const Tensor s = symmetrize(a);
-  EXPECT_FLOAT_EQ(symmetry_defect(s), 0.0F);
   EXPECT_FLOAT_EQ(s.at({0, 1}), 3.0F);
   EXPECT_FLOAT_EQ(s.at({1, 0}), 3.0F);
 }
@@ -40,19 +38,6 @@ TEST(Matrix, QuadFormMatchesHandComputation) {
   std::vector<float> x = {1.0F, -2.0F};
   // xᵀAx = 2·1 + 1·(−2) + 1·(−2) + 3·4 = 10
   EXPECT_DOUBLE_EQ(quad_form(a, x), 10.0);
-}
-
-TEST(Matrix, MatvecMatchesMatmul) {
-  Rng rng(3);
-  const Tensor a = Tensor::randn({5, 5}, rng);
-  const Tensor x = Tensor::randn({5}, rng);
-  std::vector<float> y(5);
-  matvec(a, x.flat(), y);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    double acc = 0.0;
-    for (std::int64_t j = 0; j < 5; ++j) acc += static_cast<double>(a.at({i, j})) * x[j];
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], acc, 1e-5);
-  }
 }
 
 TEST(Eigen, DiagonalMatrixEigenvalues) {
@@ -145,7 +130,7 @@ TEST(Psd, QuadraticFormNonNegativeAfterProjection) {
   }
 }
 
-TEST(Cholesky, FactorizesAndSolves) {
+TEST(Cholesky, Factorizes) {
   Rng rng(23);
   const std::int64_t n = 9;
   Tensor a = random_psd(n, rng);
@@ -162,11 +147,6 @@ TEST(Cholesky, FactorizesAndSolves) {
       EXPECT_NEAR(acc, a.at({i, j}), 1e-3);
     }
   }
-  const Tensor b = Tensor::randn({n}, rng);
-  const Tensor x = cholesky_solve(*l, b);
-  std::vector<float> ax(static_cast<std::size_t>(n));
-  matvec(a, x.flat(), ax);
-  for (std::int64_t i = 0; i < n; ++i) EXPECT_NEAR(ax[static_cast<std::size_t>(i)], b[i], 1e-3);
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {

@@ -160,10 +160,9 @@ TEST(PatchEmbed, TokenCountAndShape) {
   Rng rng(10);
   PatchEmbed embed(3, 16, 16, 4);
   embed.init(rng);
-  EXPECT_EQ(embed.num_tokens(), 17);  // 4x4 grid + class token
   const Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
   const Tensor y = embed.forward(x);
-  EXPECT_EQ(y.shape(), (Shape{2, 17, 16}));
+  EXPECT_EQ(y.shape(), (Shape{2, 17, 16}));  // 4x4 grid + class token
 }
 
 TEST(PatchEmbed, GradCheck) {

@@ -484,25 +484,9 @@ TEST(Sgd, CosineScheduleEndpoints) {
   EXPECT_NEAR(opt.lr(), 0.0F, 1e-6);
 }
 
-TEST(Sequential, ForwardCachedAndForwardFromAgree) {
-  Rng rng(23);
-  Sequential seq;
-  seq.emplace<Linear>(4, 8)->init(rng);
-  seq.emplace<Activation>(Act::kRelu);
-  seq.emplace<Linear>(8, 3)->init(rng);
-  const Tensor x = Tensor::randn({2, 4}, rng);
-  const Tensor full = seq.forward_cached(x);
-  for (std::size_t stage = 0; stage <= seq.size(); ++stage) {
-    const Tensor redo = seq.forward_from(stage);
-    ASSERT_EQ(redo.shape(), full.shape());
-    for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_FLOAT_EQ(redo[i], full[i]);
-  }
-}
-
-TEST(Sequential, ForwardFromWithoutCacheThrows) {
+TEST(Sequential, CachedInputWithoutCacheThrows) {
   Sequential seq;
   seq.emplace<Flatten>();
-  EXPECT_THROW(seq.forward_from(0), std::logic_error);
   EXPECT_THROW(seq.cached_input(0), std::logic_error);
 }
 
@@ -569,7 +553,7 @@ TEST(Sequential, ReplaceChildSwapsModuleAndKeepsName) {
   // Cache is invalidated by the swap.
   seq.forward_cached(Tensor::randn({1, 4}, rng));
   seq.replace_child(1, std::make_unique<Identity>());
-  EXPECT_THROW(seq.forward_from(0), std::logic_error);
+  EXPECT_THROW(seq.cached_input(0), std::logic_error);
 }
 
 TEST(Conv2d, FoldScaleShiftMatchesManualAffine) {

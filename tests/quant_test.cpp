@@ -128,49 +128,6 @@ TEST(PerChannelAffine, AsymmetricRangeUsesAllLevels) {
   EXPECT_LT(mse_a, mse_s * 0.5);
 }
 
-TEST(PerChannelSymmetric, BeatsPerTensorOnImbalancedChannels) {
-  Rng rng(21);
-  Tensor w({2, 512});
-  for (std::int64_t i = 0; i < 512; ++i) {
-    w.data()[i] = static_cast<float>(rng.normal()) * 0.01F;
-    w.data()[512 + i] = static_cast<float>(rng.normal()) * 10.0F;
-  }
-  const Tensor q_pc = quantize_per_channel_symmetric_mse(w, 4);
-  const Tensor q_pt = quantize_symmetric_mse(w, 4);
-  double mse_pc = 0.0, mse_pt = 0.0;
-  for (std::int64_t i = 0; i < 512; ++i) {  // the small channel
-    mse_pc += std::pow(static_cast<double>(q_pc[i]) - w[i], 2);
-    mse_pt += std::pow(static_cast<double>(q_pt[i]) - w[i], 2);
-  }
-  EXPECT_LT(mse_pc, mse_pt * 0.1);
-}
-
-TEST(PerChannelSymmetric, ZeroChannelStaysZero) {
-  Tensor w({2, 4}, std::vector<float>{0, 0, 0, 0, 1, -1, 2, -2});
-  const Tensor q = quantize_per_channel_symmetric_mse(w, 4);
-  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(q[i], 0.0F);
-}
-
-TEST(PerTensorAffine, HandlesAllPositiveRange) {
-  Rng rng(22);
-  Tensor w({2048});
-  for (auto& v : w.flat()) v = static_cast<float>(rng.uniform(2.0, 3.0));
-  const Tensor q_aff = quantize_per_tensor_affine_mse(w, 3);
-  const Tensor q_sym = quantize_symmetric_mse(w, 3);
-  double mse_a = 0.0, mse_s = 0.0;
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    mse_a += std::pow(static_cast<double>(q_aff[i]) - w[i], 2);
-    mse_s += std::pow(static_cast<double>(q_sym[i]) - w[i], 2);
-  }
-  EXPECT_LT(mse_a, mse_s * 0.3);
-}
-
-TEST(PerTensorAffine, ConstantTensorIsExact) {
-  Tensor w({16}, 1.25F);
-  const Tensor q = quantize_per_tensor_affine_mse(w, 4);
-  for (float v : q.flat()) EXPECT_FLOAT_EQ(v, 1.25F);
-}
-
 TEST(AffineQParams, ZeroPointStaysOnIntegerGrid) {
   const float levels = 7.0F;  // 3-bit
   // All-positive range: without the zero-nudge, zp = round(-2/scale) < 0
@@ -234,9 +191,7 @@ TEST_P(AllSchemesTest, DispatchesAndReducesErrorWithBits) {
 
 INSTANTIATE_TEST_SUITE_P(Schemes, AllSchemesTest,
                          ::testing::Values(WeightScheme::kPerTensorSymmetric,
-                                           WeightScheme::kPerChannelAffine,
-                                           WeightScheme::kPerChannelSymmetric,
-                                           WeightScheme::kPerTensorAffine));
+                                           WeightScheme::kPerChannelAffine));
 
 TEST(Quantizer, RejectsBadBits) {
   Tensor w({4}, 1.0F);
@@ -278,24 +233,6 @@ TEST(WeightSnapshot, RestoresOnDestruction) {
     EXPECT_TRUE(changed);
   }
   for (std::int64_t i = 0; i < wa.numel(); ++i) EXPECT_EQ(a.weight_param().value[i], wa[i]);
-}
-
-TEST(WeightSnapshot, DismissKeepsQuantizedWeights) {
-  Rng rng(8);
-  clado::nn::Linear a(8, 8), b(8, 8);
-  a.init(rng);
-  b.init(rng);
-  auto refs = two_layers(a, b);
-  Tensor baked;
-  {
-    WeightSnapshot snap(refs);
-    bake_weights(refs, {2, 4}, WeightScheme::kPerTensorSymmetric);
-    baked = a.weight_param().value;
-    snap.dismiss();
-  }
-  for (std::int64_t i = 0; i < baked.numel(); ++i) {
-    EXPECT_EQ(a.weight_param().value[i], baked[i]);
-  }
 }
 
 TEST(BakeWeights, ZeroBitsLeavesLayerFp32) {

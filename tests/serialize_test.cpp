@@ -48,17 +48,6 @@ TEST_F(SerializeTest, EmptyDictRoundTrips) {
   EXPECT_TRUE(load_state_dict(path("empty.bin")).empty());
 }
 
-TEST_F(SerializeTest, ExistsDetectsMagic) {
-  EXPECT_FALSE(state_dict_exists(path("missing.bin")));
-  save_state_dict({{"t", Tensor({2})}}, path("good.bin"));
-  EXPECT_TRUE(state_dict_exists(path("good.bin")));
-
-  std::ofstream bad(path("bad.bin"), std::ios::binary);
-  bad << "not a state dict";
-  bad.close();
-  EXPECT_FALSE(state_dict_exists(path("bad.bin")));
-}
-
 TEST_F(SerializeTest, LoadRejectsBadMagic) {
   std::ofstream bad(path("garbage.bin"), std::ios::binary);
   bad << "XXXXYYYYZZZZ0000";

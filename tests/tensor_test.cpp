@@ -55,7 +55,8 @@ TEST(Tensor, AtIndexing) {
 }
 
 TEST(Tensor, ReshapeInfersWildcard) {
-  Tensor t = Tensor::arange(12);
+  Tensor t({12});
+  for (std::int64_t i = 0; i < 12; ++i) t[i] = static_cast<float>(i);
   const Tensor r = t.reshape({3, -1});
   EXPECT_EQ(r.shape(), (Shape{3, 4}));
   EXPECT_EQ(r[7], 7.0F);
@@ -103,23 +104,6 @@ TEST(Tensor, RandnStatistics) {
   EXPECT_NEAR(t.mean(), 0.0, 0.1);
   const float var = t.sq_norm() / static_cast<float>(t.numel());
   EXPECT_NEAR(var, 4.0, 0.3);
-}
-
-TEST(Ops, MatmulMatchesHandComputation) {
-  Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  const Tensor c = matmul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{2, 2}));
-  EXPECT_FLOAT_EQ((c.at({0, 0})), 58.0F);
-  EXPECT_FLOAT_EQ((c.at({0, 1})), 64.0F);
-  EXPECT_FLOAT_EQ((c.at({1, 0})), 139.0F);
-  EXPECT_FLOAT_EQ((c.at({1, 1})), 154.0F);
-}
-
-TEST(Ops, MatmulRejectsBadShapes) {
-  Tensor a({2, 3});
-  Tensor b({2, 3});
-  EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
 // Reference GEMM to cross-check the blocked kernel across transposes.
@@ -283,10 +267,9 @@ TEST(Ops, SoftmaxIsShiftInvariantAndStable) {
   EXPECT_GT(x[2], x[1]);
 }
 
-TEST(Ops, DotAndAxpy) {
+TEST(Ops, Axpy) {
   Tensor a({3}, std::vector<float>{1, 2, 3});
   Tensor b({3}, std::vector<float>{4, 5, 6});
-  EXPECT_DOUBLE_EQ(dot(a.flat(), b.flat()), 32.0);
   axpy(2.0F, a.flat(), b.flat());
   EXPECT_EQ(b[0], 6.0F);
   EXPECT_EQ(b[2], 12.0F);

@@ -10,6 +10,7 @@
 
 #include "clado/fault/fault.h"
 #include "clado/obs/obs.h"
+#include "clado/tensor/env.h"
 #include "clado/tensor/ops.h"
 #include "clado/tensor/tensor.h"
 
@@ -31,13 +32,12 @@ TEST(ThreadPool, ResolveThreads) {
   // CLADO_NUM_THREADS=4 set above.
   EXPECT_EQ(ThreadPool::resolve_threads(0), 4);
   // Invalid values are a hard error now (they used to silently fall back
-  // to hardware_concurrency, hiding typos like CLADO_NUM_THREADS=eight).
-  ::setenv("CLADO_NUM_THREADS", "garbage", 1);
-  EXPECT_THROW(ThreadPool::resolve_threads(0), std::invalid_argument);
-  ::setenv("CLADO_NUM_THREADS", "0", 1);
-  EXPECT_THROW(ThreadPool::resolve_threads(0), std::invalid_argument);
-  ::setenv("CLADO_NUM_THREADS", "4x", 1);
-  EXPECT_THROW(ThreadPool::resolve_threads(0), std::invalid_argument);
+  // to hardware_concurrency, hiding typos like CLADO_NUM_THREADS=eight):
+  // junk, trailing junk, out of range, overflow.
+  for (const char* bad : {"garbage", "0", "4x", "1025", "99999999999999999999"}) {
+    ::setenv("CLADO_NUM_THREADS", bad, 1);
+    EXPECT_THROW(ThreadPool::resolve_threads(0), std::invalid_argument) << bad;
+  }
   // An explicit thread count never consults the environment.
   EXPECT_EQ(ThreadPool::resolve_threads(2), 2);
   // Unset means "use the hardware default".
@@ -45,6 +45,16 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(ThreadPool::resolve_threads(0), 1);
   ::setenv("CLADO_NUM_THREADS", "4", 1);
   EXPECT_EQ(ThreadPool::resolve_threads(0), 4);
+  // The same parser reads the tools' numeric flags, where empty text is an
+  // error too, beside its finite-double twin.
+  EXPECT_EQ(parse_int_strict("-8", -8, 7, "--x"), -8);
+  for (const char* bad : {"", "garbage", "7x", "8", "99999999999999999999"}) {
+    EXPECT_THROW(parse_int_strict(bad, -8, 7, "--x"), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(parse_double_strict("0.375", "--frac"), 0.375);
+  for (const char* bad : {"", "0,375", "0.5x", "nan", "inf", "-inf", "1e999"}) {
+    EXPECT_THROW(parse_double_strict(bad, "--frac"), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ThreadPool, GlobalPoolHonorsEnvironment) {

@@ -47,10 +47,16 @@
 //                     requires --latency-table
 //   --latency-table=<p>  per-layer per-precision latency artifact written
 //                     by bench_backend for the same model
+//
+// A numeric flag that does not parse, or falls outside its range, is an
+// error (exit 2) naming the flag; where a flag has a CLADO_* twin, the
+// range is the twin's.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -102,13 +108,13 @@ struct Options {
   std::int64_t deadline_us = 0;
   std::int64_t index = 0;
   std::int64_t count = 16;
-  int tcp_port = -2;          // -2 = DaemonOptions default / env
+  int tcp_port = -1;          // -1 = DaemonOptions default / env
   std::int64_t fleet_replicas = 1;
   std::string query_model;
   bool best_effort = false;
   bool stats = false;
   bool swap_fp32 = false;
-  std::string swap_bits;      // csv of per-layer bits
+  std::vector<int> swap_bits;  // per-layer bits
   std::int64_t retries = -1;  // -1 = CLADO_QUERY_RETRIES / 0
 };
 
@@ -139,7 +145,35 @@ bool parse_algorithm(const std::string& name, Algorithm& out) {
   return true;
 }
 
-bool parse(int argc, char** argv, Options& opts) {
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t comma = text.find(',', start);
+    const std::string piece =
+        text.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!piece.empty()) out.push_back(piece);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
+}
+
+/// The value of `arg` ("<name>=<value>") as an integer in [lo, hi]; throws
+/// std::invalid_argument naming the flag otherwise.
+std::int64_t int_flag(const std::string& arg, const std::string& name, std::int64_t lo,
+                      std::int64_t hi) {
+  return clado::tensor::parse_int_strict(arg.substr(name.size() + 1), lo, hi, name);
+}
+
+/// The value of `arg` ("<name>=<value>") as a finite number > 0.
+double positive_flag(const std::string& arg, const std::string& name) {
+  const double v = clado::tensor::parse_double_strict(arg.substr(name.size() + 1), name);
+  if (v <= 0.0) throw std::invalid_argument(name + " must be > 0");
+  return v;
+}
+
+bool parse_flags(int argc, char** argv, Options& opts) {
   if (argc < 2) return false;
   opts.command = argv[1];
   int positional = 0;
@@ -148,13 +182,14 @@ bool parse(int argc, char** argv, Options& opts) {
     if (arg.rfind("--alg=", 0) == 0) {
       if (!parse_algorithm(arg.substr(6), opts.algorithm)) return false;
     } else if (arg.rfind("--frac=", 0) == 0) {
-      opts.frac = std::atof(arg.c_str() + 7);
+      opts.frac = positive_flag(arg, "--frac");
     } else if (arg.rfind("--set-size=", 0) == 0) {
-      opts.set_size = std::atol(arg.c_str() + 11);
+      opts.set_size = int_flag(arg, "--set-size", 1, 4096);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(
+          int_flag(arg, "--seed", 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg.rfind("--val=", 0) == 0) {
-      opts.val_count = std::atol(arg.c_str() + 6);
+      opts.val_count = int_flag(arg, "--val", 1, 1 << 20);
     } else if (arg == "--no-psd") {
       opts.psd = false;
     } else if (arg.rfind("--save-sens=", 0) == 0) {
@@ -162,11 +197,7 @@ bool parse(int argc, char** argv, Options& opts) {
     } else if (arg.rfind("--load-sens=", 0) == 0) {
       opts.load_sens = arg.substr(12);
     } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      opts.budget_ms = std::atof(arg.c_str() + 12);
-      if (opts.budget_ms <= 0.0) {
-        std::fprintf(stderr, "--budget-ms must be a positive millisecond count\n");
-        return false;
-      }
+      opts.budget_ms = positive_flag(arg, "--budget-ms");
     } else if (arg.rfind("--latency-table=", 0) == 0) {
       opts.latency_table = arg.substr(16);
     } else if (arg.rfind("--socket=", 0) == 0) {
@@ -174,23 +205,23 @@ bool parse(int argc, char** argv, Options& opts) {
     } else if (arg == "--fp32") {
       opts.fp32 = true;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      opts.workers = std::atoi(arg.c_str() + 10);
+      opts.workers = static_cast<int>(int_flag(arg, "--workers", 1, 256));
     } else if (arg.rfind("--max-batch=", 0) == 0) {
-      opts.max_batch = std::atol(arg.c_str() + 12);
+      opts.max_batch = int_flag(arg, "--max-batch", 1, 4096);
     } else if (arg.rfind("--max-delay-us=", 0) == 0) {
-      opts.max_delay_us = std::atol(arg.c_str() + 15);
+      opts.max_delay_us = int_flag(arg, "--max-delay-us", 0, 60'000'000);
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
-      opts.queue_cap = std::atol(arg.c_str() + 12);
+      opts.queue_cap = int_flag(arg, "--queue-cap", 1, 1 << 20);
     } else if (arg.rfind("--index=", 0) == 0) {
-      opts.index = std::atol(arg.c_str() + 8);
+      opts.index = int_flag(arg, "--index", 0, 1 << 30);
     } else if (arg.rfind("--count=", 0) == 0) {
-      opts.count = std::atol(arg.c_str() + 8);
+      opts.count = int_flag(arg, "--count", 0, 1 << 20);
     } else if (arg.rfind("--deadline-us=", 0) == 0) {
-      opts.deadline_us = std::atol(arg.c_str() + 14);
+      opts.deadline_us = int_flag(arg, "--deadline-us", 0, 60'000'000);
     } else if (arg.rfind("--tcp-port=", 0) == 0) {
-      opts.tcp_port = std::atoi(arg.c_str() + 11);
+      opts.tcp_port = static_cast<int>(int_flag(arg, "--tcp-port", 0, 65535));
     } else if (arg.rfind("--replicas=", 0) == 0) {
-      opts.fleet_replicas = std::atol(arg.c_str() + 11);
+      opts.fleet_replicas = int_flag(arg, "--replicas", 1, 64);
     } else if (arg.rfind("--model=", 0) == 0) {
       opts.query_model = arg.substr(8);
     } else if (arg == "--best-effort") {
@@ -198,9 +229,12 @@ bool parse(int argc, char** argv, Options& opts) {
     } else if (arg == "--stats") {
       opts.stats = true;
     } else if (arg.rfind("--retries=", 0) == 0) {
-      opts.retries = std::atol(arg.c_str() + 10);
+      opts.retries = int_flag(arg, "--retries", 0, 1000);
     } else if (arg.rfind("--swap-bits=", 0) == 0) {
-      opts.swap_bits = arg.substr(12);
+      for (const std::string& piece : split_csv(arg.substr(12))) {
+        opts.swap_bits.push_back(
+            static_cast<int>(clado::tensor::parse_int_strict(piece, 0, 32, "--swap-bits")));
+      }
     } else if (arg == "--swap-fp32") {
       opts.swap_fp32 = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -213,6 +247,15 @@ bool parse(int argc, char** argv, Options& opts) {
     }
   }
   return true;
+}
+
+bool parse(int argc, char** argv, Options& opts) {
+  try {
+    return parse_flags(argc, argv, opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
 }
 
 // Size budget from --frac, or the measured-latency budget when --budget-ms
@@ -287,28 +330,10 @@ clado::serve::ServerConfig server_config(const Options& opts) {
   return cfg;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string piece =
-        text.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!piece.empty()) out.push_back(piece);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 int run_serve(const Options& opts) {
   const std::vector<std::string> names = split_csv(opts.model);
   if (names.empty()) return usage();
   const clado::serve::ServerConfig cfg = server_config(opts);
-  if (opts.fleet_replicas < 1) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
-    return 2;
-  }
 
   // Master weights stay resident (and activation-calibrated) for the
   // daemon's lifetime: every hot-swap re-freezes from them, so a swapped
@@ -361,7 +386,7 @@ int run_serve(const Options& opts) {
 
   clado::serve::DaemonOptions dopts = clado::serve::DaemonOptions::from_env();
   dopts.socket_path = opts.socket_path;
-  if (opts.tcp_port >= -1) dopts.tcp_port = opts.tcp_port;
+  if (opts.tcp_port >= 0) dopts.tcp_port = opts.tcp_port;
   clado::serve::SocketDaemon daemon(fleet, dopts);
   daemon.set_swap_factory([make_replica_set](const std::string& name,
                                              const std::vector<int>& bits) {
@@ -421,11 +446,8 @@ int run_query(const Options& opts) {
     return 0;
   }
   if (opts.swap_fp32 || !opts.swap_bits.empty()) {
-    std::vector<int> bits;
-    for (const std::string& piece : split_csv(opts.swap_bits)) {
-      bits.push_back(std::atoi(piece.c_str()));
-    }
-    const auto resp = clado::serve::swap_socket(opts.socket_path, opts.query_model, bits);
+    const auto resp =
+        clado::serve::swap_socket(opts.socket_path, opts.query_model, opts.swap_bits);
     const bool ok = resp.status == clado::serve::Status::kOk;
     std::printf("swap %s: %s %s\n", opts.socket_path.c_str(),
                 clado::serve::status_name(resp.status),

@@ -14,6 +14,9 @@
 //   pragma-once       every header carries #pragma once
 //   dir-namespace     src/<sub>/ declares only namespace clado::<sub>
 //   no-rand           rand()/srand() banned everywhere we scan (use tensor::Rng)
+//   no-atoi           atoi/atol/atoll/atof banned everywhere we scan: they
+//                     cannot report a parse error (use the strict parsers
+//                     in clado/tensor/env.h)
 //   no-random-device  std::random_device banned outside tests/ (breaks
 //                     reproducibility; tensor::Rng is the seeded source)
 //   no-stdio          printf/fprintf/puts/std::cout|cerr|clog banned in src/
@@ -82,10 +85,10 @@ namespace fs = std::filesystem;
 namespace {
 
 const std::vector<std::string> kAllRules = {
-    "pragma-once",    "dir-namespace",   "no-rand",         "no-random-device",
-    "no-stdio",       "no-naked-new",    "no-thread-local", "missing-override",
-    "include-cycle",  "missing-include", "bad-suppression", "lock-discipline",
-    "env-discipline", "simd-hygiene",
+    "pragma-once",      "dir-namespace",  "no-rand",         "no-atoi",
+    "no-random-device", "no-stdio",       "no-naked-new",    "no-thread-local",
+    "missing-override", "include-cycle",  "missing-include", "bad-suppression",
+    "lock-discipline",  "env-discipline", "simd-hygiene",
 };
 
 const std::vector<std::string> kSubsystems = {"tensor", "linalg", "nn",  "quant", "data",
@@ -702,7 +705,7 @@ class Linter {
     }
   }
 
-  // ---- no-rand / no-random-device / no-stdio -------------------------------
+  // ---- no-rand / no-atoi / no-random-device / no-stdio ---------------------
   void rule_banned_calls(const SourceFile& f) {
     const std::string top = f.top_dir();
     const bool in_src = top == "src";
@@ -718,6 +721,11 @@ class Linter {
 
     flag_calls("rand", "no-rand", "rand() is banned; use clado::tensor::Rng");
     flag_calls("srand", "no-rand", "srand() is banned; use clado::tensor::Rng");
+    for (const char* name : {"atoi", "atol", "atoll", "atof"}) {
+      flag_calls(name, "no-atoi",
+                 std::string(name) + "() cannot report a parse error; use "
+                 "clado::tensor::parse_int_strict / parse_double_strict");
+    }
     if (!in_tests) {
       for (std::size_t pos : find_word(f.code, "random_device")) {
         report(f, pos, "no-random-device",

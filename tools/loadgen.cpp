@@ -9,11 +9,15 @@
 //   --endpoint=<e>     "/path.sock" | "unix:/path" | "tcp:<port>" |
 //                      "tcp:<host>:<port>"
 //   --requests=<n>     total requests across all clients (default 256)
-//   --clients=<n>      concurrent closed-loop connections (default 4)
+//   --clients=<n>      concurrent closed-loop connections, one thread each
+//                      (default 4, at most 256)
 //   --seed=<n>         deterministic stream seed (default 1)
 //   --best-effort=<f>  fraction of requests sent as kBestEffort (default 0.5)
 //   --deadline-us=<n>  per-request queueing budget (default none)
 //   --model=<name>     fleet routing key (default: the daemon's sole model)
+//
+// A numeric flag that does not parse, or falls outside its range, is an
+// error (exit 2) naming the flag.
 //
 // Determinism: request i's deadline class and sample index are pure
 // functions of (seed, i) — NOT of which client happens to send it — so the
@@ -31,11 +35,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,6 +51,7 @@
 #include "clado/serve/serve.h"
 #include "clado/serve/socket.h"
 #include "clado/serve/wire.h"
+#include "clado/tensor/env.h"
 
 namespace {
 
@@ -69,21 +75,32 @@ int usage() {
   return 2;
 }
 
-bool parse(int argc, char** argv, Options& opts) {
+/// The value of `arg` ("<name>=<value>") as an integer in [lo, hi]; throws
+/// std::invalid_argument naming the flag otherwise.
+std::int64_t int_flag(const std::string& arg, const std::string& name, std::int64_t lo,
+                      std::int64_t hi) {
+  return clado::tensor::parse_int_strict(arg.substr(name.size() + 1), lo, hi, name);
+}
+
+bool parse_flags(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--endpoint=", 0) == 0) {
       opts.endpoint = arg.substr(11);
     } else if (arg.rfind("--requests=", 0) == 0) {
-      opts.requests = std::atol(arg.c_str() + 11);
+      opts.requests = int_flag(arg, "--requests", 1, 1 << 24);
     } else if (arg.rfind("--clients=", 0) == 0) {
-      opts.clients = std::atol(arg.c_str() + 10);
+      opts.clients = int_flag(arg, "--clients", 1, 256);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(
+          int_flag(arg, "--seed", 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg.rfind("--best-effort=", 0) == 0) {
-      opts.best_effort = std::atof(arg.c_str() + 14);
+      opts.best_effort = clado::tensor::parse_double_strict(arg.substr(14), "--best-effort");
+      if (opts.best_effort < 0.0 || opts.best_effort > 1.0) {
+        throw std::invalid_argument("--best-effort must be a fraction in [0, 1]");
+      }
     } else if (arg.rfind("--deadline-us=", 0) == 0) {
-      opts.deadline_us = std::atol(arg.c_str() + 14);
+      opts.deadline_us = int_flag(arg, "--deadline-us", 0, 60'000'000);
     } else if (arg.rfind("--model=", 0) == 0) {
       opts.model = arg.substr(8);
     } else {
@@ -91,8 +108,16 @@ bool parse(int argc, char** argv, Options& opts) {
       return false;
     }
   }
-  return !opts.endpoint.empty() && opts.requests >= 1 && opts.clients >= 1 &&
-         opts.best_effort >= 0.0 && opts.best_effort <= 1.0;
+  return !opts.endpoint.empty();
+}
+
+bool parse(int argc, char** argv, Options& opts) {
+  try {
+    return parse_flags(argc, argv, opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
 }
 
 /// splitmix64: request properties are a hash of (seed, index), never of
