@@ -46,10 +46,10 @@ void MultiHeadSelfAttention::init(clado::tensor::Rng& rng) {
 
 namespace {
 
-// Extracts head slice [T, d] from a [N, T, D] tensor for (sample, head).
-void gather_head(const Tensor& x, std::int64_t n, std::int64_t t, std::int64_t d_model,
+// Extracts head slice [T, d] from a [N, T, D] array for (sample, head).
+void gather_head(const float* x, std::int64_t n, std::int64_t t, std::int64_t d_model,
                  std::int64_t head, std::int64_t head_dim, float* out) {
-  const float* base = x.data() + n * t * d_model + head * head_dim;
+  const float* base = x + n * t * d_model + head * head_dim;
   for (std::int64_t i = 0; i < t; ++i) {
     const float* row = base + i * d_model;
     for (std::int64_t j = 0; j < head_dim; ++j) out[i * head_dim + j] = row[j];
@@ -68,6 +68,34 @@ void scatter_head(Tensor& x, std::int64_t n, std::int64_t t, std::int64_t d_mode
 
 }  // namespace
 
+void attend(const float* q, const float* k, const float* v, std::int64_t n, std::int64_t t,
+            std::int64_t d, std::int64_t heads, float* probs, float* head_scratch, float* ctx) {
+  const std::int64_t head_dim = d / heads;
+  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
+  float* qh = head_scratch;
+  float* kh = qh + t * head_dim;
+  float* vh = kh + t * head_dim;
+  float* ch = vh + t * head_dim;
+
+  for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t h = 0; h < heads; ++h) {
+      gather_head(q, s, t, d, h, head_dim, qh);
+      gather_head(k, s, t, d, h, head_dim, kh);
+      gather_head(v, s, t, d, h, head_dim, vh);
+      float* scores = probs + (s * heads + h) * t * t;
+      // scores [t, t] = scale * Q K^T
+      gemm(false, true, t, t, head_dim, scale, qh, kh, 0.0F, scores);
+      softmax_rows(scores, t, t);
+      // ctx_head [t, d] = probs [t, t] x V [t, d]
+      gemm(false, false, t, head_dim, t, 1.0F, scores, vh, 0.0F, ch);
+      float* cbase = ctx + s * t * d + h * head_dim;
+      for (std::int64_t i = 0; i < t; ++i) {
+        for (std::int64_t j = 0; j < head_dim; ++j) cbase[i * d + j] = ch[i * head_dim + j];
+      }
+    }
+  }
+}
+
 Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
   if (input.dim() != 3 || input.size(2) != embed_dim_) {
     throw std::invalid_argument("MultiHeadSelfAttention: bad input shape " + input.shape_str());
@@ -82,32 +110,9 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
 
   probs_ = Tensor({n, num_heads_, t, t});
   Tensor ctx({n, t, embed_dim_});
-  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
-
-  std::vector<float> qh(static_cast<std::size_t>(t * head_dim_));
-  std::vector<float> kh(static_cast<std::size_t>(t * head_dim_));
-  std::vector<float> vh(static_cast<std::size_t>(t * head_dim_));
-  std::vector<float> ch(static_cast<std::size_t>(t * head_dim_));
-
-  for (std::int64_t s = 0; s < n; ++s) {
-    for (std::int64_t h = 0; h < num_heads_; ++h) {
-      gather_head(q_, s, t, embed_dim_, h, head_dim_, qh.data());
-      gather_head(k_, s, t, embed_dim_, h, head_dim_, kh.data());
-      gather_head(v_, s, t, embed_dim_, h, head_dim_, vh.data());
-      float* scores = probs_.data() + (s * num_heads_ + h) * t * t;
-      // scores [t, t] = scale * Q K^T
-      gemm(false, true, t, t, head_dim_, scale, qh.data(), kh.data(), 0.0F, scores);
-      softmax_rows(scores, t, t);
-      // ctx_head [t, d] = probs [t, t] x V [t, d]
-      gemm(false, false, t, head_dim_, t, 1.0F, scores, vh.data(), 0.0F, ch.data());
-      float* cbase = ctx.data() + s * t * embed_dim_ + h * head_dim_;
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j < head_dim_; ++j) {
-          cbase[i * embed_dim_ + j] = ch[static_cast<std::size_t>(i * head_dim_ + j)];
-        }
-      }
-    }
-  }
+  std::vector<float> head_scratch(static_cast<std::size_t>(attend_head_scratch(t, head_dim_)));
+  attend(q_.data(), k_.data(), v_.data(), n, t, embed_dim_, num_heads_, probs_.data(),
+         head_scratch.data(), ctx.data());
   return out_proj_->forward(ctx);
 }
 
@@ -134,10 +139,10 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_output) {
 
   for (std::int64_t s = 0; s < n; ++s) {
     for (std::int64_t h = 0; h < num_heads_; ++h) {
-      gather_head(q_, s, t, embed_dim_, h, head_dim_, qh.data());
-      gather_head(k_, s, t, embed_dim_, h, head_dim_, kh.data());
-      gather_head(v_, s, t, embed_dim_, h, head_dim_, vh.data());
-      gather_head(g_ctx, s, t, embed_dim_, h, head_dim_, gch.data());
+      gather_head(q_.data(), s, t, embed_dim_, h, head_dim_, qh.data());
+      gather_head(k_.data(), s, t, embed_dim_, h, head_dim_, kh.data());
+      gather_head(v_.data(), s, t, embed_dim_, h, head_dim_, vh.data());
+      gather_head(g_ctx.data(), s, t, embed_dim_, h, head_dim_, gch.data());
       const float* probs = probs_.data() + (s * num_heads_ + h) * t * t;
 
       // g_probs [t, t] = g_ctx_head [t, d] x V^T [d, t]
@@ -186,16 +191,6 @@ void MultiHeadSelfAttention::collect_quant_layers(const std::string& prefix,
   key_->collect_quant_layers(join_name(prefix, "key"), out);
   value_->collect_quant_layers(join_name(prefix, "value"), out);
   out_proj_->collect_quant_layers(join_name(prefix, "output.dense"), out);
-}
-
-void MultiHeadSelfAttention::set_inference(bool inference) {
-  // The q_/k_/v_/probs_ stashes stay: attention only ever runs inside a
-  // plan fallback step, where the containing block's forward() needs them.
-  Module::set_inference(inference);
-  query_->set_inference(inference);
-  key_->set_inference(inference);
-  value_->set_inference(inference);
-  out_proj_->set_inference(inference);
 }
 
 }  // namespace clado::nn

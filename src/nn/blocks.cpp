@@ -31,7 +31,7 @@ Tensor ResidualBlock::forward(const Tensor& input) {
   } else {
     y += input;
   }
-  if (!inference_) pre_act_ = y;
+  pre_act_ = y;
   if (final_relu_) {
     float* d = y.data();
     for (std::int64_t i = 0; i < y.numel(); ++i) d[i] = d[i] > 0.0F ? d[i] : 0.0F;
@@ -74,12 +74,6 @@ void ResidualBlock::set_training(bool training) {
   if (shortcut_) shortcut_->set_training(training);
 }
 
-void ResidualBlock::set_inference(bool inference) {
-  Module::set_inference(inference);
-  main_->set_inference(inference);
-  if (shortcut_) shortcut_->set_inference(inference);
-}
-
 // ---------------------------------------------------------------------------
 // SEBlock
 // ---------------------------------------------------------------------------
@@ -106,7 +100,7 @@ void SEBlock::init(clado::tensor::Rng& rng) {
 }
 
 Tensor SEBlock::forward(const Tensor& input) {
-  if (!inference_) input_ = input;
+  input_ = input;
   Tensor s = pool_.forward(input);                 // [N, C]
   Tensor z = relu_.forward(fc1_->forward(s));      // [N, r]
   Tensor gate = hsig_.forward(fc2_->forward(z));   // [N, C]
@@ -122,7 +116,7 @@ Tensor SEBlock::forward(const Tensor& input) {
       for (std::int64_t p = 0; p < hw; ++p) o[p] = x[p] * g;
     }
   }
-  if (!inference_) gate_ = std::move(gate);
+  gate_ = std::move(gate);
   return out;
 }
 
@@ -156,15 +150,6 @@ void SEBlock::forward_into(const float* in, std::int64_t n, std::int64_t max_n,
       for (std::int64_t p = 0; p < hw; ++p) o[p] = x[p] * g;
     }
   }
-}
-
-void SEBlock::set_inference(bool inference) {
-  Module::set_inference(inference);
-  pool_.set_inference(inference);
-  fc1_->set_inference(inference);
-  fc2_->set_inference(inference);
-  relu_.set_inference(inference);
-  hsig_.set_inference(inference);
 }
 
 Tensor SEBlock::backward(const Tensor& grad_output) {
@@ -274,16 +259,6 @@ void TransformerBlock::set_training(bool training) {
   gelu_.set_training(training);
 }
 
-void TransformerBlock::set_inference(bool inference) {
-  Module::set_inference(inference);
-  ln1_.set_inference(inference);
-  ln2_.set_inference(inference);
-  attn_.set_inference(inference);
-  fc1_->set_inference(inference);
-  fc2_->set_inference(inference);
-  gelu_.set_inference(inference);
-}
-
 // ---------------------------------------------------------------------------
 // PatchEmbed
 // ---------------------------------------------------------------------------
@@ -309,27 +284,29 @@ void PatchEmbed::init(clado::tensor::Rng& rng) {
 
 Tensor PatchEmbed::forward(const Tensor& input) {
   Tensor fm = proj_.forward(input);  // [N, D, g, g]
-  if (!inference_) conv_out_shape_ = fm.shape();
+  conv_out_shape_ = fm.shape();
   const std::int64_t n = fm.size(0);
-
   Tensor out({n, tokens_ + 1, embed_dim_});
+  tokens_into(fm.data(), n, out.data());
+  return out;
+}
+
+void PatchEmbed::tokens_into(const float* fm, std::int64_t n, float* out) const {
+  const float* pos = pos_embed_.value.data();
   for (std::int64_t s = 0; s < n; ++s) {
-    float* obase = out.data() + s * (tokens_ + 1) * embed_dim_;
+    float* obase = out + s * (tokens_ + 1) * embed_dim_;
     // class token at position 0
-    for (std::int64_t d = 0; d < embed_dim_; ++d) {
-      obase[d] = cls_token_.value[d] + pos_embed_.value.data()[d];
-    }
+    for (std::int64_t d = 0; d < embed_dim_; ++d) obase[d] = cls_token_.value[d] + pos[d];
     // patches: transpose [D, T] -> [T, D]
-    const float* fbase = fm.data() + s * embed_dim_ * tokens_;
+    const float* fbase = fm + s * embed_dim_ * tokens_;
     for (std::int64_t p = 0; p < tokens_; ++p) {
       float* orow = obase + (p + 1) * embed_dim_;
-      const float* prow = pos_embed_.value.data() + (p + 1) * embed_dim_;
+      const float* prow = pos + (p + 1) * embed_dim_;
       for (std::int64_t d = 0; d < embed_dim_; ++d) {
         orow[d] = fbase[d * tokens_ + p] + prow[d];
       }
     }
   }
-  return out;
 }
 
 Tensor PatchEmbed::backward(const Tensor& grad_output) {
@@ -365,18 +342,13 @@ void PatchEmbed::set_training(bool training) {
   proj_.set_training(training);
 }
 
-void PatchEmbed::set_inference(bool inference) {
-  Module::set_inference(inference);
-  proj_.set_inference(inference);
-}
-
 // ---------------------------------------------------------------------------
 // TakeToken
 // ---------------------------------------------------------------------------
 
 Tensor TakeToken::forward(const Tensor& input) {
   if (input.dim() != 3) throw std::invalid_argument("TakeToken: expects [N, T, D]");
-  if (!inference_) input_shape_ = input.shape();
+  input_shape_ = input.shape();
   const std::int64_t n = input.size(0);
   const std::int64_t t = input.size(1);
   const std::int64_t d = input.size(2);

@@ -15,6 +15,23 @@
 
 namespace clado::nn {
 
+/// Floats of `attend`'s per-head scratch for `t` tokens of `head_dim`
+/// features: the gathered Q, K and V slices and the head's context.
+inline std::int64_t attend_head_scratch(std::int64_t t, std::int64_t head_dim) {
+  return 4 * t * head_dim;
+}
+
+/// Scaled dot-product attention of the projected q/k/v ([n, t, d] each,
+/// contiguous) over `heads` heads of d / heads features: per sample and
+/// head, probs = softmax(QKᵀ / sqrt(d / heads)) and ctx = probs · V.
+/// Writes every head's [t, t] probabilities into `probs` ([n, heads, t, t])
+/// and the concatenated heads into `ctx` ([n, t, d]); `head_scratch` holds
+/// attend_head_scratch(t, d / heads) floats. The one implementation of the
+/// attention core: MultiHeadSelfAttention::forward and the serving plan's
+/// attention step both call it.
+void attend(const float* q, const float* k, const float* v, std::int64_t n, std::int64_t t,
+            std::int64_t d, std::int64_t heads, float* probs, float* head_scratch, float* ctx);
+
 class MultiHeadSelfAttention : public Module {
  public:
   /// embed_dim must be divisible by num_heads.
@@ -25,7 +42,6 @@ class MultiHeadSelfAttention : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "MultiHeadSelfAttention"; }
   MultiHeadSelfAttention(const MultiHeadSelfAttention& other);
   std::unique_ptr<Module> clone() const override {
@@ -33,6 +49,15 @@ class MultiHeadSelfAttention : public Module {
   }
 
   void init(clado::tensor::Rng& rng);
+
+  std::int64_t embed_dim() const { return embed_dim_; }
+  std::int64_t num_heads() const { return num_heads_; }
+  /// Projection access for the serving plan, which compiles each one into
+  /// its own linear step.
+  Linear& query() { return *query_; }
+  Linear& key() { return *key_; }
+  Linear& value() { return *value_; }
+  Linear& out_proj() { return *out_proj_; }
 
  private:
   std::int64_t embed_dim_, num_heads_, head_dim_;

@@ -27,7 +27,6 @@ class ResidualBlock : public Module {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
   void set_training(bool training) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "ResidualBlock"; }
   ResidualBlock(const ResidualBlock& other);
   std::unique_ptr<Module> clone() const override {
@@ -56,7 +55,6 @@ class SEBlock : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "SEBlock"; }
   SEBlock(const SEBlock& other);
   std::unique_ptr<Module> clone() const override { return std::make_unique<SEBlock>(*this); }
@@ -67,8 +65,8 @@ class SEBlock : public Module {
   std::int64_t reduced() const { return fc1_->out_features(); }
 
   /// True when either inner Linear carries a QAT weight transform.
-  /// forward_into reads the raw weights, so the serving plan must fall back
-  /// to forward() in that case.
+  /// forward_into reads the raw weights, so the serving plan refuses to
+  /// compile such a block.
   bool has_weight_transform() const {
     return fc1_->has_weight_transform() || fc2_->has_weight_transform();
   }
@@ -108,7 +106,6 @@ class TransformerBlock : public Module {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
   void set_training(bool training) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "TransformerBlock"; }
   TransformerBlock(const TransformerBlock& other);
   std::unique_ptr<Module> clone() const override {
@@ -116,6 +113,15 @@ class TransformerBlock : public Module {
   }
 
   void init(clado::tensor::Rng& rng);
+
+  /// Sub-module access for the serving plan, which compiles the block into
+  /// layernorm, linear, attention and residual-add steps.
+  LayerNorm& ln1() { return ln1_; }
+  LayerNorm& ln2() { return ln2_; }
+  MultiHeadSelfAttention& attention() { return attn_; }
+  Linear& fc1() { return *fc1_; }
+  Linear& fc2() { return *fc2_; }
+  Activation& gelu() { return gelu_; }
 
  private:
   LayerNorm ln1_, ln2_;
@@ -138,11 +144,22 @@ class PatchEmbed : public Module {
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void set_training(bool training) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "PatchEmbed"; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<PatchEmbed>(*this); }
 
   void init(clado::tensor::Rng& rng);
+
+  /// The patch conv, for the serving plan's conv step.
+  Conv2d& projection() { return proj_; }
+  std::int64_t embed_dim() const { return embed_dim_; }
+  /// Patch tokens T (the class token makes T + 1 output rows).
+  std::int64_t patch_tokens() const { return tokens_; }
+
+  /// Token assembly: from `n` patch-conv outputs ([n, D, T] contiguous)
+  /// writes [n, T+1, D] tokens into `out` — the class token first, each
+  /// patch transposed to a row, the position embedding added to every row.
+  /// forward() and the serving plan's tokens step both call it.
+  void tokens_into(const float* fm, std::int64_t n, float* out) const;
 
  private:
   std::int64_t embed_dim_, grid_, tokens_;

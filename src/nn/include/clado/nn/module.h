@@ -5,6 +5,10 @@
 //     matching backward pass needs (single-threaded, one in-flight pass).
 //   * backward(grad_out) consumes the stash and returns grad wrt the input,
 //     accumulating parameter gradients in place.
+// forward() serves training, calibration, the sensitivity sweep and the
+// tests' eager reference. Serving never calls it: serve::CompiledPlan runs
+// its own steps over an arena, through the layers' allocation-free
+// forward_into seams and the helpers it shares with forward().
 //
 // Parameter and quantizable-layer introspection walk the module tree with
 // hierarchical dot-separated names (mirroring the PyTorch naming the paper
@@ -111,15 +115,6 @@ class Module {
   virtual void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
 
-  /// Switches the serving-inference seam. Deliberately distinct from
-  /// set_training(false): the sensitivity engine runs eval-mode forwards
-  /// that still need every per-layer input stash (linear_map_on_last_input
-  /// reads them), while an inference-mode forward skips the stashes and
-  /// defensive weight copies entirely — backward() after an inference-mode
-  /// forward is undefined. Containers propagate to children like
-  /// set_training; only serve::Engine turns this on.
-  virtual void set_inference(bool inference) { inference_ = inference; }
-
   /// Short human-readable type tag for diagnostics.
   virtual std::string type_name() const = 0;
 
@@ -130,7 +125,6 @@ class Module {
   Module(const Module&) = default;
 
   bool training_ = false;
-  bool inference_ = false;
 };
 
 /// Joins hierarchical names: "a" + "b" -> "a.b", "" + "b" -> "b".

@@ -77,7 +77,6 @@ class Sequential : public Module {
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
   void set_training(bool training) override;
-  void set_inference(bool inference) override;
   std::string type_name() const override { return "Sequential"; }
 
  private:

@@ -65,25 +65,16 @@ Tensor Conv2d::forward(const Tensor& input) {
   if (input.dim() != 4 || input.size(1) != in_channels_) {
     throw std::invalid_argument("Conv2d: bad input shape " + input.shape_str());
   }
-  // Inference mode skips the stash (backward is undefined after it) and,
-  // when no transform is installed, reads the weight in place instead of
-  // cloning it into effective_weight_ every call.
-  if (!inference_) input_ = input;
-  const Tensor* eff = &weight_.value;
-  if (weight_transform_) {
-    effective_weight_ = weight_transform_(weight_.value);
-    eff = &effective_weight_;
-  } else if (!inference_) {
-    effective_weight_ = weight_.value;
-    eff = &effective_weight_;
-  }
+  input_ = input;
+  effective_weight_ = weight_transform_ ? weight_transform_(weight_.value) : weight_.value;
 
   const std::int64_t n = input.size(0);
   const std::int64_t h = input.size(2);
   const std::int64_t w = input.size(3);
   Tensor output({n, out_channels_, conv_out_size(h, kernel_, stride_, pad_),
                  conv_out_size(w, kernel_, stride_, pad_)});
-  conv_with_scratch(geometry(h, w), n, input.data(), eff->data(), bias_data(), output.data());
+  conv_with_scratch(geometry(h, w), n, input.data(), effective_weight_.data(), bias_data(),
+                    output.data());
   return output;
 }
 
@@ -209,28 +200,14 @@ Tensor Linear::forward(const Tensor& input) {
     throw std::invalid_argument("Linear: bad input shape " + input.shape_str());
   }
   const std::int64_t rows = input.numel() / in_features_;
-  // The fold to [rows, in] is purely logical on a contiguous row-major
-  // tensor, so inference mode reads input.data() directly instead of
-  // stashing a reshaped copy.
-  const float* x = input.data();
-  if (!inference_) {
-    input_shape_ = input.shape();
-    input2d_ = input.reshape({rows, in_features_});
-    x = input2d_.data();
-  }
-  const Tensor* eff = &weight_.value;
-  if (weight_transform_) {
-    effective_weight_ = weight_transform_(weight_.value);
-    eff = &effective_weight_;
-  } else if (!inference_) {
-    effective_weight_ = weight_.value;
-    eff = &effective_weight_;
-  }
+  input_shape_ = input.shape();
+  input2d_ = input.reshape({rows, in_features_});
+  effective_weight_ = weight_transform_ ? weight_transform_(weight_.value) : weight_.value;
 
   Tensor out({rows, out_features_});
   // out = x [rows, in] x W^T [in, out]
-  gemm(false, true, rows, out_features_, in_features_, 1.0F, x,
-       eff->data(), 0.0F, out.data());
+  gemm(false, true, rows, out_features_, in_features_, 1.0F, input2d_.data(),
+       effective_weight_.data(), 0.0F, out.data());
   if (has_bias_) {
     for (std::int64_t r = 0; r < rows; ++r) {
       float* row = out.data() + r * out_features_;
@@ -444,11 +421,6 @@ Tensor LayerNorm::forward(const Tensor& input) {
     throw std::invalid_argument("LayerNorm: bad input shape " + input.shape_str());
   }
   const std::int64_t rows = input.numel() / features_;
-  if (inference_) {
-    Tensor out(input.shape());
-    forward_into(input.data(), rows, out.data());
-    return out;
-  }
   xhat_ = Tensor(input.shape());
   invstd_ = Tensor({rows});
   Tensor out(input.shape());
@@ -621,7 +593,7 @@ float act_backward(Act a, float x) {
 }
 
 Tensor Activation::forward(const Tensor& input) {
-  if (!inference_) input_ = input;
+  input_ = input;
   Tensor out(input.shape());
   act_forward_n(kind_, input.data(), out.data(), input.numel());
   return out;
@@ -654,10 +626,6 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   const std::int64_t ow = conv_out_size(w, kernel_, stride_, pad_);
 
   Tensor out({n, c, oh, ow});
-  if (inference_) {
-    forward_into(input.data(), n, c, h, w, out.data());
-    return out;
-  }
   input_shape_ = input.shape();
   argmax_.assign(static_cast<std::size_t>(out.numel()), -1);
   for (std::int64_t s = 0; s < n; ++s) {
@@ -740,7 +708,7 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 
 Tensor GlobalAvgPool::forward(const Tensor& input) {
   if (input.dim() != 4) throw std::invalid_argument("GlobalAvgPool: expects NCHW input");
-  if (!inference_) input_shape_ = input.shape();
+  input_shape_ = input.shape();
   const std::int64_t n = input.size(0);
   const std::int64_t c = input.size(1);
   const std::int64_t hw = input.size(2) * input.size(3);

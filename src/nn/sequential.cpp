@@ -91,9 +91,4 @@ void Sequential::set_training(bool training) {
   for (auto& child : children_) child->set_training(training);
 }
 
-void Sequential::set_inference(bool inference) {
-  Module::set_inference(inference);
-  for (auto& child : children_) child->set_inference(inference);
-}
-
 }  // namespace clado::nn

@@ -28,7 +28,7 @@ Tensor ActFakeQuant::forward(const Tensor& input) {
       return input;
     case ActQuantMode::kQuantize: {
       if (!calibrated_) return input;
-      if (!inference_) input_ = input;
+      input_ = input;
       Tensor out(input.shape());
       const float levels = std::ldexp(1.0F, bits_) - 1.0F;
       const float inv = 1.0F / scale_;

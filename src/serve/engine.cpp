@@ -63,7 +63,6 @@ Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(sp
   replicas_.reserve(static_cast<std::size_t>(spec_.replicas));
   for (int r = 1; r < spec_.replicas; ++r) replicas_.push_back(model.clone());
   replicas_.push_back(std::move(model));
-  for (auto& replica : replicas_) replica.net->set_inference(true);
 
   const clado::obs::Span compile_span("serve/plan_compile");
   plans_.reserve(replicas_.size());

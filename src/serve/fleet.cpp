@@ -127,14 +127,15 @@ std::string Fleet::stats_text() const {
       out << (i != 0 ? "," : "") << replicas[i]->queue_depth();
     }
     out << "]";
-    std::int64_t served = 0;
-    double p99 = 0.0;
+    // The model's percentiles: one ranking over every replica's samples.
+    std::vector<double> samples;
     for (const auto& server : replicas) {
-      const LatencySummary lat = server->latency_summary();
-      served += lat.count;
-      if (lat.p99_ms > p99) p99 = lat.p99_ms;
+      const std::vector<double> replica_samples = server->latency_samples();
+      samples.insert(samples.end(), replica_samples.begin(), replica_samples.end());
     }
-    out << " served=" << served << " p99_ms=" << p99 << "\n";
+    const LatencySummary lat = summarize_latencies(std::move(samples));
+    out << " served=" << lat.count << " p50_ms=" << lat.p50_ms << " p99_ms=" << lat.p99_ms
+        << "\n";
   }
   return out.str();
 }

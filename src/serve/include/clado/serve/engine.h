@@ -4,11 +4,12 @@
 // assignment: at load time the network is frozen once (BatchNorm folded,
 // weights overwritten with Q(w, b_i) via clado::quant::freeze_quantized),
 // then each replica is compiled into a CompiledPlan — the one way an Engine
-// executes. A plan's arena holds one in-flight batch, so the Engine owns
-// `replicas` independent copies, each with its own plan: server worker w
-// runs batched forwards on replica w, so workers never contend on arenas
-// while the heavy GEMMs inside each forward still fan out across the shared
-// tensor::ThreadPool.
+// executes; no Module::forward runs while serving, and a network the plan
+// cannot compile is refused at construction. A plan's arena holds one
+// in-flight batch, so the Engine owns `replicas` independent copies, each
+// with its own plan: server worker w runs batched forwards on replica w, so
+// workers never contend on arenas while the heavy GEMMs inside each forward
+// still fan out across the shared tensor::ThreadPool.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +62,9 @@ class Engine {
   /// Takes ownership of a pretrained (and, for quantized serving,
   /// activation-calibrated) model, freezes it per `spec` and compiles every
   /// replica. Throws std::invalid_argument on a bits/layer-count mismatch,
-  /// replicas < 1, max_batch < 1, or a network whose output is not
-  /// [num_classes] per sample.
+  /// replicas < 1, max_batch < 1, a module the plan cannot compile (see
+  /// CompiledPlan), or a network whose output is not [num_classes] per
+  /// sample.
   Engine(clado::models::Model model, EngineSpec spec);
 
   const std::string& label() const { return spec_.label; }

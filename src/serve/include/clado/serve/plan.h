@@ -1,19 +1,24 @@
 // clado::serve::CompiledPlan — the serving graph compiler.
 //
 // At Engine construction the frozen Sequential is walked once into a flat
-// list of PlanSteps over a single preplanned float arena:
+// list of typed PlanSteps over a single preplanned float arena:
 //   * conv→(folded BN)→activation chains collapse into one step (the
 //     activation is applied in-place on the conv's output buffer),
-//   * every intermediate, im2col and batch-stacking buffer shape is
+//   * a PatchEmbed becomes its conv step plus a tokens step, and a
+//     TransformerBlock becomes layernorm, q/k/v linear, attention, out-proj
+//     linear, residual-add, layernorm, fc1 (GELU fused), fc2 and
+//     residual-add steps,
+//   * every intermediate, workspace and batch-stacking buffer shape is
 //     precomputed for the engine's max_batch,
 //   * buffers get arena offsets via liveness-based first-fit, so two
 //     tensors share storage only when their live ranges are disjoint.
-// Steady-state run() therefore allocates no tensors on fully plannable
-// graphs (all CNN zoo models); modules the compiler does not understand
-// (transformer blocks, un-folded BatchNorm) become fallback steps that
-// stage through the module's own forward(). Integer-backend conv/linear
-// steps touch no heap at all (plan_alloc_test), but the fp32 blocked GEMM
-// under fp32 conv/linear steps still allocates its packing buffers per call.
+// A module outside that vocabulary (un-folded BatchNorm, an observe-mode
+// fake-quant, a conv/linear/SE with a weight transform, an unknown type)
+// is refused at compile time, so no Module::forward ever runs while
+// serving and steady-state run() allocates no tensors. Integer-backend
+// conv/linear steps touch no heap at all (plan_alloc_test), but the fp32
+// blocked GEMM under fp32 conv/linear/attention steps still allocates its
+// packing buffers per call.
 //
 // fp32 and fake-quant steps replay the exact kernel call sequence and
 // elementwise loop order of the eager forwards, so fp32 and fake-quant plan
@@ -59,7 +64,8 @@ enum class StepKind {
   kGlobalAvgPool,  ///< [N,C,H,W] -> [N,C]
   kLayerNorm,      ///< last-axis normalization
   kTakeToken,      ///< [N,T,D] -> [N,D] token readout
-  kFallback,       ///< unplannable module staged through Module::forward
+  kAttention,      ///< per-head softmax(QKᵀ)·V over projected q/k/v
+  kTokens,         ///< PatchEmbed token assembly (class token + positions)
 };
 
 const char* step_kind_name(StepKind kind);
@@ -74,7 +80,7 @@ struct PlanBuffer {
   std::int64_t offset = -1;     ///< first-fit arena offset (16-float aligned)
   std::int64_t def_step = 0;
   std::int64_t last_step = 0;
-  bool scratch = false;  ///< workspace (conv / SE), not an activation
+  bool scratch = false;  ///< workspace (conv / SE / attention), not an activation
   /// Compile-time count of pending readers (residual branches that will read
   /// this buffer after the current sub-graph compiles). While nonzero, no
   /// activation may fuse in place onto the step that produced it.
@@ -89,12 +95,12 @@ struct PlanBuffer {
 };
 
 /// One executable node of the compiled graph. Layer pointers alias the
-/// engine replica's module tree (which owns them); `stage_in` is the
-/// persistent staging tensor of fallback steps.
+/// engine replica's module tree (which owns them).
 struct PlanStep {
-  StepKind kind = StepKind::kFallback;
-  int in = -1;       ///< input buffer id
-  int in2 = -1;      ///< second input (residual shortcut)
+  StepKind kind = StepKind::kConv;
+  int in = -1;       ///< input buffer id (attention: q)
+  int in2 = -1;      ///< second input (residual shortcut; attention: k)
+  int in3 = -1;      ///< third input (attention: v)
   int out = -1;      ///< output buffer id
   int scratch = -1;  ///< workspace buffer id, if any
 
@@ -104,7 +110,7 @@ struct PlanStep {
   const clado::nn::MaxPool2d* pool = nullptr;
   const clado::nn::GlobalAvgPool* gap = nullptr;
   const clado::nn::LayerNorm* ln = nullptr;
-  clado::nn::Module* fallback = nullptr;
+  const clado::nn::PatchEmbed* patch = nullptr;
 
   bool has_act = false;  ///< fused pointwise activation applied in place
   clado::nn::Act act = clado::nn::Act::kRelu;
@@ -119,7 +125,9 @@ struct PlanStep {
   std::int64_t channels = 0, hw = 0;  ///< pool / SE geometry
   std::int64_t rows_per_sample = 0;   ///< linear / layernorm folded rows
   std::int64_t per_sample_in = 0, per_sample_out = 0;
-  std::int64_t take_tokens = 0, take_dim = 0, take_index = 0;
+  std::int64_t tokens = 0, dim = 0;   ///< [tokens, dim] (take-token / attention)
+  std::int64_t take_index = 0;        ///< token a take-token step reads
+  std::int64_t heads = 0;             ///< attention heads
   Shape in_shape, out_shape;  ///< per-sample shapes (no batch axis)
 
   // Integer-backend execution (kConv / kLinear selected by the Engine's
@@ -141,7 +149,6 @@ struct PlanStep {
   /// workspace is the `scratch` buffer).
   std::vector<std::int32_t> indices;
 
-  Tensor stage_in;    ///< fallback staging (reallocated only on n change)
   std::string label;  ///< span name, e.g. "plan/conv"
 };
 
@@ -149,13 +156,13 @@ struct PlanStep {
 /// on the same plan must not overlap (mirrors the replica contract).
 class CompiledPlan {
  public:
-  /// Walks `net` (frozen, inference mode) with per-sample input shape
-  /// `sample_shape` ([C, H, W]) and plans buffers for up to `max_batch`
-  /// samples. Unrecognized modules are probed with a zeros [1, ...] forward
-  /// to learn their output shape. When `prepared` is non-null, conv/linear
+  /// Walks `net` (frozen: BatchNorm folded, no weight transforms) with
+  /// per-sample input shape `sample_shape` ([C, H, W]) and plans buffers
+  /// for up to `max_batch` samples. When `prepared` is non-null, conv/linear
   /// steps whose module maps to an integer PreparedLayer execute on that
   /// backend (consistency-checked against the layer geometry). Throws
-  /// std::invalid_argument on max_batch < 1.
+  /// std::invalid_argument on max_batch < 1 and on any module the plan
+  /// cannot compile; the message names the module's type.
   CompiledPlan(clado::nn::Sequential& net, const Shape& sample_shape, std::int64_t max_batch,
                const PreparedMap* prepared = nullptr);
 
@@ -168,17 +175,14 @@ class CompiledPlan {
 
   /// Executes the plan on the first `n` staged samples, writing logits into
   /// `out` ([n, num_classes]). `out` is reallocated only when its shape
-  /// differs from the wanted one, so steady-state same-n calls are
-  /// allocation-free on fully plannable graphs. Throws std::invalid_argument
-  /// unless 1 <= n <= max_batch().
+  /// differs from the wanted one, so steady-state same-n calls allocate no
+  /// tensors. Throws std::invalid_argument unless 1 <= n <= max_batch().
   void run(std::int64_t n, Tensor& out);
 
   // -- introspection (plan_test / diagnostics) ------------------------------
   std::int64_t max_batch() const { return max_batch_; }
   std::int64_t sample_numel() const { return sample_numel_; }
   std::int64_t arena_numel() const { return static_cast<std::int64_t>(arena_.size()); }
-  /// Steps the compiler could not fuse into the arena program.
-  std::size_t fallback_steps() const;
   /// Conv/linear steps running on an integer backend.
   std::size_t backend_steps() const;
   const std::vector<PlanStep>& steps() const { return steps_; }
@@ -193,6 +197,14 @@ class CompiledPlan {
  private:
   void compile_module(clado::nn::Module& module);
   void compile_children(clado::nn::Sequential& seq);
+  void compile_transformer(clado::nn::TransformerBlock& block);
+  /// Appends `step`: notes the reads of its inputs, sizes it from its
+  /// shapes and gives it a fresh output buffer, which becomes the current
+  /// activation.
+  void push_step(PlanStep step);
+  /// out = buffer `a` + buffer `b` (+ fused ReLU when `relu`), per-sample
+  /// `shape`.
+  void emit_residual_add(int a, int b, const Shape& shape, bool relu);
   /// Attaches the integer backend to a freshly-built conv/linear step when
   /// the Engine's PreparedMap carries integer codes for `module`: checks the
   /// PreparedLayer against the weight-matrix dims of `geom` (out_channels x
@@ -203,9 +215,6 @@ class CompiledPlan {
   void run_backend(PlanStep& step, std::int64_t n);
   int new_buffer(std::int64_t per_sample, bool scratch, std::int64_t scratch_numel = 0);
   void note_read(int buffer);
-  /// Probes `module` with a zeros [1, cur-shape] forward to learn its
-  /// per-sample output shape and emits a kFallback step.
-  void emit_fallback(clado::nn::Module& module, bool probe);
   void assign_offsets();
   float* buf(int id) { return arena_.data() + buffers_[static_cast<std::size_t>(id)].offset; }
 

@@ -108,6 +108,9 @@ struct LatencySummary {
   double max_ms = 0.0;
 };
 
+/// Nearest-rank p50/p99 and the maximum of `samples_ms`, in any order.
+LatencySummary summarize_latencies(std::vector<double> samples_ms);
+
 class Server {
  public:
   /// Throws std::invalid_argument when the engine has fewer replicas than
@@ -140,7 +143,10 @@ class Server {
   /// park the workers, publish latency gauges. Idempotent.
   void drain();
 
-  LatencySummary latency_summary() const;
+  /// Completed-request latencies in ms: the reservoir of the most recent
+  /// 64k requests, in no particular order.
+  std::vector<double> latency_samples() const;
+  LatencySummary latency_summary() const { return summarize_latencies(latency_samples()); }
   const ServerConfig& config() const { return config_; }
   const Engine& engine() const { return *engine_; }
 

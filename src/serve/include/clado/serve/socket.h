@@ -76,9 +76,6 @@ class SocketDaemon {
   /// bind/listen failure, on a UDS path owned by a live daemon, or when no
   /// listener is configured. The fleet must outlive the daemon.
   SocketDaemon(Fleet& fleet, DaemonOptions options);
-  /// Single-server compatibility front end: serves `server` as the fleet's
-  /// only model (keyed by its engine's model name) over UDS only.
-  SocketDaemon(Server& server, std::string socket_path);
   /// Stops the accept loop (if still running) and removes the socket file.
   ~SocketDaemon();
   SocketDaemon(const SocketDaemon&) = delete;
@@ -111,7 +108,6 @@ class SocketDaemon {
   void close_listeners();
 
   Fleet* fleet_;
-  std::unique_ptr<Fleet> owned_fleet_;  ///< compatibility constructor only
   DaemonOptions options_;
   SwapFactory swap_factory_;
   int bound_tcp_port_ = -1;

@@ -1,6 +1,7 @@
 #include "clado/serve/plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -28,10 +29,14 @@ using clado::nn::LayerNorm;
 using clado::nn::Linear;
 using clado::nn::MaxPool2d;
 using clado::nn::Module;
+using clado::nn::MultiHeadSelfAttention;
+using clado::nn::PatchEmbed;
 using clado::nn::ResidualBlock;
 using clado::nn::SEBlock;
 using clado::nn::Sequential;
 using clado::nn::TakeToken;
+using clado::nn::TransformerBlock;
+using clado::nn::attend_head_scratch;
 using clado::quant::ActFakeQuant;
 using clado::quant::ActQuantMode;
 using clado::tensor::conv_out_size;
@@ -48,6 +53,10 @@ std::string shape_str(const Shape& shape) {
   return out + "]";
 }
 
+[[noreturn]] void refuse(const Module& module, const std::string& why) {
+  throw std::invalid_argument("CompiledPlan: cannot compile " + module.type_name() + ": " + why);
+}
+
 }  // namespace
 
 const char* step_kind_name(StepKind kind) {
@@ -62,7 +71,8 @@ const char* step_kind_name(StepKind kind) {
     case StepKind::kGlobalAvgPool: return "gap";
     case StepKind::kLayerNorm: return "layernorm";
     case StepKind::kTakeToken: return "taketoken";
-    case StepKind::kFallback: return "fallback";
+    case StepKind::kAttention: return "attention";
+    case StepKind::kTokens: return "tokens";
   }
   return "?";
 }
@@ -89,12 +99,6 @@ CompiledPlan::CompiledPlan(Sequential& net, const Shape& sample_shape, std::int6
       static_cast<std::int64_t>(steps_.size());
   assign_offsets();
   input_offset_ = buffers_[0].offset;
-}
-
-std::size_t CompiledPlan::fallback_steps() const {
-  std::size_t n = 0;
-  for (const auto& step : steps_) n += step.kind == StepKind::kFallback ? 1 : 0;
-  return n;
 }
 
 std::size_t CompiledPlan::backend_steps() const {
@@ -125,9 +129,6 @@ std::string CompiledPlan::dump() const {
       } else {
         out += "fp32";
       }
-    }
-    if (step.kind == StepKind::kFallback && step.fallback != nullptr) {
-      out += " (" + step.fallback->type_name() + ")";
     }
     if (step.has_act) out += " +act";
     out += "\n";
@@ -165,7 +166,7 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module,
   const kernels::Level level = kernels::active_level();
   const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, geom);
   step.q_geom = geom;
-  step.q_in.resize(static_cast<std::size_t>(max_batch_ * step.per_sample_in));
+  step.q_in.resize(static_cast<std::size_t>(max_batch_ * shape_numel(step.in_shape)));
   step.q_codes.resize(static_cast<std::size_t>(ws.codes));
   step.indices.resize(static_cast<std::size_t>(ws.indices));
   kernels::qconv2d_s8_table(level, geom, step.indices.data());
@@ -185,6 +186,31 @@ int CompiledPlan::new_buffer(std::int64_t per_sample, bool scratch, std::int64_t
 void CompiledPlan::note_read(int buffer) {
   auto& b = buffers_[static_cast<std::size_t>(buffer)];
   b.last_step = std::max(b.last_step, static_cast<std::int64_t>(steps_.size()));
+}
+
+void CompiledPlan::push_step(PlanStep step) {
+  for (const int in : {step.in, step.in2, step.in3}) {
+    if (in >= 0) note_read(in);
+  }
+  step.per_sample_in = shape_numel(step.in_shape);
+  step.per_sample_out = shape_numel(step.out_shape);
+  step.out = new_buffer(step.per_sample_out, /*scratch=*/false);
+  cur_buf_ = step.out;
+  cur_shape_ = step.out_shape;
+  steps_.push_back(std::move(step));
+}
+
+void CompiledPlan::emit_residual_add(int a, int b, const Shape& shape, bool relu) {
+  PlanStep step;
+  step.kind = StepKind::kResidualAdd;
+  step.in = a;
+  step.in2 = b;
+  step.has_act = relu;
+  step.act = Act::kRelu;
+  step.in_shape = shape;
+  step.out_shape = shape;
+  step.label = "plan/resadd";
+  push_step(std::move(step));
 }
 
 void CompiledPlan::compile_children(Sequential& seq) {
@@ -233,32 +259,39 @@ void CompiledPlan::compile_module(Module& module) {
                                   shape_str(main_shape) + " vs shortcut " +
                                   shape_str(short_shape) + ")");
     }
+    emit_residual_add(main_buf, short_buf, main_shape, res->final_relu());
+    return;
+  }
+
+  if (auto* block = dynamic_cast<TransformerBlock*>(&module)) {
+    compile_transformer(*block);
+    return;
+  }
+
+  if (auto* patch = dynamic_cast<PatchEmbed*>(&module)) {
+    compile_module(patch->projection());
+    const std::int64_t t = patch->patch_tokens();
+    const std::int64_t d = patch->embed_dim();
+    if (shape_numel(cur_shape_) != d * t) {
+      refuse(module, "patch grid " + shape_str(cur_shape_) + " does not hold " +
+                         std::to_string(t) + " tokens");
+    }
     PlanStep step;
-    step.kind = StepKind::kResidualAdd;
-    step.in = main_buf;
-    step.in2 = short_buf;
-    step.has_act = res->final_relu();
-    step.act = Act::kRelu;
-    step.in_shape = main_shape;
-    step.out_shape = main_shape;
-    step.per_sample_in = shape_numel(main_shape);
-    step.per_sample_out = step.per_sample_in;
-    step.label = "plan/resadd";
-    note_read(main_buf);
-    note_read(short_buf);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = main_shape;
+    step.kind = StepKind::kTokens;
+    step.patch = patch;
+    step.in = cur_buf_;
+    step.in_shape = cur_shape_;
+    step.out_shape = {t + 1, d};
+    step.label = "plan/tokens";
+    push_step(std::move(step));
     return;
   }
 
   if (auto* conv = dynamic_cast<Conv2d*>(&module)) {
-    if (conv->has_weight_transform() || cur_shape_.size() != 3 ||
-        cur_shape_[0] != conv->in_channels()) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+    if (conv->has_weight_transform()) refuse(module, "a weight transform is installed");
+    if (cur_shape_.size() != 3 || cur_shape_[0] != conv->in_channels()) {
+      refuse(module, "input " + shape_str(cur_shape_) + " is not [" +
+                         std::to_string(conv->in_channels()) + ", H, W]");
     }
     const std::int64_t h = cur_shape_[1];
     const std::int64_t w = cur_shape_[2];
@@ -272,13 +305,10 @@ void CompiledPlan::compile_module(Module& module) {
     step.in_w = w;
     step.in_shape = cur_shape_;
     step.out_shape = {conv->out_channels(), oh, ow};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/conv";
     // The integer conv entry reduces over the full patch — the no-groups
     // layout (grouped convs keep their fp32 kernel).
     if (conv->groups() == 1) attach_backend(step, *conv, conv->geometry(h, w));
-    note_read(cur_buf_);
     if (step.prepared == nullptr) {
       // The fp32 conv entry's workspace does not grow with the batch, so it
       // is NOT scaled by max_batch.
@@ -288,20 +318,15 @@ void CompiledPlan::compile_module(Module& module) {
       step.scratch = new_buffer(0, /*scratch=*/true, ws.floats);
       step.indices.resize(static_cast<std::size_t>(ws.indices));
     }
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    push_step(std::move(step));
     return;
   }
 
   if (auto* fc = dynamic_cast<Linear*>(&module)) {
-    if (fc->has_weight_transform() || cur_shape_.empty() ||
-        cur_shape_.back() != fc->in_features()) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+    if (fc->has_weight_transform()) refuse(module, "a weight transform is installed");
+    if (cur_shape_.empty() || cur_shape_.back() != fc->in_features()) {
+      refuse(module, "input " + shape_str(cur_shape_) + " does not end in " +
+                         std::to_string(fc->in_features()) + " features");
     }
     PlanStep step;
     step.kind = StepKind::kLinear;
@@ -311,8 +336,6 @@ void CompiledPlan::compile_module(Module& module) {
     step.rows_per_sample = shape_numel(cur_shape_) / fc->in_features();
     step.out_shape = cur_shape_;
     step.out_shape.back() = fc->out_features();
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/linear";
     // Each row is the 1x1 conv of a [k, 1, 1] image.
     clado::tensor::kernels::ConvGeometry geom;
@@ -322,13 +345,7 @@ void CompiledPlan::compile_module(Module& module) {
     geom.out_channels = fc->out_features();
     geom.kernel = 1;
     attach_backend(step, *fc, geom);
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    push_step(std::move(step));
     return;
   }
 
@@ -353,14 +370,8 @@ void CompiledPlan::compile_module(Module& module) {
     step.in = cur_buf_;
     step.in_shape = cur_shape_;
     step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/act";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    push_step(std::move(step));
     return;
   }
 
@@ -371,10 +382,7 @@ void CompiledPlan::compile_module(Module& module) {
       return;  // identity
     }
     if (mode == ActQuantMode::kObserve) {
-      // Probing would pollute the observer statistics; the step is a pure
-      // passthrough shape-wise, so stage through forward() without a probe.
-      emit_fallback(module, /*probe=*/false);
-      return;
+      refuse(module, "it is in observe mode; calibrate and freeze it first");
     }
     PlanStep step;
     step.kind = StepKind::kFakeQuant;
@@ -384,30 +392,26 @@ void CompiledPlan::compile_module(Module& module) {
     step.in = cur_buf_;
     step.in_shape = cur_shape_;
     step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/fq";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    if (fq->bits() == 8 && step.fq_zero_point == std::nearbyint(step.fq_zero_point)) {
+    const bool on_grid8 =
+        fq->bits() == 8 && step.fq_zero_point == std::nearbyint(step.fq_zero_point);
+    push_step(std::move(step));
+    if (on_grid8) {
       // Downstream backend steps may quantize this buffer statically: its
       // values sit exactly on the (scale, zero_point) grid.
-      auto& ob = buffers_[static_cast<std::size_t>(out_buf)];
+      auto& ob = buffers_[static_cast<std::size_t>(cur_buf_)];
       ob.fq8 = true;
-      ob.fq_scale = step.fq_scale;
-      ob.fq_zero_point = step.fq_zero_point;
+      ob.fq_scale = fq->scale();
+      ob.fq_zero_point = fq->zero_point();
     }
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
     return;
   }
 
   if (auto* se = dynamic_cast<SEBlock*>(&module)) {
-    if (se->has_weight_transform() || cur_shape_.size() != 3 ||
-        cur_shape_[0] != se->channels()) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+    if (se->has_weight_transform()) refuse(module, "a weight transform is installed");
+    if (cur_shape_.size() != 3 || cur_shape_[0] != se->channels()) {
+      refuse(module, "input " + shape_str(cur_shape_) + " is not [" +
+                         std::to_string(se->channels()) + ", H, W]");
     }
     PlanStep step;
     step.kind = StepKind::kSE;
@@ -417,22 +421,15 @@ void CompiledPlan::compile_module(Module& module) {
     step.hw = cur_shape_[1] * cur_shape_[2];
     step.in_shape = cur_shape_;
     step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/se";
-    note_read(cur_buf_);
     step.scratch = new_buffer(0, /*scratch=*/true, se->scratch_numel(max_batch_));
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    push_step(std::move(step));
     return;
   }
 
   if (auto* pool = dynamic_cast<MaxPool2d*>(&module)) {
     if (cur_shape_.size() != 3) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+      refuse(module, "input " + shape_str(cur_shape_) + " is not [C, H, W]");
     }
     const std::int64_t h = cur_shape_[1];
     const std::int64_t w = cur_shape_[2];
@@ -447,23 +444,14 @@ void CompiledPlan::compile_module(Module& module) {
     step.in_w = w;
     step.in_shape = cur_shape_;
     step.out_shape = {cur_shape_[0], oh, ow};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = shape_numel(step.out_shape);
     step.label = "plan/maxpool";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    push_step(std::move(step));
     return;
   }
 
   if (auto* gap = dynamic_cast<GlobalAvgPool*>(&module)) {
     if (cur_shape_.size() != 3) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+      refuse(module, "input " + shape_str(cur_shape_) + " is not [C, H, W]");
     }
     PlanStep step;
     step.kind = StepKind::kGlobalAvgPool;
@@ -473,23 +461,15 @@ void CompiledPlan::compile_module(Module& module) {
     step.hw = cur_shape_[1] * cur_shape_[2];
     step.in_shape = cur_shape_;
     step.out_shape = {cur_shape_[0]};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = cur_shape_[0];
     step.label = "plan/gap";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    push_step(std::move(step));
     return;
   }
 
   if (auto* ln = dynamic_cast<LayerNorm*>(&module)) {
     if (cur_shape_.empty() || cur_shape_.back() != ln->features()) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+      refuse(module, "input " + shape_str(cur_shape_) + " does not end in " +
+                         std::to_string(ln->features()) + " features");
     }
     PlanStep step;
     step.kind = StepKind::kLayerNorm;
@@ -498,74 +478,75 @@ void CompiledPlan::compile_module(Module& module) {
     step.rows_per_sample = shape_numel(cur_shape_) / ln->features();
     step.in_shape = cur_shape_;
     step.out_shape = cur_shape_;
-    step.per_sample_in = shape_numel(cur_shape_);
-    step.per_sample_out = step.per_sample_in;
     step.label = "plan/ln";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
+    push_step(std::move(step));
     return;
   }
 
   if (auto* take = dynamic_cast<TakeToken*>(&module)) {
     if (cur_shape_.size() != 2 || take->index() < 0 || take->index() >= cur_shape_[0]) {
-      emit_fallback(module, /*probe=*/true);
-      return;
+      refuse(module, "token " + std::to_string(take->index()) + " is out of range for input " +
+                         shape_str(cur_shape_));
     }
     PlanStep step;
     step.kind = StepKind::kTakeToken;
     step.in = cur_buf_;
-    step.take_tokens = cur_shape_[0];
-    step.take_dim = cur_shape_[1];
+    step.tokens = cur_shape_[0];
+    step.dim = cur_shape_[1];
     step.take_index = take->index();
     step.in_shape = cur_shape_;
     step.out_shape = {cur_shape_[1]};
-    step.per_sample_in = shape_numel(step.in_shape);
-    step.per_sample_out = cur_shape_[1];
     step.label = "plan/take";
-    note_read(cur_buf_);
-    const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-    step.out = out_buf;
-    const Shape out_shape = step.out_shape;
-    steps_.push_back(std::move(step));
-    cur_buf_ = out_buf;
-    cur_shape_ = out_shape;
+    push_step(std::move(step));
     return;
   }
 
-  emit_fallback(module, /*probe=*/true);
+  refuse(module, "the plan has no step for this module type");
 }
 
-void CompiledPlan::emit_fallback(Module& module, bool probe) {
-  PlanStep step;
-  step.kind = StepKind::kFallback;
-  step.fallback = &module;
-  step.in = cur_buf_;
-  step.in_shape = cur_shape_;
-  step.per_sample_in = shape_numel(cur_shape_);
-  Shape out_shape = cur_shape_;
-  if (probe) {
-    Shape probe_shape = cur_shape_;
-    probe_shape.insert(probe_shape.begin(), 1);
-    const Tensor probe_out = module.forward(Tensor(std::move(probe_shape)));
-    if (probe_out.dim() < 1 || probe_out.size(0) != 1) {
-      throw std::logic_error("CompiledPlan: fallback probe of " + module.type_name() +
-                             " did not keep the batch axis");
-    }
-    out_shape = probe_out.shape();
-    out_shape.erase(out_shape.begin());
+void CompiledPlan::compile_transformer(TransformerBlock& block) {
+  // forward(): h = x + attn(ln1(x)); y = h + fc2(gelu(fc1(ln2(h)))).
+  MultiHeadSelfAttention& attn = block.attention();
+  const int x = cur_buf_;
+  const Shape x_shape = cur_shape_;
+  if (x_shape.size() != 2 || x_shape[1] != attn.embed_dim()) {
+    refuse(block, "input " + shape_str(x_shape) + " is not [T, " +
+                      std::to_string(attn.embed_dim()) + "]");
   }
-  step.out_shape = out_shape;
-  step.per_sample_out = shape_numel(out_shape);
-  step.label = "plan/fallback";
-  note_read(cur_buf_);
-  const int out_buf = new_buffer(step.per_sample_out, /*scratch=*/false);
-  step.out = out_buf;
-  steps_.push_back(std::move(step));
-  cur_buf_ = out_buf;
-  cur_shape_ = std::move(out_shape);
+  compile_module(block.ln1());
+  const int normed = cur_buf_;
+  std::array<int, 3> qkv{};
+  std::array<Linear*, 3> proj{&attn.query(), &attn.key(), &attn.value()};
+  for (std::size_t i = 0; i < proj.size(); ++i) {
+    cur_buf_ = normed;
+    cur_shape_ = x_shape;
+    compile_module(*proj[i]);
+    qkv[i] = cur_buf_;
+  }
+  PlanStep step;
+  step.kind = StepKind::kAttention;
+  step.in = qkv[0];
+  step.in2 = qkv[1];
+  step.in3 = qkv[2];
+  step.tokens = x_shape[0];
+  step.dim = x_shape[1];
+  step.heads = attn.num_heads();
+  step.in_shape = x_shape;
+  step.out_shape = x_shape;
+  step.label = "plan/attention";
+  // probs [max_batch, heads, T, T] | one head's gathered q/k/v and context.
+  step.scratch = new_buffer(0, /*scratch=*/true,
+                            max_batch_ * step.heads * step.tokens * step.tokens +
+                                attend_head_scratch(step.tokens, step.dim / step.heads));
+  push_step(std::move(step));
+  compile_module(attn.out_proj());
+  emit_residual_add(x, cur_buf_, x_shape, /*relu=*/false);
+  const int h = cur_buf_;
+  compile_module(block.ln2());
+  compile_module(block.fc1());
+  compile_module(block.gelu());  // fuses into the fc1 step
+  compile_module(block.fc2());
+  emit_residual_add(h, cur_buf_, x_shape, /*relu=*/false);
 }
 
 void CompiledPlan::assign_offsets() {
@@ -715,27 +696,22 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
       const float* in = buf(step.in);
       float* o = buf(step.out);
       for (std::int64_t s = 0; s < n; ++s) {
-        const float* row = in + (s * step.take_tokens + step.take_index) * step.take_dim;
-        float* orow = o + s * step.take_dim;
-        for (std::int64_t j = 0; j < step.take_dim; ++j) orow[j] = row[j];
+        const float* row = in + (s * step.tokens + step.take_index) * step.dim;
+        float* orow = o + s * step.dim;
+        for (std::int64_t j = 0; j < step.dim; ++j) orow[j] = row[j];
       }
       break;
     }
-    case StepKind::kFallback: {
-      Shape want = step.in_shape;
-      want.insert(want.begin(), n);
-      if (step.stage_in.shape() != want) step.stage_in = Tensor(std::move(want));
-      std::memcpy(step.stage_in.data(), buf(step.in),
-                  sizeof(float) * static_cast<std::size_t>(n * step.per_sample_in));
-      const Tensor result = step.fallback->forward(step.stage_in);
-      if (result.numel() != n * step.per_sample_out) {
-        throw std::logic_error("CompiledPlan: fallback " + step.fallback->type_name() +
-                               " output size changed between compile and run");
-      }
-      std::memcpy(buf(step.out), result.data(),
-                  sizeof(float) * static_cast<std::size_t>(result.numel()));
+    case StepKind::kAttention: {
+      float* probs = buf(step.scratch);
+      float* head_scratch = probs + max_batch_ * step.heads * step.tokens * step.tokens;
+      clado::nn::attend(buf(step.in), buf(step.in2), buf(step.in3), n, step.tokens, step.dim,
+                        step.heads, probs, head_scratch, buf(step.out));
       break;
     }
+    case StepKind::kTokens:
+      step.patch->tokens_into(buf(step.in), n, buf(step.out));
+      break;
   }
   if (step.has_act) act_forward_n(step.act, buf(step.out), buf(step.out), n * step.per_sample_out);
 }

@@ -379,19 +379,19 @@ void Server::execute_batch(int worker, std::vector<Pending> live, std::int64_t f
   }
 }
 
-LatencySummary Server::latency_summary() const {
-  std::vector<double> sorted;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    sorted = latencies_ms_;
-  }
-  std::sort(sorted.begin(), sorted.end());
+std::vector<double> Server::latency_samples() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return latencies_ms_;
+}
+
+LatencySummary summarize_latencies(std::vector<double> samples_ms) {
+  std::sort(samples_ms.begin(), samples_ms.end());
   LatencySummary s;
-  s.count = static_cast<std::int64_t>(sorted.size());
-  if (!sorted.empty()) {
-    s.p50_ms = percentile(sorted, 0.50);
-    s.p99_ms = percentile(sorted, 0.99);
-    s.max_ms = sorted.back();
+  s.count = static_cast<std::int64_t>(samples_ms.size());
+  if (!samples_ms.empty()) {
+    s.p50_ms = percentile(samples_ms, 0.50);
+    s.p99_ms = percentile(samples_ms, 0.99);
+    s.max_ms = samples_ms.back();
   }
   return s;
 }

@@ -250,17 +250,6 @@ SocketDaemon::SocketDaemon(Fleet& fleet, DaemonOptions options)
   bind_listeners();
 }
 
-SocketDaemon::SocketDaemon(Server& server, std::string socket_path)
-    : owned_fleet_(std::make_unique<Fleet>()) {
-  fleet_ = owned_fleet_.get();
-  // Non-owning: the caller keeps ownership (and must outlive the daemon);
-  // the fleet only routes to it and drains it on shutdown.
-  owned_fleet_->put(server.engine().model_name(),
-                    {std::shared_ptr<Server>(&server, [](Server*) {})});
-  options_.socket_path = std::move(socket_path);
-  bind_listeners();
-}
-
 void SocketDaemon::bind_listeners() {
   if (options_.socket_path.empty() && options_.tcp_port < 0) {
     throw std::runtime_error("serve daemon: no listener configured (need a UDS path "

@@ -1,8 +1,8 @@
 // Fleet-serving coverage: named-engine registry with replica sets,
-// least-loaded dispatch, mid-stream hot-swap bit-identity, swap fault
-// atomicity, stale-socket reclaim vs live-daemon conflict, and the TCP
-// listener. Runs under TSan in CI alongside serve_test: the daemon,
-// streamer, and swap paths here race on purpose.
+// least-loaded dispatch, fleet-wide latency percentiles, mid-stream hot-swap
+// bit-identity, swap fault atomicity, stale-socket reclaim vs live-daemon
+// conflict, and the TCP listener. Runs under TSan in CI alongside
+// serve_test: the daemon, streamer, and swap paths here race on purpose.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,6 +151,35 @@ TEST(Fleet, RoutesToLeastLoadedReplica) {
   for (auto& r : replicas) r->resume();
   fleet.drain_all();
   for (auto& f : backlog) EXPECT_EQ(f.get().status, Status::kOk);
+}
+
+TEST(Fleet, StatsPercentilesRankEveryReplicasSamplesTogether) {
+  // 99 prompt answers on one replica, one request held ~200 ms on its
+  // sibling: the model's p99 is a prompt latency, whatever the held
+  // replica's own p99 reads.
+  constexpr auto kHold = std::chrono::milliseconds(200);
+  ServerConfig held_cfg = daemon_config();
+  held_cfg.start_paused = true;
+  auto prompt = std::make_shared<Server>(tiny_engine({}), daemon_config());
+  auto held = std::make_shared<Server>(tiny_engine({}), held_cfg);
+  Fleet fleet;
+  fleet.put("tiny", {prompt, held});
+
+  const Tensor sample = fixed_sample();
+  auto slow = held->submit(sample);
+  for (int i = 0; i < 99; ++i) ASSERT_EQ(prompt->submit(sample).get().status, Status::kOk);
+  std::this_thread::sleep_for(kHold);
+  held->resume();
+  ASSERT_EQ(slow.get().status, Status::kOk);
+  // A worker records a latency just after answering; drain returns only
+  // once every admitted batch has finished, so every sample is in.
+  fleet.drain_all();
+
+  const std::string stats = fleet.stats_text();
+  EXPECT_NE(stats.find("served=100 "), std::string::npos) << stats;
+  const std::size_t at = stats.find("p99_ms=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_LT(std::stod(stats.substr(at + 7)), static_cast<double>(kHold.count())) << stats;
 }
 
 TEST(Fleet, HotSwapServesBitIdenticalToFreshLoadMidStream) {

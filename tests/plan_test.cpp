@@ -2,12 +2,16 @@
 // compiled plan with the eager forward of a frozen twin (freeze_reference)
 // across the whole model zoo (including activation-quantized engines),
 // grouped / strided / unpadded conv geometry, batches chunked beyond the
-// plan's capacity, the liveness property of the arena planner (live buffers
-// never share storage), and zero steady-state heap allocation.
+// plan's capacity, vit_mini's attention and tokens steps, compile-time
+// refusal of modules outside the plan's vocabulary, the liveness property
+// of the arena planner (live buffers never share storage), and zero
+// steady-state tensor allocation on every zoo model.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "clado/models/model.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
+#include "clado/quant/act_quant.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/plan.h"
 #include "clado/tensor/rng.h"
@@ -28,6 +33,7 @@ using clado::models::Model;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
 using clado::serve::PlanBuffer;
+using clado::serve::StepKind;
 using clado::tensor::Rng;
 using clado::tensor::Tensor;
 
@@ -86,16 +92,20 @@ TEST(CompiledPlan, FusedMatchesEagerAcrossZoo) {
   }
 }
 
-TEST(CompiledPlan, CnnZooModelsCompileWithoutFallbacks) {
-  for (const std::string name : {"resnet_a", "resnet_b"}) {
-    SCOPED_TRACE(name);
-    EnginePair pair = make_engines(name, 2);
-    EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u)
-        << "the CNN path regressed into Module::forward staging";
-  }
-  // The transformer encoder is out of the compiler's vocabulary by design.
+std::size_t count_steps(const Engine& engine, StepKind kind) {
+  std::size_t n = 0;
+  for (const auto& step : engine.plan(0)->steps()) n += step.kind == kind ? 1 : 0;
+  return n;
+}
+
+TEST(CompiledPlan, VitMiniCompilesAttentionAndTokenSteps) {
   EnginePair vit = make_engines("vit_mini", 2);
-  EXPECT_GT(vit.engine->plan(0)->fallback_steps(), 0u);
+  const Engine& engine = *vit.engine;
+  EXPECT_EQ(count_steps(engine, StepKind::kAttention), 4u) << engine.plan(0)->dump();
+  EXPECT_EQ(count_steps(engine, StepKind::kTokens), 1u) << engine.plan(0)->dump();
+  // Each of the 25 MPQ layers (q/k/v/out-proj/fc1/fc2 per block, plus the
+  // classifier) is a linear step of its own.
+  EXPECT_EQ(count_steps(engine, StepKind::kLinear), vit.reference.quant_layers.size());
 }
 
 /// Stride > 1, pad = 0 and grouped convolutions all change the im2col
@@ -128,7 +138,6 @@ EnginePair make_geometry_pair(std::int64_t max_batch) {
 
 TEST(CompiledPlan, FusedMatchesEagerOnGroupedStridedUnpaddedConvs) {
   EnginePair pair = make_geometry_pair(/*max_batch=*/5);
-  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
   expect_bit_identical(pair, 5, 600);
   expect_bit_identical(pair, 1, 601);
 }
@@ -166,20 +175,27 @@ TEST(CompiledPlan, SteadyStateRunsAreAllocationFree) {
     GTEST_SKIP() << "tensor allocation counting is compiled out of this build "
                     "(Release without CLADO_ENABLE_CHECKS); the sanitizer CI job enforces this";
   }
-  EnginePair pair = make_geometry_pair(/*max_batch=*/4);
-  Engine& engine = *pair.engine;
-  Rng rng(88);
-  const Tensor batch = Tensor::randn({4, 3, 16, 16}, rng);
-  float* pin = engine.batch_buffer(0);
-  ASSERT_NE(pin, nullptr);
-  std::memcpy(pin, batch.data(), sizeof(float) * static_cast<std::size_t>(batch.numel()));
+  std::vector<std::string> inputs = {"geometry"};
+  for (const std::string& name : clado::models::model_names()) inputs.push_back(name);
+  for (const std::string& name : inputs) {
+    SCOPED_TRACE(name);
+    EnginePair pair = name == "geometry" ? make_geometry_pair(/*max_batch=*/4)
+                                         : make_engines(name, /*max_batch=*/4);
+    Engine& engine = *pair.engine;
+    const auto& s = engine.sample_shape();
+    Rng rng(88);
+    const Tensor batch = Tensor::randn({4, s[0], s[1], s[2]}, rng);
+    float* pin = engine.batch_buffer(0);
+    ASSERT_NE(pin, nullptr);
+    std::memcpy(pin, batch.data(), sizeof(float) * static_cast<std::size_t>(batch.numel()));
 
-  Tensor out;
-  for (int i = 0; i < 3; ++i) engine.infer_pinned(4, out, 0);  // warmup
-  const std::int64_t before = clado::tensor::alloc_count();
-  for (int i = 0; i < 50; ++i) engine.infer_pinned(4, out, 0);
-  EXPECT_EQ(clado::tensor::alloc_count(), before)
-      << "steady-state fused inference touched the heap";
+    Tensor out;
+    for (int i = 0; i < 3; ++i) engine.infer_pinned(4, out, 0);  // warmup
+    const std::int64_t before = clado::tensor::alloc_count();
+    for (int i = 0; i < 50; ++i) engine.infer_pinned(4, out, 0);
+    EXPECT_EQ(clado::tensor::alloc_count() - before, 0)
+        << "steady-state compiled inference allocated tensors";
+  }
 }
 
 TEST(CompiledPlan, ReplicaPlansAgree) {
@@ -242,44 +258,83 @@ TEST(CompiledPlan, ActivationLeadingResidualBranchesMatchEager) {
     standalone_acts += step.kind == clado::serve::StepKind::kAct ? 1 : 0;
   }
   EXPECT_EQ(standalone_acts, 2u);
-  EXPECT_EQ(pair.engine->plan(0)->fallback_steps(), 0u);
   expect_bit_identical(pair, 3, 700);
   expect_bit_identical(pair, 1, 701);
 }
 
-TEST(CompiledPlan, SEBlockWithWeightTransformFallsBack) {
+/// A module type the plan compiler has no step for.
+class Doubler : public clado::nn::Module {
+ public:
+  Tensor forward(const Tensor& input) override { return input * 2.0F; }
+  Tensor backward(const Tensor& grad_output) override { return grad_output * 2.0F; }
+  std::string type_name() const override { return "Doubler"; }
+  std::unique_ptr<Module> clone() const override { return std::make_unique<Doubler>(*this); }
+};
+
+void transform_weight(clado::nn::QuantizableLayer& layer) {
+  layer.set_weight_transform([](const Tensor& w) { return w * 0.5F; });
+}
+
+TEST(CompiledPlan, UncompilableModulesAreRefusedAtCompile) {
   using namespace clado::nn;
-  Rng rng(171);
-  Sequential net;
-  net.emplace_named<Conv2d>("stem", 3, 8, 3, 1, 1)->init(rng);
-  net.emplace_named<SEBlock>("se", 8, 4)->init(rng);
-  net.emplace_named<GlobalAvgPool>("gap");
-  net.emplace_named<Linear>("fc", 8, 4)->init(rng);
-
-  // Leave a QAT-style transform on the SE's inner linears; the fused SE step
-  // reads raw weights, so the plan must stage the block through forward().
-  std::vector<QuantLayerRef> layers;
-  net.collect_quant_layers("", layers);
-  std::size_t transformed = 0;
-  for (auto& ref : layers) {
-    if (ref.name.find("se.fc") == std::string::npos) continue;
-    ref.layer->set_weight_transform([](const Tensor& w) { return w * 0.5F; });
-    ++transformed;
+  using clado::quant::ActFakeQuant;
+  struct Case {
+    std::string type;  ///< the module type the error message must name
+    std::function<void(Sequential&, Rng&)> build;  ///< appends after a 3->8 conv stem
+  };
+  const std::vector<Case> cases = {
+      {"BatchNorm2d", [](Sequential& net, Rng&) { net.emplace<BatchNorm2d>(8); }},
+      {"ActFakeQuant",
+       [](Sequential& net, Rng&) {
+         net.emplace<ActFakeQuant>(8)->set_mode(clado::quant::ActQuantMode::kObserve);
+       }},
+      {"Conv2d",
+       [](Sequential& net, Rng& rng) {
+         auto* conv = net.emplace<Conv2d>(8, 8, 3, 1, 1);
+         conv->init(rng);
+         transform_weight(*conv);
+       }},
+      {"Linear",
+       [](Sequential& net, Rng& rng) {
+         net.emplace<GlobalAvgPool>();
+         auto* fc = net.emplace<Linear>(8, 4);
+         fc->init(rng);
+         transform_weight(*fc);
+       }},
+      {"SEBlock",
+       [](Sequential& net, Rng& rng) {
+         auto* se = net.emplace<SEBlock>(8, 4);
+         se->init(rng);
+         std::vector<QuantLayerRef> layers;
+         se->collect_quant_layers("", layers);
+         transform_weight(*layers.front().layer);
+       }},
+      {"TakeToken",
+       [](Sequential& net, Rng& rng) {
+         // [8, 8, 8] patchified by 4 -> 4 patch tokens + the class token.
+         net.emplace<PatchEmbed>(8, 8, 8, 4)->init(rng);
+         net.emplace<TakeToken>(5);
+       }},
+      {"Doubler", [](Sequential& net, Rng&) { net.emplace<Doubler>(); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.type);
+    Rng rng(171);
+    Sequential net;
+    net.emplace_named<Conv2d>("stem", 3, 8, 3, 1, 1)->init(rng);
+    c.build(net, rng);
+    try {
+      clado::serve::CompiledPlan plan(net, {3, 8, 8}, /*max_batch=*/2);
+      ADD_FAILURE() << "compiled:\n" << plan.dump();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.type), std::string::npos) << e.what();
+    }
   }
-  ASSERT_EQ(transformed, 2u);
-
-  net.set_inference(true);
-  clado::serve::CompiledPlan plan(net, {3, 8, 8}, /*max_batch=*/2);
-  EXPECT_GE(plan.fallback_steps(), 1u);
-
-  Rng data_rng(172);
-  const Tensor batch = Tensor::randn({2, 3, 8, 8}, data_rng);
-  std::memcpy(plan.input(), batch.data(), sizeof(float) * static_cast<std::size_t>(batch.numel()));
-  Tensor fused_out;
-  plan.run(2, fused_out);
-  const Tensor eager_out = net.forward(batch);
-  ASSERT_EQ(fused_out.shape(), eager_out.shape());
-  for (std::int64_t i = 0; i < fused_out.numel(); ++i) EXPECT_EQ(fused_out[i], eager_out[i]);
+  // The Engine compiles at construction, so it refuses the same way.
+  Rng rng(173);
+  Model model = make_geometry_model(rng);
+  model.net->emplace<Doubler>();
+  EXPECT_THROW(Engine(std::move(model), EngineSpec{}), std::invalid_argument);
 }
 
 TEST(CompiledPlan, ResidualBranchShapeMismatchThrowsAtCompile) {
@@ -291,7 +346,6 @@ TEST(CompiledPlan, ResidualBranchShapeMismatchThrowsAtCompile) {
   // stride 2 halves the spatial dims, so the identity add cannot line up.
   main->emplace_named<Conv2d>("conv", 4, 4, 3, 2, 1)->init(rng);
   net.emplace_named<ResidualBlock>("bad_block", std::move(main), nullptr);
-  net.set_inference(true);
   EXPECT_THROW(clado::serve::CompiledPlan(net, {3, 8, 8}, 1), std::invalid_argument);
 }
 

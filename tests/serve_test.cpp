@@ -10,13 +10,16 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
+#include "clado/serve/fleet.h"
 #include "clado/serve/serve.h"
 #include "clado/serve/socket.h"
 #include "clado/serve/wire.h"
@@ -577,11 +580,16 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   cfg.workers = 1;
   cfg.max_batch = 4;
   cfg.max_delay_us = 200;
-  Server server(served, cfg);
-
-  const std::string path =
+  auto server = std::make_shared<Server>(served, cfg);
+  // A one-model fleet behind a UDS-only daemon, built the way `clado serve`
+  // builds one.
+  clado::serve::Fleet fleet;
+  fleet.put(served->model_name(), {server});
+  clado::serve::DaemonOptions options;
+  options.socket_path =
       (std::filesystem::temp_directory_path() / "clado_serve_test.sock").string();
-  clado::serve::SocketDaemon daemon(server, path);
+  const std::string path = options.socket_path;
+  clado::serve::SocketDaemon daemon(fleet, std::move(options));
   std::thread daemon_thread([&] { daemon.run(); });
 
   ASSERT_TRUE(clado::serve::ping_socket(path));
@@ -603,7 +611,7 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   EXPECT_TRUE(clado::serve::shutdown_socket(path));
   daemon_thread.join();
   EXPECT_FALSE(clado::serve::ping_socket(path));
-  EXPECT_EQ(server.submit(Tensor({3, 8, 8})).get().status, Status::kShutdown);
+  EXPECT_EQ(server->submit(Tensor({3, 8, 8})).get().status, Status::kShutdown);
 }
 
 TEST(ServeConfig, FromEnvParsesStrictly) {
