@@ -3,7 +3,9 @@
 // the integer conv entry of the serving backends (kernels::qconv2d_s8, on
 // resnet_a's conv shapes at batch 8); and the batched fp32 conv entry
 // (kernels::conv2d_f32) vs the per-sample im2col + gemm route it replaced,
-// both at the dispatched level, on resnet_a's conv shapes.
+// both at the dispatched level, on resnet_a's conv shapes; and the
+// elementwise transcendental kernels (GELU and exp), scalar vs the
+// dispatched level, over fixed evenly spaced samples of their inputs.
 //
 // Two kinds of output, with different contracts:
 //   * Timings (GFLOP/s, GOP/s, speedup) — never baselined as wall clock,
@@ -12,8 +14,9 @@
 //     gauges_min section checked by tools/diff_metrics_baseline.py.
 //   * Work/correctness counters — deterministic; the vector level is
 //     re-verified against scalar on every timed shape (the conv entry
-//     against the per-sample route, bit for bit), and any mismatch shows
-//     up as a nonzero kernels.bench.*_mismatches counter (baselined at
+//     against the per-sample route, the integer conv and the elementwise
+//     kernels across levels, all bit for bit), and any mismatch shows up
+//     as a nonzero kernels.bench.*_mismatches counter (baselined at
 //     zero).
 #include <algorithm>
 #include <chrono>
@@ -276,6 +279,54 @@ double bench_conv(Level level) {
   return speedup;
 }
 
+// GELU and exp, the transcendental kernels of vit_mini's fc1 and attention
+// steps, scalar against `best` over a fixed strided sample of the inputs
+// they serve: 2^20 evenly spaced GELU arguments in [-8, 8) (fc1
+// pre-activations) and exp arguments in [-64, 0) (softmax's x - max).
+// Spread over every bit pattern instead, the sample would be mostly
+// magnitudes where the scalar ports return early (tanh below 2^-55 or
+// above 22, NaN, infinities) while every vector lane computes each
+// branch, and subnormal intermediates would cost both levels microcode
+// assists: a race of neither kernel's real work.
+double bench_math(Level best) {
+  using MathFn = void (*)(Level, std::int64_t, const float*, float*);
+  struct Case {
+    const char* name;
+    MathFn fn;
+    float lo, hi;
+  };
+  const std::vector<Case> cases = {{"gelu", kernels::gelu_f32, -8.0F, 8.0F},
+                                   {"exp", kernels::exp_f32, -64.0F, 0.0F}};
+  constexpr std::int64_t kCount = std::int64_t{1} << 20;
+  std::vector<float> x(kCount);
+  std::vector<float> out_scalar(kCount);
+  std::vector<float> out_best(kCount);
+  double scalar_total = 0.0;
+  double best_total = 0.0;
+  for (const Case& c : cases) {
+    const double step = (static_cast<double>(c.hi) - c.lo) / kCount;
+    for (std::int64_t i = 0; i < kCount; ++i) x[i] = static_cast<float>(c.lo + step * i);
+    const double t_scalar =
+        time_per_run([&] { c.fn(Level::kScalar, kCount, x.data(), out_scalar.data()); });
+    const double t_best = time_per_run([&] { c.fn(best, kCount, x.data(), out_best.data()); });
+    std::int64_t mismatches = 0;
+    for (std::int64_t i = 0; i < kCount; ++i) {
+      // Bit-exact across levels.
+      if (std::memcmp(&out_scalar[i], &out_best[i], sizeof(float)) != 0) ++mismatches;
+    }
+    clado::obs::counter("kernels.bench.math_cases").add();
+    clado::obs::counter("kernels.bench.math_mismatches").add(mismatches);
+    scalar_total += t_scalar;
+    best_total += t_best;
+    std::printf("  %-4s on [%g, %g)  scalar %6.2f ns/elem   %s %5.2f ns/elem   %5.2fx\n", c.name,
+                c.lo, c.hi, t_scalar / kCount * 1e9, kernels::level_name(best),
+                t_best / kCount * 1e9, t_scalar / t_best);
+  }
+  const double speedup = scalar_total / best_total;
+  std::printf("  elementwise aggregate: speedup %.2fx\n", speedup);
+  return speedup;
+}
+
 }  // namespace
 
 int main() {
@@ -292,6 +343,7 @@ int main() {
     bench_f32(Level::kScalar);
     bench_s8(Level::kScalar);
     bench_conv(Level::kScalar);
+    bench_math(Level::kScalar);
     return 0;
   }
 
@@ -300,8 +352,11 @@ int main() {
   const double s8_speedup = bench_s8(best);
   std::printf("\n");
   const double conv_speedup = bench_conv(best);
+  std::printf("\n");
+  const double math_speedup = bench_math(best);
   clado::obs::gauge("kernels.bench.f32_speedup").set(f32_speedup);
   clado::obs::gauge("kernels.bench.s8_speedup").set(s8_speedup);
   clado::obs::gauge("kernels.bench.conv_speedup").set(conv_speedup);
+  clado::obs::gauge("kernels.bench.math_speedup").set(math_speedup);
   return 0;
 }

@@ -4,12 +4,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "clado/tensor/kernels.h"
 #include "clado/tensor/ops.h"
 
 namespace clado::nn {
 
 using clado::tensor::gemm;
-using clado::tensor::softmax_rows;
+namespace kernels = clado::tensor::kernels;
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::int64_t embed_dim, std::int64_t num_heads)
     : embed_dim_(embed_dim), num_heads_(num_heads), head_dim_(embed_dim / num_heads) {
@@ -68,34 +69,6 @@ void scatter_head(Tensor& x, std::int64_t n, std::int64_t t, std::int64_t d_mode
 
 }  // namespace
 
-void attend(const float* q, const float* k, const float* v, std::int64_t n, std::int64_t t,
-            std::int64_t d, std::int64_t heads, float* probs, float* head_scratch, float* ctx) {
-  const std::int64_t head_dim = d / heads;
-  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
-  float* qh = head_scratch;
-  float* kh = qh + t * head_dim;
-  float* vh = kh + t * head_dim;
-  float* ch = vh + t * head_dim;
-
-  for (std::int64_t s = 0; s < n; ++s) {
-    for (std::int64_t h = 0; h < heads; ++h) {
-      gather_head(q, s, t, d, h, head_dim, qh);
-      gather_head(k, s, t, d, h, head_dim, kh);
-      gather_head(v, s, t, d, h, head_dim, vh);
-      float* scores = probs + (s * heads + h) * t * t;
-      // scores [t, t] = scale * Q K^T
-      gemm(false, true, t, t, head_dim, scale, qh, kh, 0.0F, scores);
-      softmax_rows(scores, t, t);
-      // ctx_head [t, d] = probs [t, t] x V [t, d]
-      gemm(false, false, t, head_dim, t, 1.0F, scores, vh, 0.0F, ch);
-      float* cbase = ctx + s * t * d + h * head_dim;
-      for (std::int64_t i = 0; i < t; ++i) {
-        for (std::int64_t j = 0; j < head_dim; ++j) cbase[i * d + j] = ch[i * head_dim + j];
-      }
-    }
-  }
-}
-
 Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
   if (input.dim() != 3 || input.size(2) != embed_dim_) {
     throw std::invalid_argument("MultiHeadSelfAttention: bad input shape " + input.shape_str());
@@ -110,9 +83,9 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& input) {
 
   probs_ = Tensor({n, num_heads_, t, t});
   Tensor ctx({n, t, embed_dim_});
-  std::vector<float> head_scratch(static_cast<std::size_t>(attend_head_scratch(t, head_dim_)));
-  attend(q_.data(), k_.data(), v_.data(), n, t, embed_dim_, num_heads_, probs_.data(),
-         head_scratch.data(), ctx.data());
+  std::vector<float> scratch(static_cast<std::size_t>(kernels::attend_f32_scratch(t, head_dim_)));
+  kernels::attend_f32(kernels::active_level(), n, t, embed_dim_, num_heads_, q_.data(), k_.data(),
+                      v_.data(), scratch.data(), probs_.data(), ctx.data());
   return out_proj_->forward(ctx);
 }
 

@@ -3,7 +3,9 @@
 // Query/key/value/output projections are separate Linear layers so they are
 // individually quantizable — matching the per-layer granularity of the
 // paper's ViT experiments (appendix A lists query/key/value/output.dense as
-// distinct MPQ layers).
+// distinct MPQ layers). The attention core between the projections is
+// tensor::kernels::attend_f32, which the serving plan's attention step
+// calls too.
 #pragma once
 
 #include <cstdint>
@@ -14,23 +16,6 @@
 #include "clado/tensor/rng.h"
 
 namespace clado::nn {
-
-/// Floats of `attend`'s per-head scratch for `t` tokens of `head_dim`
-/// features: the gathered Q, K and V slices and the head's context.
-inline std::int64_t attend_head_scratch(std::int64_t t, std::int64_t head_dim) {
-  return 4 * t * head_dim;
-}
-
-/// Scaled dot-product attention of the projected q/k/v ([n, t, d] each,
-/// contiguous) over `heads` heads of d / heads features: per sample and
-/// head, probs = softmax(QKᵀ / sqrt(d / heads)) and ctx = probs · V.
-/// Writes every head's [t, t] probabilities into `probs` ([n, heads, t, t])
-/// and the concatenated heads into `ctx` ([n, t, d]); `head_scratch` holds
-/// attend_head_scratch(t, d / heads) floats. The one implementation of the
-/// attention core: MultiHeadSelfAttention::forward and the serving plan's
-/// attention step both call it.
-void attend(const float* q, const float* k, const float* v, std::int64_t n, std::int64_t t,
-            std::int64_t d, std::int64_t heads, float* probs, float* head_scratch, float* ctx);
 
 class MultiHeadSelfAttention : public Module {
  public:

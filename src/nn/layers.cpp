@@ -520,6 +520,9 @@ const char* act_name(Act a) {
 namespace {
 constexpr float kGeluC = 0.7978845608028654F;  // sqrt(2/pi)
 
+// GELU and SiLU evaluate through the repo's transcendental kernels
+// (tensor/kernels.h), so training, the sweep and serving share one
+// definition of tanh and exp on every host.
 template <Act A>
 float act_one(float x) {
   if constexpr (A == Act::kRelu) {
@@ -531,19 +534,23 @@ float act_one(float x) {
   } else if constexpr (A == Act::kHardSwish) {
     return x <= -3.0F ? 0.0F : (x >= 3.0F ? x : x * (x + 3.0F) / 6.0F);
   } else if constexpr (A == Act::kGelu) {
-    const float inner = kGeluC * (x + 0.044715F * x * x * x);
-    return 0.5F * x * (1.0F + std::tanh(inner));
+    return kernels::gelu_f32(x);
   } else {
-    const float s = 1.0F / (1.0F + std::exp(-x));
+    const float s = 1.0F / (1.0F + kernels::exp_f32(-x));
     return x * s;
   }
 }
 
 // One switch per call; the loop body is act_one<A>, the expression
-// act_forward evaluates per element, so results are identical.
+// act_forward evaluates per element, so results are identical. GELU runs
+// the batched kernel at the active level, bit-identical to act_one.
 template <Act A>
 void act_loop(const float* x, float* o, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) o[i] = act_one<A>(x[i]);
+  if constexpr (A == Act::kGelu) {
+    kernels::gelu_f32(kernels::active_level(), n, x, o);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) o[i] = act_one<A>(x[i]);
+  }
 }
 }  // namespace
 
@@ -580,12 +587,12 @@ float act_backward(Act a, float x) {
     case Act::kGelu: {
       const float x3 = x * x * x;
       const float inner = kGeluC * (x + 0.044715F * x3);
-      const float t = std::tanh(inner);
+      const float t = kernels::tanh_f32(inner);
       const float sech2 = 1.0F - t * t;
       return 0.5F * (1.0F + t) + 0.5F * x * sech2 * kGeluC * (1.0F + 3.0F * 0.044715F * x * x);
     }
     case Act::kSilu: {
-      const float s = 1.0F / (1.0F + std::exp(-x));
+      const float s = 1.0F / (1.0F + kernels::exp_f32(-x));
       return s * (1.0F + x * (1.0F - s));
     }
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "clado/tensor/kernels.h"
+
 namespace clado::quant {
 
 void ActFakeQuant::observe(const Tensor& input) {
@@ -30,19 +32,9 @@ Tensor ActFakeQuant::forward(const Tensor& input) {
       if (!calibrated_) return input;
       input_ = input;
       Tensor out(input.shape());
-      const float levels = std::ldexp(1.0F, bits_) - 1.0F;
-      const float inv = 1.0F / scale_;
-      const float* x = input.data();
-      float* o = out.data();
-      const std::int64_t n = input.numel();
-      for (std::int64_t i = 0; i < n; ++i) {
-        // rint, not nearbyint: the same value in the default rounding mode
-        // (signed zeros, NaN and infinities included), and GCC inlines it
-        // where nearbyint stays a libm call per element.
-        float q = std::rint(x[i] * inv) + zero_point_;
-        q = std::clamp(q, 0.0F, levels);
-        o[i] = (q - zero_point_) * scale_;
-      }
+      namespace kernels = clado::tensor::kernels;
+      kernels::fake_quant_f32(kernels::active_level(), input.numel(), input.data(), scale_,
+                              zero_point_, std::ldexp(1.0F, bits_) - 1.0F, out.data());
       return out;
     }
   }

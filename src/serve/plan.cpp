@@ -36,11 +36,11 @@ using clado::nn::SEBlock;
 using clado::nn::Sequential;
 using clado::nn::TakeToken;
 using clado::nn::TransformerBlock;
-using clado::nn::attend_head_scratch;
 using clado::quant::ActFakeQuant;
 using clado::quant::ActQuantMode;
 using clado::tensor::conv_out_size;
 using clado::tensor::shape_numel;
+namespace kernels = clado::tensor::kernels;
 
 namespace {
 
@@ -162,7 +162,6 @@ void CompiledPlan::attach_backend(PlanStep& step, const Module& module,
     step.in_scale = src.fq_scale;
     step.in_zp = static_cast<std::int32_t>(std::nearbyint(src.fq_zero_point)) - 128;
   }
-  namespace kernels = clado::tensor::kernels;
   const kernels::Level level = kernels::active_level();
   const kernels::QConvWorkspace ws = kernels::qconv2d_s8_workspace(level, geom);
   step.q_geom = geom;
@@ -534,10 +533,10 @@ void CompiledPlan::compile_transformer(TransformerBlock& block) {
   step.in_shape = x_shape;
   step.out_shape = x_shape;
   step.label = "plan/attention";
-  // probs [max_batch, heads, T, T] | one head's gathered q/k/v and context.
+  // probs [max_batch, heads, T, T] | the attention kernel's scratch.
   step.scratch = new_buffer(0, /*scratch=*/true,
                             max_batch_ * step.heads * step.tokens * step.tokens +
-                                attend_head_scratch(step.tokens, step.dim / step.heads));
+                                kernels::attend_f32_scratch(step.tokens, step.dim / step.heads));
   push_step(std::move(step));
   compile_module(attn.out_proj());
   emit_residual_add(x, cur_buf_, x_shape, /*relu=*/false);
@@ -612,7 +611,6 @@ void CompiledPlan::run(std::int64_t n, Tensor& out) {
 }
 
 void CompiledPlan::run_backend(PlanStep& step, std::int64_t n) {
-  namespace kernels = clado::tensor::kernels;
   const kernels::Level level = kernels::active_level();
   const float* x = buf(step.in);
   const std::int64_t total = n * step.per_sample_in;
@@ -669,19 +667,11 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
       step.se->forward_into(buf(step.in), n, max_batch_, step.hw, buf(step.scratch),
                             buf(step.out));
       break;
-    case StepKind::kFakeQuant: {
-      // Replays ActFakeQuant::forward's kQuantize arithmetic exactly.
-      const float* x = buf(step.in);
-      float* o = buf(step.out);
-      const float inv = 1.0F / step.fq_scale;
-      const std::int64_t total = n * step.per_sample_out;
-      for (std::int64_t i = 0; i < total; ++i) {
-        float q = std::rint(x[i] * inv) + step.fq_zero_point;
-        q = std::clamp(q, 0.0F, step.fq_levels);
-        o[i] = (q - step.fq_zero_point) * step.fq_scale;
-      }
+    case StepKind::kFakeQuant:
+      // ActFakeQuant::forward's kernel, on the snapshotted grid.
+      kernels::fake_quant_f32(kernels::active_level(), n * step.per_sample_out, buf(step.in),
+                              step.fq_scale, step.fq_zero_point, step.fq_levels, buf(step.out));
       break;
-    }
     case StepKind::kMaxPool:
       step.pool->forward_into(buf(step.in), n, step.channels, step.in_h, step.in_w,
                               buf(step.out));
@@ -704,9 +694,10 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
     }
     case StepKind::kAttention: {
       float* probs = buf(step.scratch);
-      float* head_scratch = probs + max_batch_ * step.heads * step.tokens * step.tokens;
-      clado::nn::attend(buf(step.in), buf(step.in2), buf(step.in3), n, step.tokens, step.dim,
-                        step.heads, probs, head_scratch, buf(step.out));
+      float* scratch = probs + max_batch_ * step.heads * step.tokens * step.tokens;
+      kernels::attend_f32(kernels::active_level(), n, step.tokens, step.dim, step.heads,
+                          buf(step.in), buf(step.in2), buf(step.in3), scratch, probs,
+                          buf(step.out));
       break;
     }
     case StepKind::kTokens:

@@ -1,17 +1,19 @@
-// Runtime-dispatched GEMM micro-kernel layer.
+// Runtime-dispatched kernel layer.
 //
 // Every forward pass in the repo (training, the pairwise sensitivity sweep,
-// clado::serve) bottoms out in two inner loops: the fp32 blocked GEMM
-// (directly, or under the batched conv entry conv2d_f32) and the integer
-// conv/linear entry qconv2d_s8 of the serving backends. This header is the
-// single selection seam between their portable scalar implementations and
-// the AVX2/FMA micro-kernels:
+// clado::serve) bottoms out in a few inner loops: the fp32 blocked GEMM
+// (directly, or under the batched conv entry conv2d_f32), the integer
+// conv/linear entry qconv2d_s8 of the serving backends, the elementwise
+// transcendental kernels (GELU, exp) and the attention core attend_f32.
+// This header is the single selection seam between their portable scalar
+// implementations and the AVX2 versions:
 //
 //   * Level::kScalar — the portable reference (the exact code every result
 //     in the repo was validated against). Always available.
-//   * Level::kAvx2   — 256-bit register-tiled kernels (6x16 FMA tiles for
-//     fp32, 4x16 vpmaddwd outer-product tiles for int8), compiled per-file
-//     with -mavx2 -mfma and only dispatched to after a runtime CPUID check.
+//   * Level::kAvx2   — 256-bit kernels (6x16 FMA tiles for the fp32 GEMM,
+//     4x16 vpmaddwd outer-product tiles for int8, 8-lane ports of the
+//     transcendental functions), compiled per-file with -mavx2 -mfma and
+//     only dispatched to after a runtime CPUID check.
 //
 // The active level is decided once per process: CLADO_KERNEL=scalar|avx2|auto
 // (default auto = best supported), intersected with what the CPU and the
@@ -23,7 +25,12 @@
 //   * integer kernels are bit-exact across levels (integer arithmetic, and
 //     one multiply then one add in the fp32 requant), so integer serving is
 //     reproducible on any machine regardless of dispatch.
-//   * fp32 kernels may differ across levels in final-bit rounding (FMA,
+//   * the elementwise kernels (quantize, fake-quant, tanh/expm1/exp/GELU)
+//     and attend_f32 are bit-exact across levels too: each AVX2 lane runs
+//     the scalar level's operations in the same order, with a rounding
+//     after each and no FMA (their files are compiled -ffp-contract=off, so
+//     the compiler fuses none either).
+//   * fp32 GEMM kernels may differ across levels in final-bit rounding (FMA,
 //     different accumulation tiling) but every level is deterministic, and
 //     within a level the parallel row-chunked schedule is bit-identical to
 //     the serial one: rows never interact, and chunk boundaries fall on
@@ -188,6 +195,16 @@ void qconv2d_s8(Level level, const ConvGeometry& geom, std::int64_t batch,
                 const float* bias, const std::int32_t* indices, std::int16_t* codes,
                 float* output);
 
+/// Affine fp32 fake quantization, ActFakeQuant's forward on a frozen grid:
+///   q      = clamp(rint(x[i] * (1 / scale)) + zero_point, 0, levels)
+///   out[i] = (q - zero_point) * scale
+/// with std::clamp's semantics (a NaN passes through). out may equal x.
+/// All levels are bit-identical: vroundps to nearest-even is rint in the
+/// default rounding mode, and the AVX2 clamp's operand order passes NaN
+/// through as std::clamp does.
+void fake_quant_f32(Level level, std::int64_t count, const float* x, float scale,
+                    float zero_point, float levels, float* out);
+
 /// Affine fp32 -> int8 quantization:
 ///   out[i] = clamp(nearbyint(x[i] * inv_scale) + zero_point, -128, 127)
 /// inv_scale is passed pre-inverted so every caller divides exactly once.
@@ -196,6 +213,64 @@ void qconv2d_s8(Level level, const ConvGeometry& geom, std::int64_t batch,
 /// int conversion.
 void quantize_f32_s8(Level level, std::int64_t count, const float* x, float inv_scale,
                      std::int32_t zero_point, std::int8_t* out);
+
+/// Transcendental kernels, ports of the libm functions the repo's fp32 nets
+/// were trained with, owned by the repo so every level and every host
+/// computes the same bits. count elements of x into out; out may equal x.
+///   * tanh_f32 / expm1_f32: fdlibm's tanhf / expm1f, which glibc ships
+///     unchanged (five-term expm1 polynomial).
+///   * exp_f32: glibc's expf (32-entry table, cubic in double), returning
+///     what glibc's FMA build returns for every float, whether or not the
+///     host has FMA. No level uses an FMA: the reduction's fused
+///     x * InvLn2N - k is computed exactly from a split constant, and
+///     rounding the polynomial's steps separately changes no float result
+///     (checked on all 2^32 inputs). Scalar hosts without FMA therefore pay
+///     no software fma().
+///   * gelu_f32: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), rounded
+///     after each operation in that order.
+/// Bit-exact across levels: Level::kAvx2 computes every branch on 8 lanes
+/// and blends, and sends exp's |x| >= 88 and NaN lanes to the scalar port.
+/// GELU runs batched in act_forward; exp_f32's batched entry serves the
+/// kernel race of bench_gemm_kernels, and tanh_f32's and expm1_f32's are a
+/// test seam only (they give MathKernels the ports GELU and tanh build on).
+void tanh_f32(Level level, std::int64_t count, const float* x, float* out);
+void expm1_f32(Level level, std::int64_t count, const float* x, float* out);
+void exp_f32(Level level, std::int64_t count, const float* x, float* out);
+void gelu_f32(Level level, std::int64_t count, const float* x, float* out);
+
+/// One element of tanh_f32 / exp_f32 / gelu_f32: the value every level
+/// computes, for callers that evaluate a formula per element.
+float tanh_f32(float x);
+float exp_f32(float x);
+float gelu_f32(float x);
+
+/// Floats of caller scratch attend_f32 needs for heads of `tokens` tokens
+/// and `head_dim` features.
+std::int64_t attend_f32_scratch(std::int64_t tokens, std::int64_t head_dim);
+
+/// Batched scaled dot-product attention, the one attention core of the
+/// repo. q, k and v are the projected [batch, tokens, dim] activations
+/// (contiguous), split into `heads` heads of head_dim = dim / heads
+/// features. Per sample and head:
+///   probs = softmax(Q Kᵀ / sqrt(head_dim)),   ctx = probs · V
+/// written into probs [batch, heads, tokens, tokens] and the head's
+/// head_dim columns of ctx [batch, tokens, dim]. `scratch` holds
+/// attend_f32_scratch(tokens, head_dim) floats. Throws
+/// std::invalid_argument unless dim is a positive multiple of heads.
+///
+/// Determinism contract: q/k/v are read in place, and each output element
+/// of QKᵀ (scaled by 1 / sqrt(head_dim)) and of P·V keeps gemm's small-path
+/// order: start at +0; for p ascending a multiply, then a separate add; p
+/// skipped where the scaled A element is 0. The softmax between them is
+/// tensor::softmax_rows. At Level::kAvx2 each K head is transposed once
+/// into the scratch and QKᵀ and P·V are vectorized across the output
+/// column only, so attend_f32 is bit-exact across levels for every shape
+/// and allocates nothing. Where tokens² · head_dim <= tensor::kGemmSmallMacs
+/// (every zoo shape), the result equals the per-head gather + tensor::gemm
+/// + softmax_rows route it replaced, whose two GEMMs take that small path.
+void attend_f32(Level level, std::int64_t batch, std::int64_t tokens, std::int64_t dim,
+                std::int64_t heads, const float* q, const float* k, const float* v,
+                float* scratch, float* probs, float* ctx);
 
 }  // namespace kernels
 }  // namespace clado::tensor

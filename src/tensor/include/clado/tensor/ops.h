@@ -61,7 +61,10 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t height, std::
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel, std::int64_t stride,
                            std::int64_t pad);
 
-/// Row-wise in-place softmax on a [rows, cols] matrix.
+/// Row-wise in-place softmax on a [rows, cols] matrix: m = the row's first
+/// maximum, e = kernels::exp_f32(x - m), the denominator summed in double
+/// in column order, then e times the reciprocal rounded to float. The
+/// attention kernel's softmax (kernels::attend_f32) is this, at every level.
 void softmax_rows(float* data, std::int64_t rows, std::int64_t cols);
 
 /// Row-wise log-softmax (stable) into `out` (may alias `data`).

@@ -9,8 +9,8 @@
 // target AVX2 the CLADO_KERNELS_AVX2 define is absent and this TU shrinks
 // to scalar forwarders with avx2_compiled() == false.
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "kernels_internal.h"
 
@@ -124,27 +124,33 @@ void gemm_f32_row_range_avx2(bool trans_a, bool trans_b, std::int64_t m_begin,
                              std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                              const float* a, const float* b, float* c, std::int64_t lda,
                              std::int64_t ldb) {
-  // Panel scratch, rounded up to whole tiles; per call, like the scalar
-  // level, so concurrent row-range workers never share mutable state.
-  const std::int64_t a_panels = (kBlockM + kMr - 1) / kMr;
-  const std::int64_t b_panels = (kBlockN + kNr - 1) / kNr;
-  std::vector<float> pa(static_cast<std::size_t>(a_panels * kMr * kBlockK));
-  std::vector<float> pb(static_cast<std::size_t>(b_panels * kNr * kBlockK));
+  // Panel scratch for the largest block this call packs, rounded up to
+  // whole tiles; per call, like the scalar level, so concurrent row-range
+  // workers never share mutable state. Left uninitialized: the packers
+  // write every element (zero padding included) the micro-kernel reads.
+  if (k <= 0 || n <= 0 || m_end <= m_begin) return;
+  const std::int64_t kb_max = std::min(k, kBlockK);
+  const std::int64_t a_rows = (std::min(m_end - m_begin, kBlockM) + kMr - 1) / kMr * kMr;
+  const std::int64_t b_cols = (std::min(n, kBlockN) + kNr - 1) / kNr * kNr;
+  const auto pa =
+      std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(a_rows * kb_max));
+  const auto pb =
+      std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(b_cols * kb_max));
 
   for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
     const std::int64_t kb = std::min(kBlockK, k - k0);
     for (std::int64_t n0 = 0; n0 < n; n0 += kBlockN) {
       const std::int64_t nb = std::min(kBlockN, n - n0);
-      pack_b_panels(trans_b, b, ldb, k0, n0, kb, nb, pb.data());
+      pack_b_panels(trans_b, b, ldb, k0, n0, kb, nb, pb.get());
       for (std::int64_t m0 = m_begin; m0 < m_end; m0 += kBlockM) {
         const std::int64_t mb = std::min(kBlockM, m_end - m0);
-        pack_a_panels(trans_a, a, lda, m0, k0, mb, kb, alpha, pa.data());
+        pack_a_panels(trans_a, a, lda, m0, k0, mb, kb, alpha, pa.get());
         for (std::int64_t t = 0; t < mb; t += kMr) {
           const std::int64_t rows = std::min(kMr, mb - t);
-          const float* apanel = pa.data() + t * kb;
+          const float* apanel = pa.get() + t * kb;
           for (std::int64_t s = 0; s < nb; s += kNr) {
             const std::int64_t cols = std::min(kNr, nb - s);
-            micro_6x16(apanel, pb.data() + s * kb, kb, c + (m0 + t) * n + n0 + s, n, rows,
+            micro_6x16(apanel, pb.get() + s * kb, kb, c + (m0 + t) * n + n0 + s, n, rows,
                        cols);
           }
         }

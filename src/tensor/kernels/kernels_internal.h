@@ -7,9 +7,10 @@
 // header may define inline functions containing vector code — an inline
 // function compiled under different ISA flags in different TUs would be
 // COMDAT-merged into whichever copy the linker keeps, defeating the runtime
-// dispatch. Declarations only.
+// dispatch. Declarations and constants only.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "clado/tensor/kernels.h"
@@ -40,7 +41,67 @@ inline constexpr std::int32_t kZeroSlot = -1;
 inline constexpr std::int64_t kQr = 4;
 inline constexpr std::int64_t kQc = 16;
 
-// Portable reference kernels (gemm_f32_scalar.cpp / quantize_scalar.cpp).
+// Constants of the transcendental ports (math_scalar.cpp, math_avx2.cpp),
+// spelled as fdlibm and glibc spell them: thresholds on the magnitude's bit
+// pattern, and the exact binary values of every coefficient.
+//
+// fdlibm expm1f: branch thresholds on |x|'s bits, then the reduction and
+// the five-term polynomial.
+inline constexpr std::uint32_t kExpm1Small = 0x33000000U;           // 2^-25
+inline constexpr std::uint32_t kExpm1HalfLn2 = 0x3eb17218U;         // ln2 / 2
+inline constexpr std::uint32_t kExpm1ThreeHalvesLn2 = 0x3f851592U;  // 3 ln2 / 2
+inline constexpr std::uint32_t kExpm1Big = 0x4195b844U;             // 27 ln2
+inline constexpr std::uint32_t kExpm1Huge = 0x42b17218U;            // 88.72...
+inline constexpr float kExpm1Overflow = std::bit_cast<float>(0x42b17180U);
+inline constexpr float kExpm1Tiny = 1.0e-30F;
+inline constexpr float kLn2Hi = std::bit_cast<float>(0x3f317180U);
+inline constexpr float kLn2Lo = std::bit_cast<float>(0x3717f7d1U);
+inline constexpr float kInvLn2 = std::bit_cast<float>(0x3fb8aa3bU);
+inline constexpr float kExpm1Q1 = std::bit_cast<float>(0xbd088889U);
+inline constexpr float kExpm1Q2 = std::bit_cast<float>(0x3ad00d01U);
+inline constexpr float kExpm1Q3 = std::bit_cast<float>(0xb8a670cdU);
+inline constexpr float kExpm1Q4 = std::bit_cast<float>(0x36867e54U);
+inline constexpr float kExpm1Q5 = std::bit_cast<float>(0xb457edbbU);
+
+// fdlibm tanhf: |x| < 2^-55 returns x (1 + x); |x| >= 22 returns +-1.
+inline constexpr std::uint32_t kTanhTiny = 0x24000000U;
+inline constexpr std::uint32_t kTanhSaturate = 0x41b00000U;
+
+// glibc expf: |x| >= 88 (top 12 bits of |x| at least those of 88.0f) and
+// NaN take the special-case branch; elsewhere
+// e^x = 2^(k/32) * 2^(r/32) with k = round(x * 32 / ln2), the table holding
+// 2^(i/32) minus i << 47 in its bit pattern.
+inline constexpr std::uint32_t kExpSpecialTop = 0x42bU;
+inline constexpr float kExpOverflow = 0x1.62e42ep6F;    // ln(2^128)
+inline constexpr float kExpUnderflow = -0x1.9fe368p6F;  // ln(2^-150)
+inline constexpr double kExpInvLn2N = 0x1.71547652b82fep+5;
+// kExpInvLn2N split into 29 significant bits, rounded up, and the other
+// 24: each times a float is exact in double (see exp_scalar).
+inline constexpr double kExpInvLn2NHi = 0x1.7154766p+5;
+inline constexpr double kExpInvLn2NLo = -0x1.a8fa04p-24;
+static_assert(kExpInvLn2NHi + kExpInvLn2NLo == kExpInvLn2N);
+inline constexpr double kExpShift = 0x1.8p+52;
+inline constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+inline constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+inline constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+inline constexpr std::uint64_t kExpTableSize = 32;
+inline constexpr std::uint64_t kExp2Table[kExpTableSize] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+// GELU, tanh form: 0.5 x (1 + tanh(kGeluC (x + kGeluCubic x^3))).
+inline constexpr float kGeluC = 0.7978845608028654F;  // sqrt(2 / pi)
+inline constexpr float kGeluCubic = 0.044715F;
+
+// Portable reference kernels (gemm_f32_scalar.cpp / quantize_scalar.cpp /
+// math_scalar.cpp).
 void gemm_f32_row_range_scalar(bool trans_a, bool trans_b, std::int64_t m_begin,
                                std::int64_t m_end, std::int64_t n, std::int64_t k, float alpha,
                                const float* a, const float* b, float* c, std::int64_t lda,
@@ -48,6 +109,24 @@ void gemm_f32_row_range_scalar(bool trans_a, bool trans_b, std::int64_t m_begin,
 
 void quantize_f32_s8_scalar(std::int64_t count, const float* x, float inv_scale,
                             std::int32_t zero_point, std::int8_t* out);
+void fake_quant_f32_scalar(std::int64_t count, const float* x, float scale, float zero_point,
+                           float levels, float* out);
+
+// One element of the transcendental ports (math_scalar.cpp): every
+// level's value.
+float tanh_scalar(float x);
+float exp_scalar(float x);
+float gelu_scalar(float x);
+
+// The elementwise kernels at the scalar level (math_scalar.cpp) and the
+// attention core at the scalar level (attend_f32.cpp).
+void tanh_f32_scalar(std::int64_t count, const float* x, float* out);
+void expm1_f32_scalar(std::int64_t count, const float* x, float* out);
+void exp_f32_scalar(std::int64_t count, const float* x, float* out);
+void gelu_f32_scalar(std::int64_t count, const float* x, float* out);
+void attend_f32_scalar(std::int64_t batch, std::int64_t tokens, std::int64_t dim,
+                       std::int64_t heads, const float* q, const float* k, const float* v,
+                       float* probs, float* ctx);
 
 // AVX2 kernels (gemm_f32_avx2.cpp / quantize_avx2.cpp). When the build
 // lacks AVX2 support these compile to scalar forwarders and
@@ -59,6 +138,19 @@ void gemm_f32_row_range_avx2(bool trans_a, bool trans_b, std::int64_t m_begin,
                              std::int64_t ldb);
 void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
                           std::int32_t zero_point, std::int8_t* out);
+void fake_quant_f32_avx2(std::int64_t count, const float* x, float scale, float zero_point,
+                         float levels, float* out);
+
+// The 8-lane transcendental kernels and attention core (math_avx2.cpp).
+// attend_f32_avx2's `kt` holds head_dim rows of tokens rounded up to 8
+// floats: one K head, transposed.
+void tanh_f32_avx2(std::int64_t count, const float* x, float* out);
+void expm1_f32_avx2(std::int64_t count, const float* x, float* out);
+void exp_f32_avx2(std::int64_t count, const float* x, float* out);
+void gelu_f32_avx2(std::int64_t count, const float* x, float* out);
+void attend_f32_avx2(std::int64_t batch, std::int64_t tokens, std::int64_t dim,
+                     std::int64_t heads, const float* q, const float* k, const float* v,
+                     float* kt, float* probs, float* ctx);
 
 // Packed conv path of conv2d_f32 (gemm_f32_avx2.cpp, beside the GEMM
 // micro-kernel it shares). Writes output = conv(input, weight) for an

@@ -1,4 +1,4 @@
-// AVX2 input quantization kernel. Bit-exactness with quantize_scalar.cpp
+// AVX2 quantization kernels. Bit-exactness with quantize_scalar.cpp
 // is a hard requirement and pins every instruction choice:
 //
 //   * vroundps with _MM_FROUND_TO_NEAREST_INT is ties-to-even — the same
@@ -8,9 +8,10 @@
 //     the scalar clamp), so the conversion is exact (|v| < 2^31) and the
 //     out-of-range lane encoding of vcvtps2dq is never relied on.
 //
-// The requant back to fp32 is the epilogue of the integer conv entry
-// (qconv_avx2.cpp). Compiled with -mavx2 -mfma per-file; scalar
-// forwarders without support.
+// The fake quantization (fake_quant_f32_avx2) rounds the same way and
+// clamps with std::clamp's operand order. The requant back to fp32 is the
+// epilogue of the integer conv entry (qconv_avx2.cpp). Compiled with
+// -mavx2 -mfma per-file; scalar forwarders without support.
 #include <algorithm>
 #include <cmath>
 
@@ -54,6 +55,32 @@ void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
   }
 }
 
+void fake_quant_f32_avx2(std::int64_t count, const float* x, float scale, float zero_point,
+                         float levels, float* out) {
+  const float inv = 1.0F / scale;
+  const __m256 vinv = _mm256_set1_ps(inv);
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vzp = _mm256_set1_ps(zero_point);
+  const __m256 vlo = _mm256_setzero_ps();
+  const __m256 vhi = _mm256_set1_ps(levels);
+  std::int64_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    __m256 q = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
+    q = _mm256_add_ps(_mm256_round_ps(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC), vzp);
+    // std::clamp(q, lo, hi) is q < lo ? lo : (hi < q ? hi : q). vmaxps and
+    // vminps return their second operand unless the first compares greater
+    // (resp. less), so with q second a NaN q passes through both, and the
+    // ties (signed zeros) keep q as std::clamp does.
+    q = _mm256_min_ps(vhi, _mm256_max_ps(vlo, q));
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_sub_ps(q, vzp), vscale));
+  }
+  for (; i < count; ++i) {
+    float q = std::rint(x[i] * inv) + zero_point;
+    q = std::clamp(q, 0.0F, levels);
+    out[i] = (q - zero_point) * scale;
+  }
+}
+
 }  // namespace detail
 }  // namespace kernels
 }  // namespace clado::tensor
@@ -67,6 +94,11 @@ namespace detail {
 void quantize_f32_s8_avx2(std::int64_t count, const float* x, float inv_scale,
                           std::int32_t zero_point, std::int8_t* out) {
   quantize_f32_s8_scalar(count, x, inv_scale, zero_point, out);
+}
+
+void fake_quant_f32_avx2(std::int64_t count, const float* x, float scale, float zero_point,
+                         float levels, float* out) {
+  fake_quant_f32_scalar(count, x, scale, zero_point, levels, out);
 }
 
 }  // namespace detail

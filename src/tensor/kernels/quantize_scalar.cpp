@@ -1,8 +1,9 @@
 // Portable fp32 -> int8 quantization: how a serving plan quantizes the
 // input of each integer step before qconv2d_s8, with the pre-integral value
 // clamped to +/-2e9 so the float -> int conversion is defined for any
-// finite input. The bit-exact reference for quantize_avx2.cpp. Rounds to
-// nearest-even only (nearbyint under the default rounding mode).
+// finite input; and the fp32 fake quantization of ActFakeQuant and the
+// plan's fake-quant step. The bit-exact references for quantize_avx2.cpp.
+// Both round to nearest-even only (the default rounding mode).
 #include <algorithm>
 #include <cmath>
 
@@ -21,6 +22,19 @@ void quantize_f32_s8_scalar(std::int64_t count, const float* x, float inv_scale,
     std::int32_t v = static_cast<std::int32_t>(r) + zero_point;
     v = std::min(std::max(v, -128), 127);
     out[i] = static_cast<std::int8_t>(v);
+  }
+}
+
+void fake_quant_f32_scalar(std::int64_t count, const float* x, float scale, float zero_point,
+                           float levels, float* out) {
+  const float inv = 1.0F / scale;
+  for (std::int64_t i = 0; i < count; ++i) {
+    // rint, not nearbyint: the same value in the default rounding mode
+    // (signed zeros, NaN and infinities included), and GCC inlines it
+    // where nearbyint stays a libm call per element.
+    float q = std::rint(x[i] * inv) + zero_point;
+    q = std::clamp(q, 0.0F, levels);
+    out[i] = (q - zero_point) * scale;
   }
 }
 

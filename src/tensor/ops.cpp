@@ -186,7 +186,7 @@ void softmax_rows(float* data, std::int64_t rows, std::int64_t cols) {
     const float mx = *std::max_element(row, row + cols);
     double denom = 0.0;
     for (std::int64_t j = 0; j < cols; ++j) {
-      row[j] = std::exp(row[j] - mx);
+      row[j] = kernels::exp_f32(row[j] - mx);
       denom += row[j];
     }
     const float inv = static_cast<float>(1.0 / denom);

@@ -262,7 +262,11 @@ TEST_P(ActivationValueTest, GradCheckAsModule) {
 }
 
 // The per-element switch act_forward ran inside every activation loop
-// before the loops were made switch-free.
+// before the loops were made switch-free. Its GELU and SiLU call the host
+// libm's std::tanh / std::exp, while act_forward runs the repo's ports
+// (tensor/kernels.h): bit-for-bit equality with them assumes glibc's
+// fdlibm tanhf and the expf of its FMA build (another libm, or glibc's
+// expf on a host without FMA, may differ in the last bit).
 float per_element_switch(Act a, float x) {
   switch (a) {
     case Act::kRelu: return x > 0.0F ? x : 0.0F;
