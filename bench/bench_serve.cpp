@@ -3,8 +3,9 @@
 //
 // Closed-loop harness: a fixed pool of client threads each submit-and-wait
 // in a loop against a 2-worker server, once per max_batch in {1, 4, 8}.
-// max_batch=1 is the no-batching baseline; larger caps let the batcher
-// coalesce whatever the concurrent clients have queued. Expected shape:
+// max_batch=1 is the no-batching baseline; larger caps let a free worker
+// take up to that many of the requests the 16 clients queued while both
+// workers were busy (the server never waits to fill a batch). Expected shape:
 // requests/s rises with max_batch (fewer forwards, each amortizing
 // per-layer overhead over more rows) while p50/p99 latency falls — the
 // batch-1 row spends the same wall-clock on 8x more engine invocations.
@@ -73,7 +74,6 @@ int main(int argc, char** argv) {
     ServerConfig cfg;
     cfg.workers = kWorkers;
     cfg.max_batch = max_batch;
-    cfg.max_delay_us = 500;
     cfg.queue_capacity = clients * per_client;
     Server server(engine, cfg);
 

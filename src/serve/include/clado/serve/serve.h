@@ -6,18 +6,19 @@
 // kRejectedOverload, it never blocks the producer). Worker loops — run as
 // long-lived chunks of a dedicated tensor::ThreadPool via parallel_for, so
 // serving reuses the pool's worker lifecycle instead of hand-rolled
-// threads — coalesce compatible requests into micro-batches: a worker
-// holds the oldest request for at most max_delay_us waiting for the queue
-// to reach max_batch, then stacks the admitted inputs directly into its
-// Engine replica's pinned plan buffer and runs a single batched forward
-// there.
+// threads — batch work-conservingly: a worker that finds the queue
+// non-empty takes up to max_batch requests at once, stacks them into its
+// Engine replica's pinned plan buffer and runs one batched forward there.
+// Requests share a micro-batch only when they queued while every worker
+// was busy.
 // Requests whose deadline expired while queued are dropped before
 // execution (kDeadlineExpired). drain() stops admission, finishes every
 // already-admitted request, and parks the workers; the destructor drains.
 //
 // Observability: serve.* counters/gauges (submitted, completed, batches,
-// rejected_overload, deadline_expired, queue_depth, batch_size) feed the
-// standard clado::obs dump; drain() publishes p50/p99/max latency gauges.
+// rejected_overload, shed.*, deadline_expired, engine_errors, queue_depth,
+// batch_size) feed the standard clado::obs dump; drain() publishes
+// p50/p99/max latency gauges.
 // With capture_traces on, each batch runs under an obs::TraceScope and
 // every response carries the span tree of its batch — per-request
 // timelines without polluting the process-global trace ring.
@@ -82,8 +83,7 @@ struct Response {
 
 struct ServerConfig {
   int workers = 2;                   ///< worker loops; engine needs >= this many replicas
-  std::int64_t max_batch = 8;        ///< micro-batch size cap (<= engine plan capacity)
-  std::int64_t max_delay_us = 2000;  ///< max time the oldest request waits for co-batching
+  std::int64_t max_batch = 8;        ///< most queued requests one batch takes (<= plan capacity)
   std::int64_t queue_capacity = 256; ///< admission bound (backpressure past this)
   /// Queue depth past which best-effort requests are shed; 0 = auto
   /// (3/4 of queue_capacity, at least 1). Interactive requests are only
@@ -94,9 +94,8 @@ struct ServerConfig {
   /// batching bench enqueue a known backlog before the first batch forms.
   bool start_paused = false;
 
-  /// Defaults overridden by CLADO_SERVE_WORKERS / _MAX_BATCH /
-  /// _MAX_DELAY_US / _QUEUE_CAP / _BE_QUEUE_CAP (strict parsing; garbage
-  /// throws).
+  /// Defaults overridden by CLADO_SERVE_WORKERS / _MAX_BATCH / _QUEUE_CAP /
+  /// _BE_QUEUE_CAP (strict parsing; garbage throws).
   static ServerConfig from_env();
 };
 
@@ -133,7 +132,8 @@ class Server {
                                DeadlineClass klass = DeadlineClass::kInteractive);
 
   /// Requests admitted but not yet taken into a batch — the least-loaded
-  /// dispatch key used by Fleet.
+  /// dispatch key used by Fleet. A free worker takes queued requests as
+  /// soon as it wakes, so this reads 0 while a worker is free and awake.
   std::int64_t queue_depth() const;
 
   /// Releases workers held by ServerConfig::start_paused.
@@ -159,6 +159,22 @@ class Server {
     DeadlineClass klass = DeadlineClass::kInteractive;
   };
 
+  /// The serve.* counters and gauges, resolved once at construction (obs
+  /// handles live for the whole process), so submit() and the workers
+  /// never take the registry mutex or build a metric name.
+  struct Metrics {
+    clado::obs::Counter& submitted = clado::obs::counter("serve.submitted");
+    clado::obs::Counter& completed = clado::obs::counter("serve.completed");
+    clado::obs::Counter& batches = clado::obs::counter("serve.batches");
+    clado::obs::Counter& rejected_overload = clado::obs::counter("serve.rejected_overload");
+    clado::obs::Counter& shed_interactive = clado::obs::counter("serve.shed.interactive");
+    clado::obs::Counter& shed_best_effort = clado::obs::counter("serve.shed.best_effort");
+    clado::obs::Counter& deadline_expired = clado::obs::counter("serve.deadline_expired");
+    clado::obs::Counter& engine_errors = clado::obs::counter("serve.engine_errors");
+    clado::obs::Gauge& queue_depth = clado::obs::gauge("serve.queue_depth");
+    clado::obs::Gauge& batch_size = clado::obs::gauge("serve.batch_size");
+  };
+
   std::int64_t now_us() const;
   void worker_loop(int worker);
   /// Runs one formed batch; worker_loop has already answered the expired
@@ -166,12 +182,13 @@ class Server {
   /// worker's persistent output tensor: the batch is memcpy'd into the
   /// plan's pinned buffer and infer_pinned writes logits in place, so
   /// steady-state batches allocate nothing.
-  void execute_batch(int worker, std::vector<Pending> live, std::int64_t formed_us,
+  void execute_batch(int worker, std::vector<Pending>& live, std::int64_t formed_us,
                      Tensor& logits);
 
   std::shared_ptr<Engine> engine_;
   ServerConfig config_;
   std::chrono::steady_clock::time_point epoch_;
+  const Metrics metrics_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;        ///< workers: work available / state change

@@ -66,9 +66,6 @@ ServerConfig ServerConfig::from_env() {
     c.workers = static_cast<int>(*v);
   }
   if (const auto v = env_int_strict("CLADO_SERVE_MAX_BATCH", 1, 4096)) c.max_batch = *v;
-  if (const auto v = env_int_strict("CLADO_SERVE_MAX_DELAY_US", 0, 60'000'000)) {
-    c.max_delay_us = *v;
-  }
   if (const auto v = env_int_strict("CLADO_SERVE_QUEUE_CAP", 1, 1 << 20)) {
     c.queue_capacity = *v;
   }
@@ -86,9 +83,6 @@ Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)
   if (engine_ == nullptr) throw std::invalid_argument("Server: engine is null");
   if (config_.workers < 1) throw std::invalid_argument("Server: workers must be >= 1");
   if (config_.max_batch < 1) throw std::invalid_argument("Server: max_batch must be >= 1");
-  if (config_.max_delay_us < 0) {
-    throw std::invalid_argument("Server: max_delay_us must be >= 0");
-  }
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("Server: queue_capacity must be >= 1");
   }
@@ -164,8 +158,8 @@ std::future<Response> Server::submit(Tensor input, std::int64_t deadline_us,
     if (klass == DeadlineClass::kBestEffort && depth >= config_.best_effort_cap) {
       // Best-effort saturates early so the remaining headroom stays
       // reserved for interactive traffic.
-      clado::obs::counter("serve.rejected_overload").add();
-      clado::obs::counter("serve.shed.best_effort").add();
+      metrics_.rejected_overload.add();
+      metrics_.shed_best_effort.add();
       return immediate(Status::kRejectedOverload,
                        "best-effort queue cap (" + std::to_string(config_.best_effort_cap) +
                            ") reached");
@@ -183,18 +177,19 @@ std::future<Response> Server::submit(Tensor input, std::int64_t deadline_us,
           }
         }
       }
+      metrics_.rejected_overload.add();
       if (!evicted.has_value()) {
-        clado::obs::counter("serve.rejected_overload").add();
-        clado::obs::counter(std::string("serve.shed.") + deadline_class_name(klass)).add();
+        (klass == DeadlineClass::kBestEffort ? metrics_.shed_best_effort
+                                             : metrics_.shed_interactive)
+            .add();
         return immediate(Status::kRejectedOverload,
                          "queue at capacity (" + std::to_string(config_.queue_capacity) + ")");
       }
-      clado::obs::counter("serve.rejected_overload").add();
-      clado::obs::counter("serve.shed.best_effort").add();
+      metrics_.shed_best_effort.add();
     }
     queue_.push_back(std::move(p));
-    clado::obs::counter("serve.submitted").add();
-    clado::obs::gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+    metrics_.submitted.add();
+    metrics_.queue_depth.set(static_cast<double>(queue_.size()));
   }
   if (evicted.has_value()) {
     Response r;
@@ -243,37 +238,23 @@ void Server::drain() {
 }
 
 void Server::worker_loop(int worker) {
-  // Lives across batches so infer_pinned reuses its capacity; only a
-  // batch-size change reshapes it.
+  // All three live across batches: infer_pinned reshapes `logits` only on a
+  // batch-size change, and the vectors keep their capacity.
   Tensor logits;
+  std::vector<Pending> batch;
+  std::vector<Pending> expired;
   while (true) {
-    std::vector<Pending> batch;
-    std::vector<Pending> expired;
     std::int64_t formed_us = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || (!paused_ && !queue_.empty()); });
       if (stop_ && queue_.empty()) return;
-      if (queue_.empty() || paused_) continue;
 
-      // Batching window: hold the oldest request until either max_batch
-      // requests are queued or max_delay_us has elapsed since it arrived.
-      // Draining flushes immediately — latency no longer buys throughput.
-      const std::int64_t window_end = queue_.front().enqueue_us + config_.max_delay_us;
-      while (static_cast<std::int64_t>(queue_.size()) < config_.max_batch && !draining_ &&
-             !stop_ && !paused_) {
-        const std::int64_t now = now_us();
-        if (now >= window_end) break;
-        cv_.wait_for(lock, std::chrono::microseconds(window_end - now));
-      }
-      if (queue_.empty() || paused_) continue;  // another worker took the batch
-
-      // Deadline admission happens at formation: a request that waited
-      // past its budget is set aside without taking a batch slot, so the
-      // batch fills with live requests from further back in the queue.
+      // Work-conserving: take up to max_batch live requests now, never
+      // waiting for company. Deadline admission happens here: a request
+      // that waited past its budget is set aside without taking a batch
+      // slot, so the batch fills from further back in the queue.
       formed_us = now_us();
-      batch.reserve(static_cast<std::size_t>(
-          std::min<std::int64_t>(config_.max_batch, static_cast<std::int64_t>(queue_.size()))));
       while (!queue_.empty() && static_cast<std::int64_t>(batch.size()) < config_.max_batch) {
         Pending& p = queue_.front();
         if (p.deadline_us > 0 && formed_us > p.deadline_us) {
@@ -284,21 +265,23 @@ void Server::worker_loop(int worker) {
         queue_.pop_front();
       }
       inflight_ += static_cast<int>(batch.size() + expired.size());
-      clado::obs::gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
+      metrics_.queue_depth.set(static_cast<double>(queue_.size()));
     }
 
     const int took = static_cast<int>(batch.size() + expired.size());
     // Expired requests are answered outside the lock and never reach the
     // engine.
     for (Pending& p : expired) {
-      clado::obs::counter("serve.deadline_expired").add();
+      metrics_.deadline_expired.add();
       Response r;
       r.status = Status::kDeadlineExpired;
       r.queue_us = formed_us - p.enqueue_us;
       r.total_us = r.queue_us;
       p.promise.set_value(std::move(r));
     }
-    if (!batch.empty()) execute_batch(worker, std::move(batch), formed_us, logits);
+    if (!batch.empty()) execute_batch(worker, batch, formed_us, logits);
+    batch.clear();
+    expired.clear();
 
     {
       // inflight_ was incremented at formation; completion is what
@@ -310,7 +293,7 @@ void Server::worker_loop(int worker) {
   }
 }
 
-void Server::execute_batch(int worker, std::vector<Pending> live, std::int64_t formed_us,
+void Server::execute_batch(int worker, std::vector<Pending>& live, std::int64_t formed_us,
                            Tensor& logits) {
   std::optional<clado::obs::TraceScope> scope;
   if (config_.capture_traces) scope.emplace();
@@ -338,43 +321,39 @@ void Server::execute_batch(int worker, std::vector<Pending> live, std::int64_t f
   if (scope.has_value()) trace = scope->take_events();
 
   const std::int64_t done_us = now_us();
-  if (!error.empty()) {
-    clado::obs::counter("serve.engine_errors").add();
-    for (Pending& p : live) {
-      Response r;
+  if (error.empty()) {
+    metrics_.batches.add();
+    metrics_.completed.add(n);
+    metrics_.batch_size.set(static_cast<double>(n));
+  } else {
+    metrics_.engine_errors.add();
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    Pending& p = live[static_cast<std::size_t>(i)];
+    Response r;
+    if (error.empty()) {
+      r.status = Status::kOk;
+      r.logits = clado::tensor::slice_row(logits, i);
+      r.predicted = r.logits.argmax();
+    } else {
       r.status = Status::kEngineError;
       r.error = error;
-      r.batch_size = static_cast<std::int64_t>(live.size());
-      r.queue_us = formed_us - p.enqueue_us;
-      r.total_us = done_us - p.enqueue_us;
-      r.trace = trace;
-      p.promise.set_value(std::move(r));
     }
-    return;
-  }
-
-  clado::obs::counter("serve.batches").add();
-  clado::obs::counter("serve.completed").add(static_cast<std::int64_t>(live.size()));
-  clado::obs::gauge("serve.batch_size").set(static_cast<double>(live.size()));
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    Pending& p = live[i];
-    Response r;
-    r.status = Status::kOk;
-    r.logits = clado::tensor::slice_row(logits, static_cast<std::int64_t>(i));
-    r.predicted = r.logits.argmax();
-    r.batch_size = static_cast<std::int64_t>(live.size());
+    r.batch_size = n;
     r.queue_us = formed_us - p.enqueue_us;
     r.total_us = done_us - p.enqueue_us;
     r.trace = trace;
-    const double total_ms = static_cast<double>(r.total_us) / 1000.0;
     p.promise.set_value(std::move(r));
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (latencies_ms_.size() < kLatencyCap) {
-        latencies_ms_.push_back(total_ms);
-      } else {
-        latencies_ms_[static_cast<std::size_t>(latency_overwrite_++) % kLatencyCap] = total_ms;
-      }
+  }
+  if (!error.empty()) return;
+  // One acquisition records the whole batch's latencies.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Pending& p : live) {
+    const double total_ms = static_cast<double>(done_us - p.enqueue_us) / 1000.0;
+    if (latencies_ms_.size() < kLatencyCap) {
+      latencies_ms_.push_back(total_ms);
+    } else {
+      latencies_ms_[latency_overwrite_++ % kLatencyCap] = total_ms;
     }
   }
 }

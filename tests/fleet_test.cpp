@@ -59,7 +59,6 @@ ServerConfig daemon_config() {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 200;
   return cfg;
 }
 

@@ -1,10 +1,12 @@
 // clado::serve coverage: engine freezing, micro-batcher contracts
-// (max_batch / max_delay_us), admission control (overload, deadlines,
-// shutdown), drain semantics, batched-vs-single bit-identity, per-request
-// trace capture, the wire protocol, and a socket round trip. The
-// concurrency tests are the reason serve_test runs under TSan in CI.
+// (max_batch; a free worker never waits to fill a batch), admission
+// control (overload, deadlines, shutdown), drain semantics,
+// batched-vs-single bit-identity, per-request trace capture, the wire
+// protocol, and a socket round trip. The concurrency tests are the reason
+// serve_test runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -53,12 +55,10 @@ std::shared_ptr<Engine> make_engine(std::vector<int> bits, int replicas,
 
 Tensor make_sample(Rng& rng) { return Tensor::randn({3, 8, 8}, rng); }
 
-ServerConfig paused_config(int workers, std::int64_t max_batch,
-                           std::int64_t max_delay_us = 50'000) {
+ServerConfig paused_config(int workers, std::int64_t max_batch) {
   ServerConfig cfg;
   cfg.workers = workers;
   cfg.max_batch = max_batch;
-  cfg.max_delay_us = max_delay_us;
   cfg.start_paused = true;
   return cfg;
 }
@@ -170,20 +170,29 @@ TEST(ServeServer, HonorsMaxBatch) {
   }
 }
 
-TEST(ServeServer, MaxDelayFlushesPartialBatch) {
+TEST(ServeServer, LoneRequestRunsWithoutWaitingForCompany) {
+  // A free worker runs what is queued at once: with a batch cap no lone
+  // request can fill, each one runs as a batch of 1 and its queue wait is
+  // the worker's wake-up, not a batching window.
   auto engine = make_engine({}, 1, /*max_batch=*/64);
   ServerConfig cfg;
   cfg.workers = 1;
-  cfg.max_batch = 64;  // never reachable with one request
-  cfg.max_delay_us = 1000;
+  cfg.max_batch = 64;
   Server server(engine, cfg);
   Rng rng(17);
-  auto future = server.submit(make_sample(rng));
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)), std::future_status::ready)
-      << "single request was held hostage by an unfilled batch";
-  const Response r = future.get();
-  EXPECT_EQ(r.status, Status::kOk) << r.error;
-  EXPECT_EQ(r.batch_size, 1);
+  std::vector<std::int64_t> queue_us;
+  for (int i = 0; i < 20; ++i) {
+    auto future = server.submit(make_sample(rng));
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "lone request " << i << " was held hostage by an unfilled batch";
+    const Response r = future.get();
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    EXPECT_EQ(r.batch_size, 1);
+    queue_us.push_back(r.queue_us);
+  }
+  std::sort(queue_us.begin(), queue_us.end());
+  const std::int64_t median_us = (queue_us[9] + queue_us[10]) / 2;
+  EXPECT_LT(median_us, 2000) << "lone requests waited for company that never came";
 }
 
 TEST(ServeServer, DeadlineExpiredRequestsNeverRun) {
@@ -352,7 +361,6 @@ TEST(ServeServer, ConcurrentClientsUnderLoad) {
   ServerConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 500;
   Server server(engine, cfg);
 
   constexpr int kClients = 4;
@@ -579,7 +587,6 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 200;
   auto server = std::make_shared<Server>(served, cfg);
   // A one-model fleet behind a UDS-only daemon, built the way `clado serve`
   // builds one.

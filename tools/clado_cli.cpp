@@ -19,8 +19,8 @@
 //                       dispatch (default 1)
 //   --fp32              serve the fp32 models (skip assignment + PTQ)
 //   --workers=<n>       serving workers / engine replicas (default env or 2)
-//   --max-batch=<n>     micro-batch cap (default env or 8)
-//   --max-delay-us=<n>  batching window (default env or 2000)
+//   --max-batch=<n>     most queued requests a free worker runs as one
+//                       batch (default env or 8)
 //   --queue-cap=<n>     admission bound (default env or 256)
 //   --index=<n>         (query) first val-sample index (default 0)
 //   --count=<n>         (query) number of samples to send (default 16)
@@ -103,7 +103,6 @@ struct Options {
   bool fp32 = false;
   int workers = 0;            // 0 = ServerConfig default / env
   std::int64_t max_batch = 0;
-  std::int64_t max_delay_us = -1;
   std::int64_t queue_cap = 0;
   std::int64_t deadline_us = 0;
   std::int64_t index = 0;
@@ -125,9 +124,9 @@ int usage() {
                "[--save-sens=PATH] [--load-sens=PATH] [--budget-ms=F] "
                "[--latency-table=PATH] [--socket=ENDPOINT] [--fp32] "
                "[--tcp-port=N] [--replicas=N] [--workers=N] [--max-batch=N] "
-               "[--max-delay-us=N] [--queue-cap=N] [--index=N] [--count=N] "
-               "[--deadline-us=N] [--model=NAME] [--best-effort] [--retries=N] "
-               "[--stats] [--swap-bits=CSV] [--swap-fp32]\n");
+               "[--queue-cap=N] [--index=N] [--count=N] [--deadline-us=N] "
+               "[--model=NAME] [--best-effort] [--retries=N] [--stats] "
+               "[--swap-bits=CSV] [--swap-fp32]\n");
   return 2;
 }
 
@@ -208,8 +207,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       opts.workers = static_cast<int>(int_flag(arg, "--workers", 1, 256));
     } else if (arg.rfind("--max-batch=", 0) == 0) {
       opts.max_batch = int_flag(arg, "--max-batch", 1, 4096);
-    } else if (arg.rfind("--max-delay-us=", 0) == 0) {
-      opts.max_delay_us = int_flag(arg, "--max-delay-us", 0, 60'000'000);
     } else if (arg.rfind("--queue-cap=", 0) == 0) {
       opts.queue_cap = int_flag(arg, "--queue-cap", 1, 1 << 20);
     } else if (arg.rfind("--index=", 0) == 0) {
@@ -325,7 +322,6 @@ clado::serve::ServerConfig server_config(const Options& opts) {
   clado::serve::ServerConfig cfg = clado::serve::ServerConfig::from_env();
   if (opts.workers > 0) cfg.workers = opts.workers;
   if (opts.max_batch > 0) cfg.max_batch = opts.max_batch;
-  if (opts.max_delay_us >= 0) cfg.max_delay_us = opts.max_delay_us;
   if (opts.queue_cap > 0) cfg.queue_capacity = opts.queue_cap;
   return cfg;
 }
@@ -396,15 +392,13 @@ int run_serve(const Options& opts) {
   });
 
   std::printf("%s", fleet.stats_text().c_str());
-  std::printf("listening on %s%s  (%lld replicas/model, %d workers, max_batch %lld, "
-              "max_delay %lld us)\n",
+  std::printf("listening on %s%s  (%lld replicas/model, %d workers, max_batch %lld)\n",
               daemon.socket_path().c_str(),
               daemon.tcp_port() >= 0
                   ? (" and tcp:127.0.0.1:" + std::to_string(daemon.tcp_port())).c_str()
                   : "",
               static_cast<long long>(opts.fleet_replicas), cfg.workers,
-              static_cast<long long>(cfg.max_batch),
-              static_cast<long long>(cfg.max_delay_us));
+              static_cast<long long>(cfg.max_batch));
   std::printf("stop with: clado query --socket=%s --count=0\n", opts.socket_path.c_str());
   std::fflush(stdout);
   daemon.run();
