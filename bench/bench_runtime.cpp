@@ -12,17 +12,13 @@
 // parallel row shows the replica-sweep speedup at bit-identical output.
 #include <chrono>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "bench_latency.h"
-#include "clado/backend/latency.h"
 #include "clado/core/report.h"
 #include "clado/obs/obs.h"
 #include "clado/solver/iqp.h"
-#include "clado/tensor/env.h"
 #include "clado/tensor/thread_pool.h"
 
 int main(int argc, char** argv) {
@@ -34,34 +30,7 @@ int main(int argc, char** argv) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
-  // --budget-ms=F turns on the latency-budgeted solve phase (opt-in: its
-  // solver work counts depend on milliseconds measured on THIS host, so
-  // the deterministic counter baseline only covers the default run).
-  // F <= 0 picks the midpoint between the all-int8 and all-int4 totals.
-  // --latency-table=PATH reuses a bench_backend artifact instead of
-  // measuring inline (it must match the model's layer count). Everything
-  // else on the command line is a model name.
-  bool latency_requested = false;
-  double budget_ms_arg = 0.0;
-  std::string latency_path;
-  std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--budget-ms=", 0) == 0) {
-      latency_requested = true;
-      try {
-        budget_ms_arg = clado::tensor::parse_double_strict(arg.substr(12), "--budget-ms");
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (arg.rfind("--latency-table=", 0) == 0) {
-      latency_path = arg.substr(16);
-    } else {
-      names.push_back(arg);
-    }
-  }
-  if (names.empty()) names = {"resnet_a", "vit_mini"};
+  const auto names = models_from_args(argc, argv, {"resnet_a", "vit_mini"});
   const int sweep_threads = ThreadPool::resolve_threads(0);
   std::printf("=== Runtime: sensitivity measurement and solve cost per phase ===\n");
   std::printf("(sweep threads resolved to %d; set CLADO_NUM_THREADS to override)\n\n",
@@ -157,38 +126,6 @@ int main(int argc, char** argv) {
     t0 = Clock::now();
     pipe.assign(Algorithm::kClado, int8_bytes * 0.5);
     add("IQP re-solve (new budget)", -1, -1, secs(t0));
-
-    if (latency_requested) {
-      // Accuracy vs measured milliseconds: swap the byte column for the
-      // per-layer latencies this host actually runs at and solve under a
-      // ms budget. Latency depends on the executing backend, not the
-      // nominal bit count, so candidate bits map onto table columns via
-      // precision_for_bits.
-      const auto lt = latency_path.empty()
-                          ? measure_latency_table(tm.model)
-                          : clado::backend::load_latency_table(latency_path);
-      const auto cost =
-          clado::backend::latency_costs(lt, static_cast<std::size_t>(I), tm.model.candidate_bits);
-      double budget = budget_ms_arg;
-      if (budget <= 0.0) {
-        double s8 = 0.0;
-        double s4 = 0.0;
-        for (std::size_t g = 0; g < lt.layers(); ++g) {
-          s8 += lt.at(g, clado::backend::Precision::kInt8);
-          s4 += lt.at(g, clado::backend::Precision::kInt4);
-        }
-        budget = 0.5 * (s8 + s4);
-      }
-      t0 = Clock::now();
-      const auto al = pipe.assign_under_latency(Algorithm::kClado, cost, budget);
-      add("IQP latency solve (--budget-ms)", -1, al.solver_nodes, secs(t0));
-      const double acc = ptq_accuracy(tm, pipe, al);
-      std::printf(
-          "  %s: budget %.4f ms -> realized %.4f ms, %.1f KB weights, PTQ top-1 %.2f%% "
-          "(table %s)\n",
-          name.c_str(), al.budget_ms, al.latency_ms, al.bytes / 1024.0, 100.0 * acc,
-          latency_path.empty() ? "measured inline" : latency_path.c_str());
-    }
     std::fflush(stdout);
   }
   std::printf("\n");

@@ -2,14 +2,19 @@
 // frozen INT8 engine (DESIGN.md §9).
 //
 // Closed-loop harness: a fixed pool of client threads each submit-and-wait
-// in a loop against a 2-worker server, once per max_batch in {1, 4, 8}.
+// in a loop against a 2-worker server, for each max_batch in {1, 4, 8}.
 // max_batch=1 is the no-batching baseline; larger caps let a free worker
 // take up to that many of the requests the 16 clients queued while both
 // workers were busy (the server never waits to fill a batch). Expected shape:
 // requests/s rises with max_batch (fewer forwards, each amortizing
 // per-layer overhead over more rows) while p50/p99 latency falls — the
 // batch-1 row spends the same wall-clock on 8x more engine invocations.
+// One run of 256 requests takes tens of milliseconds, so a single run
+// cannot tell a serving change from host noise: each row is the median of
+// kRuns runs, each on a fresh Server over the row's engine, taken in turn
+// with the other rows' runs; the runs' req/s min–max is printed beside it.
 // The serve.* counters land in the obs dump that every bench appends.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -40,12 +45,13 @@ int main(int argc, char** argv) {
   const std::string& name = names.front();
   const int scale = bench_scale();
   constexpr int kWorkers = 2;
+  constexpr int kRuns = 21;
   const int clients = 16;
   const int per_client = 16 * scale;
 
   std::printf("=== Serving: micro-batched throughput on a frozen INT8 engine ===\n");
-  std::printf("(%d workers, %d closed-loop clients x %d requests; "
-              "CLADO_BENCH_SCALE to scale)\n\n", kWorkers, clients, per_client);
+  std::printf("(%d workers, %d closed-loop clients x %d requests, median of %d runs; "
+              "CLADO_BENCH_SCALE to scale)\n\n", kWorkers, clients, per_client, kRuns);
 
   TrainedModel tm = load_calibrated(name);
   const std::vector<int> int8_bits(tm.model.quant_layers.size(), 8);
@@ -57,20 +63,21 @@ int main(int argc, char** argv) {
   for (int i = 0; i < clients * per_client; ++i) samples.push_back(tm.val_set.image_of(i));
 
   AsciiTable table({"max_batch", "requests", "ok", "batches", "mean_batch", "wall_s",
-                    "req/s", "p50_ms", "p99_ms"});
+                    "req/s", "req/s min-max", "p50_ms", "p99_ms"});
   std::vector<std::vector<std::string>> csv_rows;
   double baseline_rps = 0.0;
 
-  for (const std::int64_t max_batch : {1, 4, 8}) {
-    EngineSpec spec;
-    spec.bits = int8_bits;
-    spec.replicas = kWorkers;
-    spec.label = "int8";
-    // Plan the arena for exactly this row's batching cap so the pinned
-    // buffer path serves every batch the micro-batcher can form.
-    spec.max_batch = max_batch;
-    auto engine = std::make_shared<Engine>(tm.model.clone(), std::move(spec));
-
+  // One closed-loop run: every client submits its share and waits for each
+  // answer, on a fresh Server so the latency summary covers this run only.
+  struct Run {
+    std::int64_t ok = 0;
+    std::int64_t batches = 0;
+    double wall = 0.0;
+    double rps = 0.0;
+    double p50_ms = 0.0;
+    double p99_ms = 0.0;
+  };
+  auto run_once = [&](const std::shared_ptr<Engine>& engine, std::int64_t max_batch) {
     ServerConfig cfg;
     cfg.workers = kWorkers;
     cfg.max_batch = max_batch;
@@ -92,26 +99,74 @@ int main(int argc, char** argv) {
     }
     for (auto& t : pool) t.join();
     server.drain();
-    const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-
-    std::int64_t ok = 0;
-    for (const int n : ok_counts) ok += n;
-    const std::int64_t batches = clado::obs::counter("serve.batches").value() - batches_before;
-    const double mean_batch =
-        batches > 0 ? static_cast<double>(ok) / static_cast<double>(batches) : 0.0;
-    const double rps = wall > 0.0 ? static_cast<double>(ok) / wall : 0.0;
-    if (max_batch == 1) baseline_rps = rps;
+    Run run;
+    run.wall = std::chrono::duration<double>(Clock::now() - t0).count();
+    for (const int n : ok_counts) run.ok += n;
+    run.batches = clado::obs::counter("serve.batches").value() - batches_before;
+    run.rps = run.wall > 0.0 ? static_cast<double>(run.ok) / run.wall : 0.0;
     const auto lat = server.latency_summary();
+    run.p50_ms = lat.p50_ms;
+    run.p99_ms = lat.p99_ms;
+    return run;
+  };
+  // Median of one field over the runs (kRuns is odd).
+  auto median = [](const std::vector<Run>& runs, auto field) {
+    std::vector<double> v;
+    for (const Run& r : runs) v.push_back(static_cast<double>(r.*field));
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+    return v[v.size() / 2];
+  };
 
-    table.add_row({std::to_string(max_batch), std::to_string(clients * per_client),
-                   std::to_string(ok), std::to_string(batches), AsciiTable::num(mean_batch, 2),
-                   AsciiTable::num(wall, 3), AsciiTable::num(rps, 1),
-                   AsciiTable::num(lat.p50_ms, 2), AsciiTable::num(lat.p99_ms, 2)});
-    csv_rows.push_back({name, std::to_string(max_batch), std::to_string(ok),
-                        std::to_string(batches), AsciiTable::num(mean_batch, 3),
-                        AsciiTable::num(wall, 4), AsciiTable::num(rps, 2),
-                        AsciiTable::num(lat.p50_ms, 3), AsciiTable::num(lat.p99_ms, 3)});
-    std::printf("  max_batch %lld: %.1f req/s%s\n", static_cast<long long>(max_batch), rps,
+  const std::vector<std::int64_t> max_batches = {1, 4, 8};
+  std::vector<std::shared_ptr<Engine>> engines;
+  for (const std::int64_t max_batch : max_batches) {
+    EngineSpec spec;
+    spec.bits = int8_bits;
+    spec.replicas = kWorkers;
+    spec.label = "int8";
+    // Plan the arena for exactly this row's batching cap so the pinned
+    // buffer path serves every batch the micro-batcher can form.
+    spec.max_batch = max_batch;
+    engines.push_back(std::make_shared<Engine>(tm.model.clone(), std::move(spec)));
+  }
+  // Round-robin over the rows, so a slow stretch of the host lands on every
+  // row alike instead of on whichever row was running.
+  std::vector<std::vector<Run>> row_runs(max_batches.size());
+  for (int r = 0; r < kRuns; ++r) {
+    for (std::size_t row = 0; row < max_batches.size(); ++row) {
+      row_runs[row].push_back(run_once(engines[row], max_batches[row]));
+    }
+  }
+
+  for (std::size_t row = 0; row < max_batches.size(); ++row) {
+    const std::int64_t max_batch = max_batches[row];
+    const std::vector<Run>& runs = row_runs[row];
+    std::int64_t ok = 0;
+    for (const Run& r : runs) ok += r.ok;
+    const double batches = median(runs, &Run::batches);
+    const double wall = median(runs, &Run::wall);
+    const double rps = median(runs, &Run::rps);
+    const double p50_ms = median(runs, &Run::p50_ms);
+    const double p99_ms = median(runs, &Run::p99_ms);
+    const auto [lo, hi] = std::minmax_element(
+        runs.begin(), runs.end(), [](const Run& a, const Run& b) { return a.rps < b.rps; });
+    const double mean_batch = batches > 0.0 ? clients * per_client / batches : 0.0;
+    if (max_batch == 1) baseline_rps = rps;
+
+    table.add_row({std::to_string(max_batch), std::to_string(kRuns * clients * per_client),
+                   std::to_string(ok), AsciiTable::num(batches, 0),
+                   AsciiTable::num(mean_batch, 2), AsciiTable::num(wall, 3),
+                   AsciiTable::num(rps, 1),
+                   AsciiTable::num(lo->rps, 0) + "-" + AsciiTable::num(hi->rps, 0),
+                   AsciiTable::num(p50_ms, 2), AsciiTable::num(p99_ms, 2)});
+    csv_rows.push_back({name, std::to_string(max_batch), std::to_string(kRuns),
+                        std::to_string(ok), AsciiTable::num(batches, 0),
+                        AsciiTable::num(mean_batch, 3), AsciiTable::num(wall, 4),
+                        AsciiTable::num(rps, 2), AsciiTable::num(lo->rps, 2),
+                        AsciiTable::num(hi->rps, 2), AsciiTable::num(p50_ms, 3),
+                        AsciiTable::num(p99_ms, 3)});
+    std::printf("  max_batch %lld: %.1f req/s (%.1f-%.1f over %d runs)%s\n",
+                static_cast<long long>(max_batch), rps, lo->rps, hi->rps, kRuns,
                 max_batch > 1 && baseline_rps > 0.0
                     ? ("  (" + AsciiTable::num(rps / baseline_rps, 2) + "x vs unbatched)").c_str()
                     : "");
@@ -164,8 +219,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   table.print();
   clado::core::write_csv("bench_results/serve.csv",
-                         {"model", "max_batch", "ok", "batches", "mean_batch", "wall_s",
-                          "req_per_s", "p50_ms", "p99_ms"},
+                         {"model", "max_batch", "runs", "ok", "batches", "mean_batch", "wall_s",
+                          "req_per_s", "req_per_s_min", "req_per_s_max", "p50_ms", "p99_ms"},
                          csv_rows);
   std::printf("\nrows written to bench_results/serve.csv\n");
   return 0;

@@ -31,15 +31,12 @@
 
 namespace clado::backend {
 
-/// Arithmetic a layer executes in. Values index latency-table columns, so
-/// they are part of the artifact format — append only.
+/// Arithmetic a layer executes in.
 enum class Precision {
-  kFp32 = 0,
-  kInt8 = 1,
-  kInt4 = 2,
+  kFp32,
+  kInt8,
+  kInt4,
 };
-
-inline constexpr int kNumPrecisions = 3;
 
 /// Stable lowercase name ("fp32", "int8", "int4") — appears in plan dumps,
 /// obs metrics and test output.
@@ -47,8 +44,7 @@ const char* precision_name(Precision p);
 
 /// The precision that executes a layer quantized to `bits`: 0 (fp32 layer)
 /// and anything above 8 stay fp32; 1-4 bits run as int4 (codes fit
-/// [-8, 7]); 5-8 bits as int8. This is also the mapping from a solver
-/// candidate bit-width to its latency-table column.
+/// [-8, 7]); 5-8 bits as int8.
 Precision precision_for_bits(int bits);
 
 /// Immutable per-layer execution material, built once at engine freeze and

@@ -159,28 +159,18 @@ std::vector<int> MpqPipeline::block_ids() const {
 
 Assignment MpqPipeline::finish(Algorithm algorithm, std::vector<int> choice,
                                const std::vector<std::vector<double>>& costs, double budget,
-                               double predicted, bool latency) {
+                               double predicted) {
   Assignment a;
   a.algorithm = algorithm;
   a.choice = std::move(choice);
   a.predicted = predicted;
+  a.target_bytes = budget;
   a.bits.reserve(a.choice.size());
-  // Realized bytes are always reported (the size of what would deploy);
-  // the feasibility guard applies to whichever column the solver ran under.
-  const auto bytes = size_costs();
-  double active_total = 0.0;
   for (std::size_t i = 0; i < a.choice.size(); ++i) {
     a.bits.push_back(model_.candidate_bits[static_cast<std::size_t>(a.choice[i])]);
-    a.bytes += bytes[i][static_cast<std::size_t>(a.choice[i])];
-    active_total += costs[i][static_cast<std::size_t>(a.choice[i])];
+    a.bytes += costs[i][static_cast<std::size_t>(a.choice[i])];
   }
-  if (latency) {
-    a.latency_ms = active_total;
-    a.budget_ms = budget;
-  } else {
-    a.target_bytes = budget;
-  }
-  if (active_total > budget + 1e-6) {
+  if (a.bytes > budget + 1e-6) {
     throw std::logic_error("MpqPipeline: solver returned an infeasible assignment");
   }
   return a;
@@ -189,7 +179,7 @@ Assignment MpqPipeline::finish(Algorithm algorithm, std::vector<int> choice,
 Assignment MpqPipeline::from_separable(Algorithm algorithm,
                                        const std::vector<std::vector<double>>& value,
                                        const std::vector<std::vector<double>>& costs,
-                                       double budget, bool latency) {
+                                       double budget) {
   std::vector<clado::solver::ChoiceGroup> groups(value.size());
   for (std::size_t i = 0; i < value.size(); ++i) {
     groups[i].value = value[i];
@@ -200,12 +190,12 @@ Assignment MpqPipeline::from_separable(Algorithm algorithm,
     throw std::runtime_error(std::string(algorithm_name(algorithm)) +
                              ": budget infeasible (below the cheapest per-layer choices)");
   }
-  return finish(algorithm, sol.choice, costs, budget, sol.value, latency);
+  return finish(algorithm, sol.choice, costs, budget, sol.value);
 }
 
 Assignment MpqPipeline::from_quadratic(Algorithm algorithm, const Tensor& g_matrix,
                                        const std::vector<std::vector<double>>& costs,
-                                       double budget, bool latency) {
+                                       double budget) {
   clado::solver::QuadraticProblem problem;
   problem.G = g_matrix;
   problem.cost = costs;
@@ -222,7 +212,7 @@ Assignment MpqPipeline::from_quadratic(Algorithm algorithm, const Tensor& g_matr
   const bool iqp_native =
       result.feasible && result.source == clado::solver::SolutionSource::kIqp;
   if (iqp_native && (!result.hit_limit || options_.psd_projection)) {
-    a = finish(algorithm, result.choice, costs, budget, result.objective, latency);
+    a = finish(algorithm, result.choice, costs, budget, result.objective);
     a.used_fallback = false;
     a.solver_source = result.source;
   } else if (iqp_native || !options_.psd_projection) {
@@ -235,13 +225,13 @@ Assignment MpqPipeline::from_quadratic(Algorithm algorithm, const Tensor& g_matr
       throw std::runtime_error(std::string(algorithm_name(algorithm)) +
                                ": budget infeasible");
     }
-    a = finish(algorithm, heur.choice, costs, budget, heur.objective, latency);
+    a = finish(algorithm, heur.choice, costs, budget, heur.objective);
     a.used_fallback = true;
     a.solver_source = clado::solver::SolutionSource::kAnneal;
   } else if (result.feasible) {
     // Convex regime but the B&B itself failed; the chain's degraded tier
     // already produced a feasible assignment under the true budget.
-    a = finish(algorithm, result.choice, costs, budget, result.objective, latency);
+    a = finish(algorithm, result.choice, costs, budget, result.objective);
     a.used_fallback = true;
     a.solver_source = result.source;
   } else {
@@ -254,50 +244,26 @@ Assignment MpqPipeline::from_quadratic(Algorithm algorithm, const Tensor& g_matr
   return a;
 }
 
-Assignment MpqPipeline::assign_with_costs(Algorithm algorithm,
-                                          const std::vector<std::vector<double>>& costs,
-                                          double budget, bool latency) {
+Assignment MpqPipeline::assign(Algorithm algorithm, double target_bytes) {
+  const auto costs = size_costs();
   switch (algorithm) {
     case Algorithm::kHawq:
-      return from_separable(algorithm, hawq_values(), costs, budget, latency);
+      return from_separable(algorithm, hawq_values(), costs, target_bytes);
     case Algorithm::kMpqco:
-      return from_separable(algorithm, mpqco_values(), costs, budget, latency);
-    case Algorithm::kCladoStar: {
-      return from_separable(algorithm, engine_.diagonal_sensitivities(), costs, budget,
-                            latency);
-    }
+      return from_separable(algorithm, mpqco_values(), costs, target_bytes);
+    case Algorithm::kCladoStar:
+      return from_separable(algorithm, engine_.diagonal_sensitivities(), costs, target_bytes);
     case Algorithm::kClado:
-      return from_quadratic(algorithm, clado_matrix(), costs, budget, latency);
+      return from_quadratic(algorithm, clado_matrix(), costs, target_bytes);
     case Algorithm::kBrecqBlock: {
       const Tensor masked =
           mask_inter_block(clado_matrix_raw(), block_ids(), engine_.num_bits());
       const Tensor prepared = options_.psd_projection ? clado::linalg::psd_projection(masked)
                                                       : clado::linalg::symmetrize(masked);
-      return from_quadratic(algorithm, prepared, costs, budget, latency);
+      return from_quadratic(algorithm, prepared, costs, target_bytes);
     }
   }
   throw std::logic_error("MpqPipeline::assign: unknown algorithm");
-}
-
-Assignment MpqPipeline::assign(Algorithm algorithm, double target_bytes) {
-  return assign_with_costs(algorithm, size_costs(), target_bytes, /*latency=*/false);
-}
-
-Assignment MpqPipeline::assign_under_latency(Algorithm algorithm,
-                                             const std::vector<std::vector<double>>& latency_cost,
-                                             double budget_ms) {
-  if (latency_cost.size() != model_.quant_layers.size()) {
-    throw std::invalid_argument("assign_under_latency: cost covers " +
-                                std::to_string(latency_cost.size()) + " layers, model has " +
-                                std::to_string(model_.quant_layers.size()));
-  }
-  for (const auto& row : latency_cost) {
-    if (row.size() != model_.candidate_bits.size()) {
-      throw std::invalid_argument(
-          "assign_under_latency: cost rows must have one entry per candidate bit-width");
-    }
-  }
-  return assign_with_costs(algorithm, latency_cost, budget_ms, /*latency=*/true);
 }
 
 std::unique_ptr<clado::quant::WeightSnapshot> MpqPipeline::apply_ptq(

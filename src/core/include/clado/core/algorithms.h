@@ -47,11 +47,6 @@ struct Assignment {
   std::vector<int> bits;     ///< per-layer chosen bit-width
   double bytes = 0.0;        ///< realized Σ |w_i| b_i / 8
   double target_bytes = 0.0;
-  /// Latency-budgeted runs (assign_under_latency): realized Σ of the
-  /// measured per-layer milliseconds and the budget they were solved
-  /// under; both 0 on size-budgeted assignments.
-  double latency_ms = 0.0;
-  double budget_ms = 0.0;
   double predicted = 0.0;    ///< objective value of the proxy being optimized
   std::int64_t solver_nodes = 0;
   double solver_seconds = 0.0;
@@ -72,17 +67,6 @@ class MpqPipeline {
   /// calls, so sweeping sizes or algorithms reuses them (the reusability
   /// the paper highlights over search-based methods).
   Assignment assign(Algorithm algorithm, double target_bytes);
-
-  /// Like assign, but the knapsack constraint is a measured latency budget
-  /// instead of bytes: `latency_cost[g][m]` is layer g's milliseconds at
-  /// candidate m (backend::latency_costs expands a bench_backend table into
-  /// this shape) and the assignment satisfies Σ latency <= budget_ms. The
-  /// result reports both the realized milliseconds (latency_ms) and the
-  /// realized bytes of the chosen bits. Throws std::invalid_argument when
-  /// latency_cost does not match the layer/candidate structure.
-  Assignment assign_under_latency(Algorithm algorithm,
-                                  const std::vector<std::vector<double>>& latency_cost,
-                                  double budget_ms);
 
   /// Applies an assignment destructively to the model's weights (PTQ) and
   /// returns a snapshot for restoration.
@@ -113,21 +97,14 @@ class MpqPipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  // `costs`/`budget` are the active knapsack column: size_costs()/bytes for
-  // assign, the measured latency table/milliseconds for
-  // assign_under_latency (`latency` selects which Assignment fields the
-  // realized cost lands in).
-  Assignment assign_with_costs(Algorithm algorithm, const std::vector<std::vector<double>>& costs,
-                               double budget, bool latency);
+  // `costs` is size_costs() and `budget` the target bytes.
   Assignment from_separable(Algorithm algorithm, const std::vector<std::vector<double>>& value,
-                            const std::vector<std::vector<double>>& costs, double budget,
-                            bool latency);
+                            const std::vector<std::vector<double>>& costs, double budget);
   Assignment from_quadratic(Algorithm algorithm, const Tensor& g_matrix,
-                            const std::vector<std::vector<double>>& costs, double budget,
-                            bool latency);
+                            const std::vector<std::vector<double>>& costs, double budget);
   Assignment finish(Algorithm algorithm, std::vector<int> choice,
                     const std::vector<std::vector<double>>& costs, double budget,
-                    double predicted, bool latency);
+                    double predicted);
 
   Model& model_;
   PipelineOptions options_;

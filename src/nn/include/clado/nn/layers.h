@@ -59,8 +59,6 @@ class Conv2d : public Module, public QuantizableLayer {
   /// Raw bias pointer for the serving backends; nullptr without a bias.
   const float* bias_data() const { return has_bias_ ? bias_.value.data() : nullptr; }
   bool has_weight_transform() const { return static_cast<bool>(weight_transform_); }
-  /// Input stashed by the most recent forward pass.
-  const Tensor& last_input() const { return input_; }
 
   /// Geometry of this conv on an [*, C, h, w] input, for
   /// tensor::kernels::conv2d_f32 and its workspace query.
@@ -114,8 +112,6 @@ class Linear : public Module, public QuantizableLayer {
   /// Raw bias pointer for the serving backends; nullptr without a bias.
   const float* bias_data() const { return has_bias_ ? bias_.value.data() : nullptr; }
   bool has_weight_transform() const { return static_cast<bool>(weight_transform_); }
-  /// Folded 2-d input stashed by the most recent forward pass.
-  const Tensor& last_input2d() const { return input2d_; }
 
   /// Allocation-free forward for the serving plan: `in` is [rows, in_f]
   /// contiguous, `out` is [rows, out_f]. Single GEMM over all rows plus the

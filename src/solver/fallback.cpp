@@ -63,29 +63,6 @@ IqpResult from_choice(const QuadraticProblem& p, std::vector<int> choice,
 
 }  // namespace
 
-IqpResult solve_with_fallback(const QuadraticProblem& problem,
-                              const std::vector<std::vector<double>>& secondary_cost,
-                              double secondary_budget, const IqpOptions& options) {
-  if (secondary_cost.size() != problem.cost.size()) {
-    throw std::invalid_argument("solve_with_fallback: secondary cost has " +
-                                std::to_string(secondary_cost.size()) + " groups, problem has " +
-                                std::to_string(problem.cost.size()));
-  }
-  for (std::size_t g = 0; g < secondary_cost.size(); ++g) {
-    if (secondary_cost[g].size() != problem.cost[g].size()) {
-      throw std::invalid_argument("solve_with_fallback: secondary cost group " +
-                                  std::to_string(g) + " has " +
-                                  std::to_string(secondary_cost[g].size()) +
-                                  " choices, problem has " +
-                                  std::to_string(problem.cost[g].size()));
-    }
-  }
-  QuadraticProblem swapped = problem;
-  swapped.cost = secondary_cost;
-  swapped.budget = secondary_budget;
-  return solve_with_fallback(swapped, options);
-}
-
 IqpResult solve_with_fallback(const QuadraticProblem& problem, const IqpOptions& options) {
   problem.validate();
   // A bad option is the caller's error, not a solver failure to degrade past.

@@ -88,17 +88,6 @@ IqpResult solve_iqp(const QuadraticProblem& problem, const IqpOptions& options =
 /// best_bound = -inf: the degraded tiers provide no optimality guarantee.
 IqpResult solve_with_fallback(const QuadraticProblem& problem, const IqpOptions& options = {});
 
-/// Same degradation chain with the knapsack cost column swapped out: the
-/// assignment is optimized under Σ secondary_cost·α <= secondary_budget
-/// instead of the problem's own cost/budget — e.g. a measured per-layer
-/// latency table (backend::latency_costs) in milliseconds instead of
-/// weight bytes, closing the loop between bits assigned and time actually
-/// spent. `secondary_cost` must have exactly the problem's cost shape;
-/// throws std::invalid_argument otherwise.
-IqpResult solve_with_fallback(const QuadraticProblem& problem,
-                              const std::vector<std::vector<double>>& secondary_cost,
-                              double secondary_budget, const IqpOptions& options = {});
-
 /// 1-opt local search: repeatedly moves single groups to a better feasible
 /// choice until no move improves. Refines `choice` in place; returns the
 /// final objective. Used internally and exposed for the annealer/tests.

@@ -1,6 +1,5 @@
-// clado::backend coverage: precision selection and layer preparation, the
-// latency-table artifact, the solver's secondary-cost (milliseconds) column,
-// and — the acceptance bar for the subsystem — serve::Engine executing a
+// clado::backend coverage: precision selection and layer preparation, and —
+// the acceptance bar for the subsystem — serve::Engine executing a
 // mixed 4/8-bit assignment through real integer kernels: per-layer backend
 // tags in the plan dump, bit-identity with the reference integer path
 // (qlinear / qconv2d) on statically quantized inputs, and logits parity
@@ -19,8 +18,6 @@
 #include <vector>
 
 #include "clado/backend/backend.h"
-#include "clado/backend/latency.h"
-#include "clado/core/algorithms.h"
 #include "clado/data/synthcv.h"
 #include "clado/models/builders.h"
 #include "clado/models/model.h"
@@ -31,7 +28,6 @@
 #include "clado/quant/qat.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/plan.h"
-#include "clado/solver/iqp.h"
 #include "clado/tensor/kernels.h"
 #include "clado/tensor/rng.h"
 #include "clado/tensor/tensor.h"
@@ -155,95 +151,6 @@ TEST(PrepareLayer, BitsZeroStaysFp32AndSizeMismatchThrows) {
 
   const auto wc = make_codes(8, 1.0F, {1, 2, 3});
   EXPECT_THROW(backend::prepare_layer(wc, 2, 2), std::invalid_argument);
-}
-
-// ---- latency table ----------------------------------------------------------
-
-TEST(LatencyTable, SaveLoadRoundTripAndValidation) {
-  backend::LatencyTable table;
-  table.ms = {{4.0, 1.5, 0.75}, {8.0, 3.25, 1.125}};
-  const std::string path = ::testing::TempDir() + "clado_latency_rt.bin";
-  backend::save_latency_table(table, path);
-  const backend::LatencyTable back = backend::load_latency_table(path);
-  ASSERT_EQ(back.layers(), 2u);
-  for (std::size_t g = 0; g < 2; ++g) {
-    for (int p = 0; p < backend::kNumPrecisions; ++p) {
-      EXPECT_EQ(back.ms[g][static_cast<std::size_t>(p)], table.ms[g][static_cast<std::size_t>(p)]);
-    }
-  }
-  EXPECT_EQ(back.at(1, Precision::kInt4), 1.125);
-  EXPECT_THROW(backend::load_latency_table(path + ".does-not-exist"), std::runtime_error);
-}
-
-TEST(LatencyTable, CostsIndexColumnsByExecutionPrecision) {
-  backend::LatencyTable table;
-  table.ms = {{4.0, 1.5, 0.75}, {8.0, 3.25, 1.125}};
-  const std::vector<int> bits = {2, 4, 8};
-  const auto costs = backend::latency_costs(table, 2, bits);
-  ASSERT_EQ(costs.size(), 2u);
-  // 2- and 4-bit candidates run on the same int4 backend, so they share a
-  // column; 8-bit takes the int8 column.
-  EXPECT_EQ(costs[0], (std::vector<double>{0.75, 0.75, 1.5}));
-  EXPECT_EQ(costs[1], (std::vector<double>{1.125, 1.125, 3.25}));
-  EXPECT_THROW(backend::latency_costs(table, 3, bits), std::invalid_argument);
-}
-
-// ---- solver: milliseconds as the knapsack column ----------------------------
-
-TEST(SolverSecondaryCost, BudgetConstrainsTheSwappedColumn) {
-  // Objective alone prefers choice 1 in both groups; the secondary
-  // (latency) budget only admits (0, 0).
-  clado::solver::QuadraticProblem problem;
-  problem.G = Tensor({4, 4});
-  const double diag[4] = {5.0, 1.0, 5.0, 1.0};
-  for (std::int64_t i = 0; i < 4; ++i) problem.G[i * 4 + i] = static_cast<float>(diag[i]);
-  problem.cost = {{4.0, 8.0}, {4.0, 8.0}};
-  problem.budget = 16.0;  // bytes: everything feasible
-
-  const std::vector<std::vector<double>> latency = {{1.0, 3.0}, {2.0, 5.0}};
-  const auto res = clado::solver::solve_with_fallback(problem, latency, 4.0);
-  ASSERT_TRUE(res.feasible);
-  EXPECT_EQ(res.choice, (std::vector<int>{0, 0}));
-
-  // Unconstrained control: the bytes budget admits the better objective.
-  const auto wide = clado::solver::solve_with_fallback(problem, latency, 100.0);
-  ASSERT_TRUE(wide.feasible);
-  EXPECT_EQ(wide.choice, (std::vector<int>{1, 1}));
-
-  EXPECT_THROW(clado::solver::solve_with_fallback(problem, {{1.0, 3.0}}, 4.0),
-               std::invalid_argument);
-  EXPECT_THROW(clado::solver::solve_with_fallback(problem, {{1.0}, {2.0, 5.0}}, 4.0),
-               std::invalid_argument);
-}
-
-TEST(AssignUnderLatency, PipelineSolvesAgainstMeasuredMilliseconds) {
-  Rng rng(29);
-  Model model = clado::testing::make_tiny_model(rng);
-  Rng data_rng(31);
-  clado::core::MpqPipeline pipeline(model, clado::testing::make_noise_batch(data_rng));
-
-  // 4 layers × candidates {2, 8}: the 8-bit choice is 3× slower everywhere.
-  const std::vector<std::vector<double>> latency(4, {1.0, 3.0});
-  const auto a =
-      pipeline.assign_under_latency(clado::core::Algorithm::kClado, latency, /*budget_ms=*/8.0);
-  ASSERT_EQ(a.bits.size(), 4u);
-  EXPECT_LE(a.latency_ms, 8.0 + 1e-9);
-  EXPECT_GT(a.latency_ms, 0.0);
-  EXPECT_EQ(a.budget_ms, 8.0);
-  EXPECT_EQ(a.target_bytes, 0.0);  // latency-budgeted, not size-budgeted
-  EXPECT_GT(a.bytes, 0.0);         // realized size still reported
-  double realized = 0.0;
-  for (std::size_t g = 0; g < 4; ++g) {
-    realized += latency[g][static_cast<std::size_t>(a.choice[g])];
-  }
-  EXPECT_DOUBLE_EQ(realized, a.latency_ms);
-
-  EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado,
-                                             {{1.0, 3.0}}, 8.0),
-               std::invalid_argument);
-  EXPECT_THROW(pipeline.assign_under_latency(clado::core::Algorithm::kClado,
-                                             std::vector<std::vector<double>>(4, {1.0}), 8.0),
-               std::invalid_argument);
 }
 
 // ---- engine: mode resolution and error paths --------------------------------

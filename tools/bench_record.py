@@ -4,6 +4,7 @@
 Usage:
     bench_record.py [--tree DIR] [--workload NAME ...] [--seed N ...]
                     [--trace 0|1|both] [--note TEXT]
+    bench_record.py --compare FILE
 
 For each seed and workload (default: seed 1 and every workload in
 BENCHMARK.json) this runs DIR/perfbench/run.py for the benchmark's
@@ -35,12 +36,23 @@ Wall-clock rows depend on the host and its load. Compare rows from the
 same host, taken in alternating before/after pairs; they never gate CI.
 This tool only reads perfbench's output and changes nothing under
 perfbench/.
+
+--compare FILE reads a BENCH_*.json file and runs nothing. It takes the
+last two distinct revs in the file (in order of first appearance: the
+first is "before", the second "after") and pairs their rows by
+(workload, seed, trace); a key recorded twice for one rev keeps its
+later row. For each workload and metric it prints each side's median
+[q1, q3] over the pairs and how many pairs the after row wins, a win
+being strictly better in the direction BENCHMARK.json declares for that
+metric. It never judges the values: the exit status is 0 unless FILE is
+malformed (2).
 """
 
 import argparse
 import datetime
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +144,84 @@ def record(tree, workload, seed, traced, seconds, note):
     return result
 
 
+def read_rows(path):
+    """The rows of a BENCH file; ValueError names what is malformed."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: {e}") from e
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: no 'rows' list")
+    for i, row in enumerate(rows):
+        ok = (isinstance(row, dict) and isinstance(row.get("rev"), str)
+              and isinstance(row.get("workload"), str) and isinstance(row.get("seed"), int)
+              and isinstance(row.get("trace"), int) and isinstance(row.get("metrics"), dict)
+              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in row["metrics"].values()))
+        if not ok:
+            raise ValueError(f"{path}: row {i} lacks a str rev/workload, an int seed/trace "
+                             "or a metrics map of numbers")
+    return rows
+
+
+def quartiles(values):
+    """Median, q1 and q3 (statistics.quantiles' default, exclusive method)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q1, q3
+
+
+def fmt(value):
+    if abs(value) >= 1000 or float(value).is_integer():
+        return f"{value:,.0f}"
+    return f"{value:.3f}" if abs(value) >= 0.1 else f"{value:#.3g}"
+
+
+def compare(path):
+    rows = read_rows(path)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    revs = list(dict.fromkeys(row["rev"] for row in rows))
+    if len(revs) < 2:
+        print(f"{path}: {len(revs)} rev(s), nothing to compare")
+        return 0
+    before, after = revs[-2:]
+    side = {before: {}, after: {}}
+    for row in rows:
+        if row["rev"] in side:
+            side[row["rev"]][(row["workload"], row["seed"], row["trace"])] = row
+    keys = [k for k in side[before] if k in side[after]]
+    unpaired = len(side[before]) + len(side[after]) - 2 * len(keys)
+    print(f"{path}: before {before}, after {after}: {len(keys)} pairs by "
+          f"(workload, seed, trace), {unpaired} unpaired rows")
+    for workload in dict.fromkeys(k[0] for k in keys):
+        pairs = [(side[before][k]["metrics"], side[after][k]["metrics"])
+                 for k in keys if k[0] == workload]
+        lines = [("metric", "before median [q1, q3]", "after median [q1, q3]", "wins")]
+        for name in dict.fromkeys(n for b, a in pairs for n in b):
+            values = [(b[name], a[name]) for b, a in pairs if name in b and name in a]
+            if not values:
+                continue
+            cells = []
+            for column in zip(*values):
+                med, q1, q3 = quartiles(column)
+                cells.append(f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]")
+            direction = better.get(name)
+            if direction is None:
+                wins = "-"
+            else:
+                won = sum((a < b) if direction == "lower" else (a > b) for b, a in values)
+                wins = f"{won}/{len(values)}"
+            lines.append((f"{name} ({direction or '?'})", *cells, wins))
+        widths = [max(len(line[i]) for line in lines) for i in range(3)]
+        print(f"\n{workload}")
+        for label, old, new, wins in lines:
+            print(f"  {label:<{widths[0]}}  {old:>{widths[1]}}  ->  {new:>{widths[2]}}  {wins}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -140,7 +230,15 @@ def main():
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--trace", choices=("0", "1", "both"), default="both")
     parser.add_argument("--note", default="")
+    parser.add_argument("--compare", type=Path, metavar="FILE")
     args = parser.parse_args()
+
+    if args.compare is not None:
+        try:
+            return compare(args.compare)
+        except ValueError as e:
+            print(f"bench_record: error: {e}", file=sys.stderr)
+            return 2
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]

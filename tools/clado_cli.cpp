@@ -42,11 +42,6 @@
 //   --no-psd          disable the PSD projection (Figure 7 ablation)
 //   --save-sens=<p>   write the measured sensitivity matrix to <p>
 //   --load-sens=<p>   reuse a previously saved sensitivity matrix
-//   --budget-ms=<f>   (assign/eval) solve under a measured-latency budget
-//                     in milliseconds instead of the --frac size budget;
-//                     requires --latency-table
-//   --latency-table=<p>  per-layer per-precision latency artifact written
-//                     by bench_backend for the same model
 //
 // A numeric flag that does not parse, or falls outside its range, is an
 // error (exit 2) naming the flag; where a flag has a CLADO_* twin, the
@@ -65,7 +60,6 @@
 #include <utility>
 #include <vector>
 
-#include "clado/backend/latency.h"
 #include "clado/core/algorithms.h"
 #include "clado/core/report.h"
 #include "clado/data/synthcv.h"
@@ -95,9 +89,6 @@ struct Options {
   bool psd = true;
   std::string save_sens;
   std::string load_sens;
-  double budget_ms = 0.0;  // > 0 switches assign/eval/sweep to the
-                           // latency-budgeted solve
-  std::string latency_table;
   // serving
   std::string socket_path = "clado.sock";
   bool fp32 = false;
@@ -121,8 +112,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: clado <models|train|assign|eval|sweep|serve|query> [model[,model2]] "
                "[--alg=...] [--frac=F] [--set-size=N] [--seed=N] [--val=N] [--no-psd] "
-               "[--save-sens=PATH] [--load-sens=PATH] [--budget-ms=F] "
-               "[--latency-table=PATH] [--socket=ENDPOINT] [--fp32] "
+               "[--save-sens=PATH] [--load-sens=PATH] [--socket=ENDPOINT] [--fp32] "
                "[--tcp-port=N] [--replicas=N] [--workers=N] [--max-batch=N] "
                "[--queue-cap=N] [--index=N] [--count=N] [--deadline-us=N] "
                "[--model=NAME] [--best-effort] [--retries=N] [--stats] "
@@ -195,10 +185,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       opts.save_sens = arg.substr(12);
     } else if (arg.rfind("--load-sens=", 0) == 0) {
       opts.load_sens = arg.substr(12);
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      opts.budget_ms = positive_flag(arg, "--budget-ms");
-    } else if (arg.rfind("--latency-table=", 0) == 0) {
-      opts.latency_table = arg.substr(16);
     } else if (arg.rfind("--socket=", 0) == 0) {
       opts.socket_path = arg.substr(9);
     } else if (arg == "--fp32") {
@@ -255,24 +241,10 @@ bool parse(int argc, char** argv, Options& opts) {
   }
 }
 
-// Size budget from --frac, or the measured-latency budget when --budget-ms
-// is given: the bench_backend artifact supplies the per-layer milliseconds
-// column the solver optimizes accuracy under (candidate bits map to table
-// columns by the backend that executes them, via latency_costs).
+// The --frac size budget, as a fraction of the model's INT8 size.
 clado::core::Assignment compute_assignment(clado::models::TrainedModel& tm,
                                            clado::core::MpqPipeline& pipeline,
                                            const Options& opts) {
-  if (opts.budget_ms > 0.0) {
-    if (opts.latency_table.empty()) {
-      throw std::runtime_error(
-          "--budget-ms needs --latency-table=PATH (run bench_backend " + tm.model.name +
-          " to measure one)");
-    }
-    const auto table = clado::backend::load_latency_table(opts.latency_table);
-    const auto cost = clado::backend::latency_costs(table, tm.model.quant_layers.size(),
-                                                    tm.model.candidate_bits);
-    return pipeline.assign_under_latency(opts.algorithm, cost, opts.budget_ms);
-  }
   return pipeline.assign(opts.algorithm, tm.model.uniform_size_bytes(8) * opts.frac);
 }
 
@@ -290,25 +262,13 @@ clado::core::MpqPipeline make_pipeline(clado::models::TrainedModel& tm, const Op
 
 void print_assignment(const clado::models::Model& model,
                       const clado::core::Assignment& assignment) {
-  // Latency-budgeted solves carry their budget in milliseconds (realized
-  // bytes still reported); size-budgeted solves carry it in bytes.
-  if (assignment.budget_ms > 0.0) {
-    std::printf(
-        "# %s  budget %.4f ms  realized %.4f ms  weights %.2f KB  predicted ΔL proxy %.5f  %s\n",
-        clado::core::algorithm_name(assignment.algorithm), assignment.budget_ms,
-        assignment.latency_ms, assignment.bytes / 1024.0, assignment.predicted,
-        assignment.proven_optimal  ? "(proven optimal)"
-        : assignment.used_fallback ? "(annealing fallback)"
-                                   : "");
-  } else {
-    std::printf("# %s  target %.2f KB  realized %.2f KB  predicted ΔL proxy %.5f  %s\n",
-                clado::core::algorithm_name(assignment.algorithm),
-                assignment.target_bytes / 1024.0, assignment.bytes / 1024.0,
-                assignment.predicted,
-                assignment.proven_optimal  ? "(proven optimal)"
-                : assignment.used_fallback ? "(annealing fallback)"
-                                           : "");
-  }
+  std::printf("# %s  target %.2f KB  realized %.2f KB  predicted ΔL proxy %.5f  %s\n",
+              clado::core::algorithm_name(assignment.algorithm),
+              assignment.target_bytes / 1024.0, assignment.bytes / 1024.0,
+              assignment.predicted,
+              assignment.proven_optimal  ? "(proven optimal)"
+              : assignment.used_fallback ? "(annealing fallback)"
+                                         : "");
   AsciiTable table({"idx", "layer", "params", "bits"});
   for (std::size_t i = 0; i < assignment.bits.size(); ++i) {
     table.add_row({std::to_string(i), model.quant_layers[i].name,
