@@ -14,6 +14,7 @@
 // report output when the process exits — see ObsReportAtExit below.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -23,6 +24,7 @@
 #include "clado/core/algorithms.h"
 #include "clado/core/report.h"
 #include "clado/data/synthcv.h"
+#include "clado/models/builders.h"
 #include "clado/models/zoo.h"
 #include "clado/obs/obs.h"
 #include "clado/tensor/env.h"
@@ -124,12 +126,25 @@ inline const std::vector<Algorithm>& table1_algorithms() {
   return algs;
 }
 
-/// Models named on the command line, or a default list.
+/// Models named on the command line, or a default list. An argument that
+/// names no zoo model (a flag included) is a usage error: one stderr line
+/// and exit 2, before any model loads.
 inline std::vector<std::string> models_from_args(int argc, char** argv,
                                                  std::vector<std::string> defaults) {
   if (argc <= 1) return defaults;
+  const std::vector<std::string>& known = clado::models::model_names();
   std::vector<std::string> names;
-  for (int i = 1; i < argc; ++i) names.emplace_back(argv[i]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (std::find(known.begin(), known.end(), arg) == known.end()) {
+      std::string list;
+      for (const std::string& name : known) list += " " + name;
+      std::fprintf(stderr, "usage: %s [model...]: '%s' is not one of:%s\n", argv[0],
+                   arg.c_str(), list.c_str());
+      std::exit(2);
+    }
+    names.push_back(arg);
+  }
   return names;
 }
 

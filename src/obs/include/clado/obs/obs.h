@@ -21,12 +21,6 @@
 //                         the trailing window of activity at bounded
 //                         memory instead of growing without limit.
 //
-// Per-request scoping: a TraceScope claims the constructing thread for
-// the duration of its lifetime; spans closed on that thread while the
-// scope is active are recorded into the scope's private span tree
-// (name, timing, nesting depth) instead of the process-global trace
-// buffer. The serving engine opens one scope per executed batch so each
-// request can carry its own timeline.
 // Span aggregates and counters are always maintained — they are cheap
 // (one relaxed atomic add, or two clock reads plus a short mutex hold per
 // span) — so phase timings are reportable even with tracing off; only the
@@ -45,7 +39,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace clado::obs {
 
@@ -101,49 +94,7 @@ class Span {
  private:
   std::string name_;
   std::int64_t start_us_ = 0;
-  int depth_ = 0;  ///< nesting depth inside the active TraceScope, if any
   bool open_ = false;
-};
-
-/// Claims the constructing thread: spans closed on this thread while the
-/// scope is alive are recorded into the scope's private buffer (with their
-/// nesting depth, so the caller can reconstruct the span tree) instead of
-/// the process-global trace buffer. Span aggregates and counters still
-/// update globally — only the per-event timeline is redirected. Scopes
-/// nest (the newest one wins); each scope must be destroyed on the thread
-/// that created it. The serving engine opens one scope per executed batch
-/// so every request carries its own timeline.
-class TraceScope {
- public:
-  struct Event {
-    std::string name;
-    std::int64_t start_us = 0;
-    std::int64_t dur_us = 0;
-    int depth = 0;  ///< 0 = outermost span closed inside this scope
-  };
-
-  /// `capacity` bounds the captured event list; overflow is counted in
-  /// dropped() instead of growing the buffer.
-  explicit TraceScope(std::size_t capacity = 256);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  /// Events captured so far, in close order (children before parents).
-  const std::vector<Event>& events() const { return events_; }
-  /// Moves the captured events out (the scope keeps recording afterwards).
-  std::vector<Event> take_events();
-  std::int64_t dropped() const { return dropped_; }
-
- private:
-  friend class Span;
-  friend struct TraceScopeAccess;
-
-  std::vector<Event> events_;
-  std::size_t capacity_;
-  std::int64_t dropped_ = 0;
-  int open_depth_ = 0;
-  TraceScope* prev_ = nullptr;  ///< scope shadowed by this one on the thread
 };
 
 /// Aggregate of all closed spans sharing one name.

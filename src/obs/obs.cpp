@@ -144,13 +144,12 @@ class Registry {
     return gauges_[std::string(name)];
   }
 
-  void record_span(const std::string& name, std::int64_t start_us, std::int64_t end_us,
-                   bool buffer_event) {
+  void record_span(const std::string& name, std::int64_t start_us, std::int64_t end_us) {
     const std::lock_guard<std::mutex> lock(mutex_);
     SpanStat& stat = spans_[name];
     ++stat.count;
     stat.total_seconds += static_cast<double>(end_us - start_us) * 1e-6;
-    if (buffer_event && !trace_path_.empty()) {
+    if (!trace_path_.empty()) {
       append_event({name, start_us, end_us - start_us, current_tid()});
     }
   }
@@ -336,52 +335,7 @@ class Registry {
   std::string metrics_path_ CLADO_GUARDED_BY(mutex_);
 };
 
-// ---- per-thread TraceScope registry ----------------------------------------
-// thread_local is banned in src/ (it is the pattern behind the PR 1 GEMM
-// race), so active scopes live in a mutex-guarded map keyed by thread id.
-// The atomic count lets the common no-scope case skip the lock entirely, so
-// instrumentation pays nothing until a scope actually exists.
-std::atomic<int> g_scope_count{0};
-std::mutex g_scope_mutex;
-std::map<std::thread::id, TraceScope*> g_scopes;
-
-TraceScope* current_scope() {
-  if (g_scope_count.load(std::memory_order_acquire) == 0) return nullptr;
-  const std::lock_guard<std::mutex> lock(g_scope_mutex);
-  const auto it = g_scopes.find(std::this_thread::get_id());
-  return it == g_scopes.end() ? nullptr : it->second;
-}
-
 }  // namespace
-
-TraceScope::TraceScope(std::size_t capacity) : capacity_(capacity < 1 ? 1 : capacity) {
-  events_.reserve(capacity_ < 64 ? capacity_ : 64);
-  const std::lock_guard<std::mutex> lock(g_scope_mutex);
-  TraceScope*& slot = g_scopes[std::this_thread::get_id()];
-  prev_ = slot;
-  slot = this;
-  g_scope_count.fetch_add(1, std::memory_order_release);
-}
-
-TraceScope::~TraceScope() {
-  const std::lock_guard<std::mutex> lock(g_scope_mutex);
-  const auto it = g_scopes.find(std::this_thread::get_id());
-  // Scopes unwind LIFO on their own thread, so this scope is the slot head.
-  if (it != g_scopes.end() && it->second == this) {
-    if (prev_ != nullptr) {
-      it->second = prev_;
-    } else {
-      g_scopes.erase(it);
-    }
-  }
-  g_scope_count.fetch_sub(1, std::memory_order_release);
-}
-
-std::vector<TraceScope::Event> TraceScope::take_events() {
-  std::vector<Event> out;
-  out.swap(events_);
-  return out;
-}
 
 void Gauge::set(double v) noexcept {
   last_.store(v, std::memory_order_relaxed);
@@ -401,9 +355,6 @@ Gauge& gauge(std::string_view name) {
 Span::Span(std::string_view name) {
   name_ = name;
   start_us_ = Registry::instance().now_us();
-  if (TraceScope* scope = current_scope(); scope != nullptr) {
-    depth_ = scope->open_depth_++;  // scope fields are owner-thread-only
-  }
   open_ = true;
 }
 
@@ -412,20 +363,7 @@ double Span::close() noexcept {
   open_ = false;
   Registry& reg = Registry::instance();
   const std::int64_t end_us = reg.now_us();
-  TraceScope* scope = current_scope();
-  if (scope != nullptr) {
-    if (scope->open_depth_ > 0) --scope->open_depth_;
-    // clado-lint: allow(lock-discipline) -- TraceScope fields are owner-thread-only by contract
-    if (scope->events_.size() < scope->capacity_) {
-      // clado-lint: allow(lock-discipline) -- TraceScope fields are owner-thread-only by contract
-      scope->events_.push_back({name_, start_us_, end_us - start_us_, depth_});
-    } else {
-      ++scope->dropped_;
-    }
-  }
-  // With a scope active, the event stays out of the process-global ring —
-  // the request owns its timeline; aggregates still update globally.
-  reg.record_span(name_, start_us_, end_us, /*buffer_event=*/scope == nullptr);
+  reg.record_span(name_, start_us_, end_us);
   return static_cast<double>(end_us - start_us_) * 1e-6;
 }
 

@@ -1,27 +1,23 @@
 // clado::serve::Server — in-process serving front-end with dynamic
-// micro-batching and admission control.
+// micro-batching and admission control. One Server runs one model; its
+// worker threads are the only concurrency in the serving front end.
 //
 // Data path: submit() admits a single-sample request into a bounded MPSC
 // queue (bounded = backpressure: a full queue rejects immediately with
-// kRejectedOverload, it never blocks the producer). Worker loops — run as
-// long-lived chunks of a dedicated tensor::ThreadPool via parallel_for, so
-// serving reuses the pool's worker lifecycle instead of hand-rolled
-// threads — batch work-conservingly: a worker that finds the queue
-// non-empty takes up to max_batch requests at once, stacks them into its
-// Engine replica's pinned plan buffer and runs one batched forward there.
-// Requests share a micro-batch only when they queued while every worker
-// was busy.
+// kRejectedOverload, it never blocks the producer). `workers` plain
+// threads, started by the constructor and joined by drain(), batch
+// work-conservingly: a worker that finds the queue non-empty takes up to
+// max_batch requests at once, stacks them into its Engine replica's pinned
+// plan buffer and runs one batched forward there. Requests share a
+// micro-batch only when they queued while every worker was busy.
 // Requests whose deadline expired while queued are dropped before
 // execution (kDeadlineExpired). drain() stops admission, finishes every
-// already-admitted request, and parks the workers; the destructor drains.
+// already-admitted request, and joins the workers; the destructor drains.
 //
 // Observability: serve.* counters/gauges (submitted, completed, batches,
 // rejected_overload, shed.*, deadline_expired, engine_errors, queue_depth,
 // batch_size) feed the standard clado::obs dump; drain() publishes
 // p50/p99/max latency gauges.
-// With capture_traces on, each batch runs under an obs::TraceScope and
-// every response carries the span tree of its batch — per-request
-// timelines without polluting the process-global trace ring.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,6 @@
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
 #include "clado/tensor/check.h"
-#include "clado/tensor/thread_pool.h"
 
 namespace clado::serve {
 
@@ -59,11 +54,12 @@ inline constexpr std::uint32_t kNumStatuses =
 const char* status_name(Status s);
 
 /// Admission priority under overload. When the queue saturates, best-effort
-/// requests are shed first — at a lower queue threshold, and by eviction
-/// when an interactive request arrives at a full queue.
+/// requests are shed first — once the queue holds ¾ of its capacity (at
+/// least 1), and by eviction when an interactive request arrives at a full
+/// queue.
 enum class DeadlineClass : std::uint32_t {
   kInteractive = 0,  ///< shed only when the queue is hard-full
-  kBestEffort = 1,   ///< shed once the queue passes best_effort_cap
+  kBestEffort = 1,   ///< shed once the queue holds max(1, queue_capacity·3/4)
 };
 inline constexpr std::uint32_t kNumDeadlineClasses = 2;
 
@@ -77,25 +73,18 @@ struct Response {
   std::int64_t queue_us = 0;    ///< admission -> batch formation
   std::int64_t total_us = 0;    ///< admission -> completion
   std::string error;            ///< kEngineError details
-  /// Span tree of the executing batch (ServerConfig::capture_traces).
-  std::vector<clado::obs::TraceScope::Event> trace;
 };
 
 struct ServerConfig {
   int workers = 2;                   ///< worker loops; engine needs >= this many replicas
   std::int64_t max_batch = 8;        ///< most queued requests one batch takes (<= plan capacity)
   std::int64_t queue_capacity = 256; ///< admission bound (backpressure past this)
-  /// Queue depth past which best-effort requests are shed; 0 = auto
-  /// (3/4 of queue_capacity, at least 1). Interactive requests are only
-  /// shed at queue_capacity, after trying to evict a queued best-effort.
-  std::int64_t best_effort_cap = 0;
-  bool capture_traces = false;       ///< attach per-request span trees to responses
   /// Admit requests but hold execution until resume(); lets tests and the
   /// batching bench enqueue a known backlog before the first batch forms.
   bool start_paused = false;
 
-  /// Defaults overridden by CLADO_SERVE_WORKERS / _MAX_BATCH / _QUEUE_CAP /
-  /// _BE_QUEUE_CAP (strict parsing; garbage throws).
+  /// Defaults overridden by CLADO_SERVE_WORKERS / _MAX_BATCH / _QUEUE_CAP
+  /// (strict parsing; garbage throws).
   static ServerConfig from_env();
 };
 
@@ -106,9 +95,6 @@ struct LatencySummary {
   double p99_ms = 0.0;
   double max_ms = 0.0;
 };
-
-/// Nearest-rank p50/p99 and the maximum of `samples_ms`, in any order.
-LatencySummary summarize_latencies(std::vector<double> samples_ms);
 
 class Server {
  public:
@@ -131,22 +117,21 @@ class Server {
   std::future<Response> submit(Tensor input, std::int64_t deadline_us = 0,
                                DeadlineClass klass = DeadlineClass::kInteractive);
 
-  /// Requests admitted but not yet taken into a batch — the least-loaded
-  /// dispatch key used by Fleet. A free worker takes queued requests as
-  /// soon as it wakes, so this reads 0 while a worker is free and awake.
+  /// Requests admitted but not yet taken into a batch, as shown in the
+  /// kStats line. A free worker takes queued requests as soon as it wakes,
+  /// so this reads 0 while a worker is free and awake.
   std::int64_t queue_depth() const;
 
   /// Releases workers held by ServerConfig::start_paused.
   void resume();
 
   /// Graceful shutdown: stop admitting, finish every admitted request,
-  /// park the workers, publish latency gauges. Idempotent.
+  /// join the workers, publish latency gauges. Idempotent.
   void drain();
 
-  /// Completed-request latencies in ms: the reservoir of the most recent
-  /// 64k requests, in no particular order.
-  std::vector<double> latency_samples() const;
-  LatencySummary latency_summary() const { return summarize_latencies(latency_samples()); }
+  /// Nearest-rank p50/p99 and the maximum over the completed-request
+  /// latencies in the reservoir of the most recent 64k requests.
+  LatencySummary latency_summary() const;
   const ServerConfig& config() const { return config_; }
   const Engine& engine() const { return *engine_; }
 
@@ -205,10 +190,8 @@ class Server {
   std::size_t latency_overwrite_ CLADO_GUARDED_BY(mutex_) = 0;
   mutable std::mutex drain_mutex_;     ///< serializes concurrent drain() calls
 
-  /// Worker loops live on this pool as `workers` parallel_for chunks; the
-  /// dispatcher thread is the parallel_for caller (and runs one chunk).
-  clado::tensor::ThreadPool pool_;
-  std::thread dispatcher_;
+  /// One thread per worker loop; drain() joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace clado::serve

@@ -4,11 +4,11 @@
 // SocketDaemon fronts a serve::Fleet: run() polls a Unix-domain listener
 // and (when configured) a loopback TCP listener from ONE accept loop and
 // spawns a handler thread per connection. Handlers read framed
-// WireRequests, route kInfer by model name to the fleet's least-loaded
-// replica (a submit that races a hot-swap and lands on a draining server
-// is re-routed once against the fresh set), apply kSwap through the
-// installed swap factory, answer kStats from Fleet::stats_text, and write
-// framed WireResponses. Every connection carries a receive timeout
+// WireRequests, route kInfer by model name to that model's Server (a
+// submit that races a hot-swap and lands on the draining old server is
+// re-routed to the new one, up to 3 attempts in all), apply kSwap through
+// the installed swap factory, answer kStats from Fleet::stats_text, and
+// write framed WireResponses. Every connection carries a receive timeout
 // (DaemonOptions::read_timeout_ms): a client that stalls mid-frame is
 // dropped — it can never wedge the acceptor or a clean shutdown, because
 // run()'s exit path also shuts down every open connection before joining
@@ -64,11 +64,11 @@ struct DaemonOptions {
   static DaemonOptions from_env();
 };
 
-/// Builds a fresh replica set for a hot-swap: `bits` per Engine semantics
+/// Builds a fresh Server for a hot-swap: `bits` per Engine semantics
 /// (empty = fp32). Installed by the daemon's owner, which holds the master
-/// weights; throws to reject the swap (the fleet keeps the old engines).
-using SwapFactory = std::function<std::vector<std::shared_ptr<Server>>(
-    const std::string& model, const std::vector<int>& bits)>;
+/// weights; throws to reject the swap (the fleet keeps the old engine).
+using SwapFactory = std::function<std::shared_ptr<Server>(const std::string& model,
+                                                          const std::vector<int>& bits)>;
 
 class SocketDaemon {
  public:

@@ -10,8 +10,8 @@
 // and a model name (routing key into the daemon's Fleet; empty = the only
 // model when exactly one is loaded), and adds two control frames: kSwap
 // (hot-swap the named engine: the daemon re-freezes from its master
-// weights at the carried bit-widths and atomically replaces the replica
-// set) and kStats (text dump of the fleet's per-model state).
+// weights at the carried bit-widths and atomically replaces the model's
+// Server) and kStats (text dump of the fleet's per-model state).
 //
 // Request payload:  magic u32 | version u32 | type u32 | class u32 |
 //                   deadline_us i64 | model_len u32 | model bytes |

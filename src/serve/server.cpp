@@ -29,6 +29,12 @@ std::future<Response> immediate(Status status, std::string error = {}) {
   return promise.get_future();
 }
 
+/// Queue depth at which best-effort requests are shed: ¾ of the queue, at
+/// least one slot, so the rest stays reserved for interactive traffic.
+std::int64_t best_effort_limit(std::int64_t queue_capacity) {
+  return std::max<std::int64_t>(1, queue_capacity * 3 / 4);
+}
+
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(
@@ -69,28 +75,18 @@ ServerConfig ServerConfig::from_env() {
   if (const auto v = env_int_strict("CLADO_SERVE_QUEUE_CAP", 1, 1 << 20)) {
     c.queue_capacity = *v;
   }
-  if (const auto v = env_int_strict("CLADO_SERVE_BE_QUEUE_CAP", 1, 1 << 20)) {
-    c.best_effort_cap = *v;
-  }
   return c;
 }
 
 Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)
     : engine_(std::move(engine)),
       config_(config),
-      epoch_(std::chrono::steady_clock::now()),
-      pool_(config.workers) {
+      epoch_(std::chrono::steady_clock::now()) {
   if (engine_ == nullptr) throw std::invalid_argument("Server: engine is null");
   if (config_.workers < 1) throw std::invalid_argument("Server: workers must be >= 1");
   if (config_.max_batch < 1) throw std::invalid_argument("Server: max_batch must be >= 1");
   if (config_.queue_capacity < 1) {
     throw std::invalid_argument("Server: queue_capacity must be >= 1");
-  }
-  if (config_.best_effort_cap < 0 || config_.best_effort_cap > config_.queue_capacity) {
-    throw std::invalid_argument("Server: best_effort_cap must be in [0, queue_capacity]");
-  }
-  if (config_.best_effort_cap == 0) {
-    config_.best_effort_cap = std::max<std::int64_t>(1, config_.queue_capacity * 3 / 4);
   }
   if (engine_->replicas() < config_.workers) {
     throw std::invalid_argument(
@@ -108,18 +104,22 @@ Server::Server(std::shared_ptr<Engine> engine, ServerConfig config)
   }
   paused_ = config_.start_paused;
   latencies_ms_.reserve(std::min<std::size_t>(kLatencyCap, 1024));
-  // The dispatcher issues one parallel_for whose chunks ARE the worker
-  // loops (grain 1 → exactly `workers` chunks, and the dispatcher itself
-  // executes one of them as the participating caller). parallel_for only
-  // returns once every loop exits at stop_, which is what ~Server joins on.
-  dispatcher_ = std::thread([this] {
-    pool_.parallel_for(0, config_.workers, 1,
-                       [this](std::int64_t begin, std::int64_t end) {
-                         for (std::int64_t w = begin; w < end; ++w) {
-                           worker_loop(static_cast<int>(w));
-                         }
-                       });
-  });
+  workers_.reserve(static_cast<std::size_t>(config_.workers));
+  try {
+    for (int w = 0; w < config_.workers; ++w) {
+      workers_.emplace_back([this, w] { worker_loop(w); });
+    }
+  } catch (...) {
+    // A thread that could not start: stop and join the ones that did, so
+    // no joinable std::thread outlives the failed constructor.
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& worker : workers_) worker.join();
+    throw;
+  }
 }
 
 Server::~Server() {
@@ -155,14 +155,14 @@ std::future<Response> Server::submit(Tensor input, std::int64_t deadline_us,
     const std::lock_guard<std::mutex> lock(mutex_);
     if (draining_ || stop_) return immediate(Status::kShutdown);
     const auto depth = static_cast<std::int64_t>(queue_.size());
-    if (klass == DeadlineClass::kBestEffort && depth >= config_.best_effort_cap) {
+    const std::int64_t be_limit = best_effort_limit(config_.queue_capacity);
+    if (klass == DeadlineClass::kBestEffort && depth >= be_limit) {
       // Best-effort saturates early so the remaining headroom stays
       // reserved for interactive traffic.
       metrics_.rejected_overload.add();
       metrics_.shed_best_effort.add();
       return immediate(Status::kRejectedOverload,
-                       "best-effort queue cap (" + std::to_string(config_.best_effort_cap) +
-                           ") reached");
+                       "best-effort queue cap (" + std::to_string(be_limit) + ") reached");
     }
     if (depth >= config_.queue_capacity) {
       // Hard-full: an interactive request may still claim the slot of the
@@ -227,7 +227,8 @@ void Server::drain() {
     drained_ = true;
     cv_.notify_all();
   }
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 
   const LatencySummary lat = latency_summary();
   if (lat.count > 0) {
@@ -295,9 +296,6 @@ void Server::worker_loop(int worker) {
 
 void Server::execute_batch(int worker, std::vector<Pending>& live, std::int64_t formed_us,
                            Tensor& logits) {
-  std::optional<clado::obs::TraceScope> scope;
-  if (config_.capture_traces) scope.emplace();
-
   const auto n = static_cast<std::int64_t>(live.size());
   std::string error;
   {
@@ -317,9 +315,6 @@ void Server::execute_batch(int worker, std::vector<Pending>& live, std::int64_t 
     }
     span.close();
   }
-  std::vector<clado::obs::TraceScope::Event> trace;
-  if (scope.has_value()) trace = scope->take_events();
-
   const std::int64_t done_us = now_us();
   if (error.empty()) {
     metrics_.batches.add();
@@ -342,7 +337,6 @@ void Server::execute_batch(int worker, std::vector<Pending>& live, std::int64_t 
     r.batch_size = n;
     r.queue_us = formed_us - p.enqueue_us;
     r.total_us = done_us - p.enqueue_us;
-    r.trace = trace;
     p.promise.set_value(std::move(r));
   }
   if (!error.empty()) return;
@@ -358,12 +352,12 @@ void Server::execute_batch(int worker, std::vector<Pending>& live, std::int64_t 
   }
 }
 
-std::vector<double> Server::latency_samples() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return latencies_ms_;
-}
-
-LatencySummary summarize_latencies(std::vector<double> samples_ms) {
+LatencySummary Server::latency_summary() const {
+  std::vector<double> samples_ms;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    samples_ms = latencies_ms_;
+  }
   std::sort(samples_ms.begin(), samples_ms.end());
   LatencySummary s;
   s.count = static_cast<std::int64_t>(samples_ms.size());

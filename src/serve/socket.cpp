@@ -459,8 +459,7 @@ WireResponse SocketDaemon::dispatch(const WireRequest& req) {
       }
       try {
         const clado::obs::Span span("serve/hot_swap");
-        auto replicas = swap_factory_(*name, req.swap_bits);
-        fleet_->put(*name, std::move(replicas));
+        fleet_->put(*name, swap_factory_(*name, req.swap_bits));
         resp.status = Status::kOk;
         resp.stats = "swapped " + *name + " (" + std::to_string(req.swap_bits.size()) +
                      " bit entries)";
@@ -483,8 +482,8 @@ WireResponse SocketDaemon::dispatch(const WireRequest& req) {
         }
         Response r = server->submit(req.input, req.deadline_us, req.klass).get();
         if (r.status == Status::kShutdown && !stopping_.load()) {
-          // The replica started draining under us (hot-swap flipped the
-          // table between route() and submit()); re-route to the new set.
+          // The server started draining under us (hot-swap flipped the
+          // table between route() and submit()); re-route to the new one.
           clado::obs::counter("serve.swap_reroutes").add();
           continue;
         }
@@ -499,7 +498,7 @@ WireResponse SocketDaemon::dispatch(const WireRequest& req) {
         return resp;
       }
       resp.status = Status::kShutdown;
-      resp.error = "replica kept draining across re-routes";
+      resp.error = "server kept draining across re-routes";
       return resp;
     }
     case MsgType::kShutdown:

@@ -1,8 +1,10 @@
-// Fleet-serving coverage: named-engine registry with replica sets,
-// least-loaded dispatch, fleet-wide latency percentiles, mid-stream hot-swap
-// bit-identity, swap fault atomicity, stale-socket reclaim vs live-daemon
-// conflict, and the TCP listener. Runs under TSan in CI alongside
-// serve_test: the daemon, streamer, and swap paths here race on purpose.
+// Fleet-serving coverage: the named table of one Server per model (put,
+// route, resolve, erase), the kStats line's latency percentiles,
+// mid-stream hot-swap bit-identity, swap fault atomicity, the daemon's
+// bounded re-route of kShutdown answers, multi-model routing, stale-socket
+// reclaim vs live-daemon conflict, and the TCP listener. Runs under TSan in
+// CI alongside serve_test: the daemon, streamer, and swap paths here race
+// on purpose.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -62,13 +64,16 @@ ServerConfig daemon_config() {
   return cfg;
 }
 
-std::vector<std::shared_ptr<Server>> replica_set(const std::vector<int>& bits, int servers,
-                                                 ServerConfig cfg = daemon_config()) {
-  std::vector<std::shared_ptr<Server>> set;
-  for (int i = 0; i < servers; ++i) {
-    set.push_back(std::make_shared<Server>(tiny_engine(bits, cfg.workers), cfg));
-  }
-  return set;
+std::shared_ptr<Server> tiny_server(const std::vector<int>& bits,
+                                    ServerConfig cfg = daemon_config()) {
+  return std::make_shared<Server>(tiny_engine(bits, cfg.workers), cfg);
+}
+
+/// A daemon_config() with two workers, so two batches run at once.
+ServerConfig two_worker_config() {
+  ServerConfig cfg = daemon_config();
+  cfg.workers = 2;
+  return cfg;
 }
 
 Tensor fixed_sample() {
@@ -96,20 +101,20 @@ bool logits_equal(const std::vector<float>& got, const Tensor& want) {
 
 TEST(Fleet, PutRouteResolveErase) {
   Fleet fleet;
-  EXPECT_THROW(fleet.put("", replica_set({}, 1)), std::invalid_argument);
-  EXPECT_THROW(fleet.put("a", {}), std::invalid_argument);
-  EXPECT_THROW(fleet.put("a", {nullptr}), std::invalid_argument);
+  EXPECT_THROW(fleet.put("", tiny_server({})), std::invalid_argument);
+  EXPECT_THROW(fleet.put("a", nullptr), std::invalid_argument);
+  EXPECT_EQ(fleet.size(), 0u);
   EXPECT_EQ(fleet.route("a"), nullptr);
 
-  fleet.put("a", replica_set({8, 8, 8, 8}, 2));
+  const auto a = tiny_server({8, 8, 8, 8}, two_worker_config());
+  fleet.put("a", a);
   EXPECT_EQ(fleet.size(), 1u);
-  EXPECT_EQ(fleet.replica_count("a"), 2u);
-  EXPECT_NE(fleet.route("a"), nullptr);
+  EXPECT_EQ(fleet.route("a"), a);
   // Sole model: the empty routing key resolves to it.
   EXPECT_EQ(fleet.resolve_name("").value_or("?"), "a");
-  EXPECT_NE(fleet.route(""), nullptr);
+  EXPECT_EQ(fleet.route(""), a);
 
-  fleet.put("b", replica_set({}, 1));
+  fleet.put("b", tiny_server({}));
   EXPECT_EQ(fleet.size(), 2u);
   // Two models: the empty key is ambiguous, unknown names stay unknown.
   EXPECT_FALSE(fleet.resolve_name("").has_value());
@@ -117,68 +122,49 @@ TEST(Fleet, PutRouteResolveErase) {
   EXPECT_EQ(fleet.route("nope"), nullptr);
 
   const std::string stats = fleet.stats_text();
-  EXPECT_NE(stats.find("a: engine="), std::string::npos) << stats;
-  EXPECT_NE(stats.find("replicas=2"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("a: engine=int workers=2 queue=0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("b: engine=fp32 workers=1 queue=0"), std::string::npos) << stats;
 
   EXPECT_TRUE(fleet.erase("b"));
   EXPECT_FALSE(fleet.erase("b"));
   EXPECT_EQ(fleet.names(), std::vector<std::string>{"a"});
   fleet.drain_all();
+  EXPECT_EQ(a->submit(fixed_sample()).get().status, Status::kShutdown);
 }
 
-TEST(Fleet, RoutesToLeastLoadedReplica) {
-  ServerConfig cfg = daemon_config();
-  cfg.start_paused = true;  // queued work stays queued: depths are inspectable
-  Fleet fleet;
-  auto replicas = replica_set({}, 2, cfg);
-  fleet.put("tiny", replicas);
-
-  // Load replica 0 directly; the fleet must now prefer replica 1.
-  Rng rng(5);
-  std::vector<std::future<clado::serve::Response>> backlog;
-  backlog.push_back(replicas[0]->submit(Tensor::randn({3, 8, 8}, rng)));
-  backlog.push_back(replicas[0]->submit(Tensor::randn({3, 8, 8}, rng)));
-  EXPECT_EQ(replicas[0]->queue_depth(), 2);
-  EXPECT_EQ(fleet.route("tiny"), replicas[1]);
-
-  // Tip the balance the other way.
-  for (int i = 0; i < 3; ++i) {
-    backlog.push_back(replicas[1]->submit(Tensor::randn({3, 8, 8}, rng)));
-  }
-  EXPECT_EQ(fleet.route("tiny"), replicas[0]);
-
-  for (auto& r : replicas) r->resume();
-  fleet.drain_all();
-  for (auto& f : backlog) EXPECT_EQ(f.get().status, Status::kOk);
-}
-
-TEST(Fleet, StatsPercentilesRankEveryReplicasSamplesTogether) {
-  // 99 prompt answers on one replica, one request held ~200 ms on its
-  // sibling: the model's p99 is a prompt latency, whatever the held
-  // replica's own p99 reads.
+TEST(Fleet, StatsLineRanksTheServersLatencies) {
+  // One request held ~200 ms behind a paused start, then 99 prompt ones:
+  // the served count covers all 100, and p99 is a rank over them (a prompt
+  // latency), not the held request's maximum.
   constexpr auto kHold = std::chrono::milliseconds(200);
-  ServerConfig held_cfg = daemon_config();
-  held_cfg.start_paused = true;
-  auto prompt = std::make_shared<Server>(tiny_engine({}), daemon_config());
-  auto held = std::make_shared<Server>(tiny_engine({}), held_cfg);
+  ServerConfig cfg = daemon_config();
+  cfg.start_paused = true;
+  const auto server = tiny_server({}, cfg);
   Fleet fleet;
-  fleet.put("tiny", {prompt, held});
+  fleet.put("tiny", server);
 
   const Tensor sample = fixed_sample();
-  auto slow = held->submit(sample);
-  for (int i = 0; i < 99; ++i) ASSERT_EQ(prompt->submit(sample).get().status, Status::kOk);
+  auto slow = server->submit(sample);
   std::this_thread::sleep_for(kHold);
-  held->resume();
+  server->resume();
   ASSERT_EQ(slow.get().status, Status::kOk);
+  for (int i = 0; i < 99; ++i) ASSERT_EQ(server->submit(sample).get().status, Status::kOk);
   // A worker records a latency just after answering; drain returns only
   // once every admitted batch has finished, so every sample is in.
   fleet.drain_all();
 
   const std::string stats = fleet.stats_text();
   EXPECT_NE(stats.find("served=100 "), std::string::npos) << stats;
-  const std::size_t at = stats.find("p99_ms=");
-  ASSERT_NE(at, std::string::npos) << stats;
-  EXPECT_LT(std::stod(stats.substr(at + 7)), static_cast<double>(kHold.count())) << stats;
+  const std::size_t p50_at = stats.find("p50_ms=");
+  const std::size_t p99_at = stats.find("p99_ms=");
+  ASSERT_NE(p50_at, std::string::npos) << stats;
+  ASSERT_NE(p99_at, std::string::npos) << stats;
+  const double p50 = std::stod(stats.substr(p50_at + 7));
+  const double p99 = std::stod(stats.substr(p99_at + 7));
+  EXPECT_GT(p50, 0.0) << stats;
+  EXPECT_LE(p50, p99) << stats;
+  EXPECT_LT(p99, static_cast<double>(kHold.count())) << stats;
+  EXPECT_GE(server->latency_summary().max_ms, static_cast<double>(kHold.count()));
 }
 
 TEST(Fleet, HotSwapServesBitIdenticalToFreshLoadMidStream) {
@@ -197,13 +183,13 @@ TEST(Fleet, HotSwapServesBitIdenticalToFreshLoadMidStream) {
   }());
 
   Fleet fleet;
-  fleet.put("tiny", replica_set(old_bits, 2));
+  fleet.put("tiny", tiny_server(old_bits, two_worker_config()));
   DaemonOptions dopts;
   dopts.socket_path = temp_socket("clado_fleet_swap.sock");
   SocketDaemon daemon(fleet, dopts);
   daemon.set_swap_factory([](const std::string& name, const std::vector<int>& bits) {
     if (name != "tiny") throw std::runtime_error("no master weights for " + name);
-    return replica_set(bits, 2);
+    return tiny_server(bits, two_worker_config());
   });
   std::thread daemon_thread([&] { daemon.run(); });
 
@@ -259,13 +245,14 @@ TEST(Fleet, InjectedSwapFailureLeavesOldSetFullyInService) {
   const Tensor ref_old = reference_logits(old_bits, sample);
 
   Fleet fleet;
-  fleet.put("tiny", replica_set(old_bits, 1));
+  const auto old_server = tiny_server(old_bits);
+  fleet.put("tiny", old_server);
   DaemonOptions dopts;
   dopts.socket_path = temp_socket("clado_fleet_swapfault.sock");
   SocketDaemon daemon(fleet, dopts);
   daemon.set_swap_factory([](const std::string& name, const std::vector<int>& bits) {
     (void)name;
-    return replica_set(bits, 1);
+    return tiny_server(bits);
   });
   std::thread daemon_thread([&] { daemon.run(); });
 
@@ -276,7 +263,7 @@ TEST(Fleet, InjectedSwapFailureLeavesOldSetFullyInService) {
   clado::fault::disarm_all();
 
   // Strong exception safety: the failed swap changed nothing.
-  EXPECT_EQ(fleet.replica_count("tiny"), 1u);
+  EXPECT_EQ(fleet.route("tiny"), old_server);
   const auto resp = clado::serve::query_socket(dopts.socket_path, sample);
   ASSERT_EQ(resp.status, Status::kOk) << resp.error;
   EXPECT_TRUE(logits_equal(resp.logits, ref_old));
@@ -289,10 +276,35 @@ TEST(Fleet, InjectedSwapFailureLeavesOldSetFullyInService) {
   daemon_thread.join();
 }
 
+TEST(Fleet, DaemonReroutesShutdownAnswersAtMostThreeTimes) {
+  // A server that answers kShutdown while the daemon still runs is one a
+  // hot-swap retired between route() and submit(): the daemon routes the
+  // request again. A server that stays draining costs three attempts and
+  // then a definite kShutdown, never a loop.
+  Fleet fleet;
+  const auto server = tiny_server({});
+  fleet.put("tiny", server);
+  server->drain();
+  DaemonOptions dopts;
+  dopts.socket_path = temp_socket("clado_fleet_reroute.sock");
+  SocketDaemon daemon(fleet, dopts);
+  std::thread daemon_thread([&] { daemon.run(); });
+
+  clado::obs::Counter& reroutes = clado::obs::counter("serve.swap_reroutes");
+  const std::int64_t before = reroutes.value();
+  const auto resp = clado::serve::query_socket(dopts.socket_path, fixed_sample());
+  EXPECT_EQ(resp.status, Status::kShutdown);
+  EXPECT_NE(resp.error.find("kept draining across re-routes"), std::string::npos) << resp.error;
+  EXPECT_EQ(reroutes.value(), before + 3);
+
+  EXPECT_TRUE(clado::serve::shutdown_socket(dopts.socket_path));
+  daemon_thread.join();
+}
+
 TEST(Fleet, MultiModelRoutingByNameOverOneDaemon) {
   Fleet fleet;
-  fleet.put("quant", replica_set({8, 8, 8, 8}, 1));
-  fleet.put("full", replica_set({}, 1));
+  fleet.put("quant", tiny_server({8, 8, 8, 8}));
+  fleet.put("full", tiny_server({}));
   DaemonOptions dopts;
   dopts.socket_path = temp_socket("clado_fleet_multi.sock");
   SocketDaemon daemon(fleet, dopts);
@@ -338,7 +350,7 @@ TEST(Fleet, StaleSocketReclaimedAfterCrashLiveDaemonConflictRejected) {
   const std::int64_t reclaimed_before =
       clado::obs::counter("serve.stale_sockets_reclaimed").value();
   Fleet fleet;
-  fleet.put("tiny", replica_set({}, 1));
+  fleet.put("tiny", tiny_server({}));
   DaemonOptions dopts;
   dopts.socket_path = path;
   SocketDaemon daemon(fleet, dopts);  // restart must reclaim, not throw
@@ -349,7 +361,7 @@ TEST(Fleet, StaleSocketReclaimedAfterCrashLiveDaemonConflictRejected) {
 
   // A SECOND daemon on the same path must refuse: something live answers.
   Fleet other;
-  other.put("tiny", replica_set({}, 1));
+  other.put("tiny", tiny_server({}));
   DaemonOptions conflict;
   conflict.socket_path = path;
   try {
@@ -367,7 +379,7 @@ TEST(Fleet, StaleSocketReclaimedAfterCrashLiveDaemonConflictRejected) {
 
 TEST(Fleet, TcpAndUdsListenersAnswerIdentically) {
   Fleet fleet;
-  fleet.put("tiny", replica_set({8, 8, 8, 8}, 1));
+  fleet.put("tiny", tiny_server({8, 8, 8, 8}));
   DaemonOptions dopts;
   dopts.socket_path = temp_socket("clado_fleet_tcp.sock");
   dopts.tcp_port = 0;  // ephemeral: the kernel picks, tcp_port() reports

@@ -300,80 +300,6 @@ TEST_F(ObsTest, ShrinkingCapacityEvictsOldestExisting) {
   std::remove(path.c_str());
 }
 
-TEST_F(ObsTest, TraceScopeCapturesSpanTreeAndRedirects) {
-  const std::string path = ::testing::TempDir() + "/clado_obs_scope.json";
-  set_trace_path(path);  // tracing on, so redirection is observable
-  {
-    TraceScope scope;
-    {
-      Span outer("test.scope_outer");
-      { Span inner("test.scope_inner"); }
-    }
-    ASSERT_EQ(scope.events().size(), 2u);
-    // Close order: inner first (depth 1), then outer (depth 0).
-    EXPECT_EQ(scope.events()[0].name, "test.scope_inner");
-    EXPECT_EQ(scope.events()[0].depth, 1);
-    EXPECT_EQ(scope.events()[1].name, "test.scope_outer");
-    EXPECT_EQ(scope.events()[1].depth, 0);
-    EXPECT_GE(scope.events()[1].dur_us, scope.events()[0].dur_us);
-  }
-  // Redirected events stay out of the global trace buffer...
-  ASSERT_TRUE(write_trace(path));
-  EXPECT_EQ(read_file(path).find("test.scope_outer"), std::string::npos);
-  // ...but aggregates still update globally.
-  EXPECT_EQ(span_stat("test.scope_outer").count, 1);
-  EXPECT_EQ(span_stat("test.scope_inner").count, 1);
-  std::remove(path.c_str());
-}
-
-TEST_F(ObsTest, TraceScopeBoundsCaptureAndCountsDrops) {
-  TraceScope scope(2);
-  { Span s("test.cap0"); }
-  { Span s("test.cap1"); }
-  { Span s("test.cap2"); }
-  EXPECT_EQ(scope.events().size(), 2u);
-  EXPECT_EQ(scope.dropped(), 1);
-}
-
-TEST_F(ObsTest, TraceScopeTakeEventsKeepsRecording) {
-  TraceScope scope;
-  { Span s("test.take_a"); }
-  const auto first = scope.take_events();
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].name, "test.take_a");
-  EXPECT_TRUE(scope.events().empty());
-  { Span s("test.take_b"); }
-  ASSERT_EQ(scope.events().size(), 1u);
-  EXPECT_EQ(scope.events()[0].name, "test.take_b");
-}
-
-TEST_F(ObsTest, TraceScopesNestNewestWins) {
-  TraceScope outer;
-  { Span s("test.nest_outer_span"); }
-  {
-    TraceScope inner;
-    { Span s("test.nest_inner_span"); }
-    ASSERT_EQ(inner.events().size(), 1u);
-    EXPECT_EQ(inner.events()[0].name, "test.nest_inner_span");
-  }
-  { Span s("test.nest_outer_again"); }
-  ASSERT_EQ(outer.events().size(), 2u);
-  EXPECT_EQ(outer.events()[0].name, "test.nest_outer_span");
-  EXPECT_EQ(outer.events()[1].name, "test.nest_outer_again");
-}
-
-TEST_F(ObsTest, TraceScopeIsPerThread) {
-  TraceScope scope;
-  std::thread other([] {
-    Span s("test.other_thread_span");
-  });
-  other.join();
-  { Span s("test.own_thread_span"); }
-  ASSERT_EQ(scope.events().size(), 1u);
-  EXPECT_EQ(scope.events()[0].name, "test.own_thread_span");
-  EXPECT_EQ(span_stat("test.other_thread_span").count, 1);
-}
-
 TEST_F(ObsTest, ResetClearsWithoutInvalidatingHandles) {
   Counter& c = counter("test.reset");
   c.add(9);

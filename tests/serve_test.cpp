@@ -1,9 +1,10 @@
 // clado::serve coverage: engine freezing, micro-batcher contracts
 // (max_batch; a free worker never waits to fill a batch), admission
-// control (overload, deadlines, shutdown), drain semantics,
-// batched-vs-single bit-identity, per-request trace capture, the wire
-// protocol, and a socket round trip. The concurrency tests are the reason
-// serve_test runs under TSan in CI.
+// control (overload, deadlines, shutdown, the best-effort limit), drain
+// semantics, worker threads that no thread-pool fault reaches,
+// batched-vs-single bit-identity, the wire protocol, and a socket round
+// trip. The concurrency tests are the reason serve_test runs under TSan in
+// CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "clado/fault/fault.h"
 #include "clado/obs/obs.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/fleet.h"
@@ -271,51 +273,70 @@ TEST(ServeServer, DrainCompletesAdmittedWork) {
 }
 
 TEST(ServeServer, BestEffortShedEarlyAndEvictedByInteractive) {
+  // Capacity 4: best-effort requests are shed once three are queued, and
+  // the fourth slot stays for interactive traffic.
   auto engine = make_engine({}, 1);
   ServerConfig cfg = paused_config(1, 8);
-  cfg.queue_capacity = 2;
-  cfg.best_effort_cap = 2;
+  cfg.queue_capacity = 4;
   Server server(engine, cfg);
   Rng rng(111);
   auto be1 = server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort);
   auto be2 = server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort);
-  EXPECT_EQ(server.queue_depth(), 2);
-
-  // At the cap, best-effort is shed immediately even though interactive
-  // work would still be admitted by eviction.
   auto be3 = server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort);
-  ASSERT_EQ(be3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(be3.get().status, Status::kRejectedOverload);
+  EXPECT_EQ(server.queue_depth(), 3);
+
+  // At the limit, best-effort is shed immediately even though interactive
+  // work would still be admitted.
+  auto be4 = server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort);
+  ASSERT_EQ(be4.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(be4.get().status, Status::kRejectedOverload);
+  auto interactive1 = server.submit(make_sample(rng));
+  EXPECT_EQ(server.queue_depth(), 4);
 
   // Interactive at a hard-full queue evicts the NEWEST queued best-effort.
-  auto interactive = server.submit(make_sample(rng));
-  ASSERT_EQ(be2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  const Response evicted = be2.get();
+  auto interactive2 = server.submit(make_sample(rng));
+  ASSERT_EQ(be3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const Response evicted = be3.get();
   EXPECT_EQ(evicted.status, Status::kRejectedOverload);
   EXPECT_NE(evicted.error.find("evicted"), std::string::npos) << evicted.error;
-  EXPECT_EQ(server.queue_depth(), 2);
+  EXPECT_EQ(server.queue_depth(), 4);
 
   server.resume();
   EXPECT_EQ(be1.get().status, Status::kOk);
-  EXPECT_EQ(interactive.get().status, Status::kOk);
+  EXPECT_EQ(be2.get().status, Status::kOk);
+  EXPECT_EQ(interactive1.get().status, Status::kOk);
+  EXPECT_EQ(interactive2.get().status, Status::kOk);
 }
 
-TEST(ServeServer, BestEffortCapValidationAndAutoDefault) {
-  ServerConfig cfg;
-  cfg.workers = 1;
-  ASSERT_EQ(cfg.best_effort_cap, 0);
-  Server server(make_engine({}, 1), cfg);
-  EXPECT_EQ(server.config().best_effort_cap, cfg.queue_capacity * 3 / 4);
-
-  ServerConfig bad = cfg;
-  bad.best_effort_cap = bad.queue_capacity + 1;
-  EXPECT_THROW(Server(make_engine({}, 1), bad), std::invalid_argument);
-
-  ASSERT_EQ(::setenv("CLADO_SERVE_BE_QUEUE_CAP", "7", 1), 0);
-  EXPECT_EQ(ServerConfig::from_env().best_effort_cap, 7);
-  ASSERT_EQ(::setenv("CLADO_SERVE_BE_QUEUE_CAP", "most", 1), 0);
-  EXPECT_THROW(ServerConfig::from_env(), std::invalid_argument);
-  ::unsetenv("CLADO_SERVE_BE_QUEUE_CAP");
+TEST(ServeServer, BestEffortShedAtThreeQuartersOfTheQueue) {
+  // The best-effort limit is max(1, queue_capacity * 3 / 4): capacity 8
+  // admits six best-effort requests, capacity 1 still admits one, and
+  // interactive requests fill the rest of the queue.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> cases = {{8, 6}, {4, 3}, {1, 1}};
+  for (const auto& [capacity, limit] : cases) {
+    ServerConfig cfg = paused_config(1, 8);
+    cfg.queue_capacity = capacity;
+    Server server(make_engine({}, 1), cfg);
+    Rng rng(113);
+    std::vector<std::future<Response>> admitted;
+    for (std::int64_t i = 0; i < limit; ++i) {
+      admitted.push_back(server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort));
+    }
+    EXPECT_EQ(server.queue_depth(), limit) << "capacity " << capacity;
+    auto shed = server.submit(make_sample(rng), 0, DeadlineClass::kBestEffort);
+    ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    const Response r = shed.get();
+    EXPECT_EQ(r.status, Status::kRejectedOverload) << "capacity " << capacity;
+    EXPECT_NE(r.error.find("best-effort queue cap (" + std::to_string(limit) + ")"),
+              std::string::npos)
+        << r.error;
+    for (std::int64_t i = limit; i < capacity; ++i) {
+      admitted.push_back(server.submit(make_sample(rng)));
+    }
+    EXPECT_EQ(server.queue_depth(), capacity) << "capacity " << capacity;
+    server.resume();
+    for (auto& f : admitted) EXPECT_EQ(f.get().status, Status::kOk);
+  }
 }
 
 TEST(ServeServer, InvalidShapeRejectedUpFront) {
@@ -329,31 +350,32 @@ TEST(ServeServer, InvalidShapeRejectedUpFront) {
   EXPECT_NE(r.error.find("[3, 8, 8]"), std::string::npos) << r.error;
 }
 
-TEST(ServeServer, CapturesPerRequestTraces) {
-  auto engine = make_engine({}, 1);
-  ServerConfig cfg = paused_config(1, 8);
-  cfg.capture_traces = true;
+TEST(ServeServer, WorkersRunWhilePoolTaskFaultArmed) {
+  // The worker loops are plain threads, so a thread-pool fault that fires
+  // on every task cannot strand them: every request gets a definite answer
+  // (kEngineError if a forward fanned out on the global pool and failed
+  // there) and drain() returns.
+  struct Disarm {
+    ~Disarm() { clado::fault::disarm_all(); }
+  } disarm;
+  clado::fault::disarm_all();
+  auto engine = make_engine({8, 8, 8, 8}, 2);
+  clado::fault::arm_from(clado::fault::Site::kPoolTask, 1);
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.max_batch = 4;
   Server server(engine, cfg);
-  Rng rng(61);
-  auto future = server.submit(make_sample(rng));
-  server.resume();
-  const Response r = future.get();
-  ASSERT_EQ(r.status, Status::kOk) << r.error;
-  ASSERT_FALSE(r.trace.empty());
-  bool saw_batch = false;
-  bool saw_forward = false;
-  for (const auto& event : r.trace) {
-    if (event.name == "serve/batch") {
-      saw_batch = true;
-      EXPECT_EQ(event.depth, 0);
-    }
-    if (event.name == "serve/engine_forward") {
-      saw_forward = true;
-      EXPECT_GE(event.depth, 1) << "forward should nest inside serve/batch";
-    }
+  Rng rng(131);
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) futures.push_back(server.submit(make_sample(rng)));
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    const Status status = f.get().status;
+    EXPECT_TRUE(status == Status::kOk || status == Status::kEngineError)
+        << clado::serve::status_name(status);
   }
-  EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(saw_forward);
+  server.drain();
+  EXPECT_EQ(server.submit(make_sample(rng)).get().status, Status::kShutdown);
 }
 
 TEST(ServeServer, ConcurrentClientsUnderLoad) {
@@ -481,7 +503,7 @@ TEST(ServeWire, V2RequestCarriesModelClassAndSwapBits) {
 TEST(ServeWire, ResponseCarriesStats) {
   clado::serve::WireResponse resp;
   resp.status = Status::kOk;
-  resp.stats = "resnet_a: replicas=2 queue=[0,1]";
+  resp.stats = "resnet_a: engine=int8 workers=2 queue=1";
   const auto back = clado::serve::decode_response(clado::serve::encode_response(resp));
   EXPECT_EQ(back.stats, resp.stats);
 }
@@ -591,7 +613,7 @@ TEST(ServeSocket, EndToEndQueryMatchesInProcess) {
   // A one-model fleet behind a UDS-only daemon, built the way `clado serve`
   // builds one.
   clado::serve::Fleet fleet;
-  fleet.put(served->model_name(), {server});
+  fleet.put(served->model_name(), server);
   clado::serve::DaemonOptions options;
   options.socket_path =
       (std::filesystem::temp_directory_path() / "clado_serve_test.sock").string();

@@ -15,10 +15,10 @@
 //                       "tcp:<port>" | "tcp:<host>:<port>"
 //   --tcp-port=<n>      also listen on 127.0.0.1:<n> (0 = ephemeral;
 //                       default CLADO_SERVE_TCP_PORT or off)
-//   --replicas=<n>      Server replicas per model for least-loaded
-//                       dispatch (default 1)
 //   --fp32              serve the fp32 models (skip assignment + PTQ)
-//   --workers=<n>       serving workers / engine replicas (default env or 2)
+//   --workers=<n>       serving worker threads per model, each running one
+//                       batch at a time over the model's one queue (default
+//                       env or 2)
 //   --max-batch=<n>     most queued requests a free worker runs as one
 //                       batch (default env or 8)
 //   --queue-cap=<n>     admission bound (default env or 256)
@@ -45,7 +45,8 @@
 //
 // A numeric flag that does not parse, or falls outside its range, is an
 // error (exit 2) naming the flag; where a flag has a CLADO_* twin, the
-// range is the twin's.
+// range is the twin's. A command that fails after its flags parse prints
+// one "clado: <what>" line to stderr and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -99,7 +100,6 @@ struct Options {
   std::int64_t index = 0;
   std::int64_t count = 16;
   int tcp_port = -1;          // -1 = DaemonOptions default / env
-  std::int64_t fleet_replicas = 1;
   std::string query_model;
   bool best_effort = false;
   bool stats = false;
@@ -113,7 +113,7 @@ int usage() {
                "usage: clado <models|train|assign|eval|sweep|serve|query> [model[,model2]] "
                "[--alg=...] [--frac=F] [--set-size=N] [--seed=N] [--val=N] [--no-psd] "
                "[--save-sens=PATH] [--load-sens=PATH] [--socket=ENDPOINT] [--fp32] "
-               "[--tcp-port=N] [--replicas=N] [--workers=N] [--max-batch=N] "
+               "[--tcp-port=N] [--workers=N] [--max-batch=N] "
                "[--queue-cap=N] [--index=N] [--count=N] [--deadline-us=N] "
                "[--model=NAME] [--best-effort] [--retries=N] [--stats] "
                "[--swap-bits=CSV] [--swap-fp32]\n");
@@ -203,8 +203,6 @@ bool parse_flags(int argc, char** argv, Options& opts) {
       opts.deadline_us = int_flag(arg, "--deadline-us", 0, 60'000'000);
     } else if (arg.rfind("--tcp-port=", 0) == 0) {
       opts.tcp_port = static_cast<int>(int_flag(arg, "--tcp-port", 0, 65535));
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      opts.fleet_replicas = int_flag(arg, "--replicas", 1, 64);
     } else if (arg.rfind("--model=", 0) == 0) {
       opts.query_model = arg.substr(8);
     } else if (arg == "--best-effort") {
@@ -314,51 +312,45 @@ int run_serve(const Options& opts) {
     masters.emplace(name, std::move(tm));
   }
 
-  const auto make_replica_set = [&masters, &cfg, &opts](const std::string& name,
-                                                        const std::vector<int>& bits,
-                                                        const std::string& label) {
+  const auto make_server = [&masters, &cfg](const std::string& name,
+                                            const std::vector<int>& bits,
+                                            const std::string& label) {
     const auto it = masters.find(name);
     if (it == masters.end()) {
       throw std::runtime_error("no master weights loaded for model '" + name + "'");
     }
-    std::vector<std::shared_ptr<clado::serve::Server>> set;
-    for (std::int64_t r = 0; r < opts.fleet_replicas; ++r) {
-      clado::serve::EngineSpec spec;
-      spec.bits = bits;
-      spec.label = label;
-      spec.replicas = cfg.workers;
-      spec.max_batch = cfg.max_batch;
-      auto engine =
-          std::make_shared<clado::serve::Engine>(it->second.model.clone(), std::move(spec));
-      set.push_back(std::make_shared<clado::serve::Server>(std::move(engine), cfg));
-    }
-    return set;
+    clado::serve::EngineSpec spec;
+    spec.bits = bits;
+    spec.label = label;
+    spec.replicas = cfg.workers;
+    spec.max_batch = cfg.max_batch;
+    auto engine =
+        std::make_shared<clado::serve::Engine>(it->second.model.clone(), std::move(spec));
+    return std::make_shared<clado::serve::Server>(std::move(engine), cfg);
   };
 
   clado::serve::Fleet fleet;
   for (const std::string& name : names) {
-    fleet.put(name, make_replica_set(name, start_bits[name], start_labels[name]));
+    fleet.put(name, make_server(name, start_bits[name], start_labels[name]));
   }
 
   clado::serve::DaemonOptions dopts = clado::serve::DaemonOptions::from_env();
   dopts.socket_path = opts.socket_path;
   if (opts.tcp_port >= 0) dopts.tcp_port = opts.tcp_port;
   clado::serve::SocketDaemon daemon(fleet, dopts);
-  daemon.set_swap_factory([make_replica_set](const std::string& name,
-                                             const std::vector<int>& bits) {
-    return make_replica_set(name, bits,
-                            bits.empty() ? "fp32"
-                                         : "swap-" + std::to_string(bits.size()) + "L");
+  daemon.set_swap_factory([make_server](const std::string& name,
+                                        const std::vector<int>& bits) {
+    return make_server(name, bits,
+                       bits.empty() ? "fp32" : "swap-" + std::to_string(bits.size()) + "L");
   });
 
   std::printf("%s", fleet.stats_text().c_str());
-  std::printf("listening on %s%s  (%lld replicas/model, %d workers, max_batch %lld)\n",
+  std::printf("listening on %s%s  (%d workers/model, max_batch %lld)\n",
               daemon.socket_path().c_str(),
               daemon.tcp_port() >= 0
                   ? (" and tcp:127.0.0.1:" + std::to_string(daemon.tcp_port())).c_str()
                   : "",
-              static_cast<long long>(opts.fleet_replicas), cfg.workers,
-              static_cast<long long>(cfg.max_batch));
+              cfg.workers, static_cast<long long>(cfg.max_batch));
   std::printf("stop with: clado query --socket=%s --count=0\n", opts.socket_path.c_str());
   std::fflush(stdout);
   daemon.run();
@@ -447,12 +439,7 @@ int run_query(const Options& opts) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opts;
-  if (!parse(argc, argv, opts)) return usage();
-
+int run_command(const Options& opts) {
   if (opts.command == "query") return run_query(opts);
 
   if (opts.command == "models") {
@@ -504,4 +491,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opts;
+  if (!parse(argc, argv, opts)) return usage();
+  try {
+    return run_command(opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "clado: %s\n", e.what());
+    return 1;
+  }
 }

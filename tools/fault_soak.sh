@@ -105,7 +105,7 @@ live_drill() {
       CLADO_FAULT_FRAME_DECODE=prob:$prob \
       CLADO_FAULT_REGISTRY_SWAP=prob:$prob \
       CLADO_ARTIFACTS_DIR="${CLADO_ARTIFACTS_DIR:-$work/artifacts}" \
-      "$build_dir/tools/clado" serve "$model" --fp32 --replicas=2 --workers=1 \
+      "$build_dir/tools/clado" serve "$model" --fp32 --workers=2 \
       --socket="$sock" --tcp-port=0 > "$work/daemon.log" 2>&1 &
   local daemon_pid=$!
 
@@ -205,10 +205,13 @@ else
     run_pair "$seed" "$build_dir/tests/sensitivity_test" 600
     run_pair "$seed" "$build_dir/tests/checkpoint_test" 600
     run_pair "$seed" "$build_dir/tests/iqp_test" 600
-    # Engine-level fused serving (no Server worker loops: a POOL_TASK fault
-    # inside a long-lived worker chunk could strand drain() — plan_test
-    # drives the compiled-plan path directly and must absorb or fail clean).
+    # Serving: the compiled plan directly, then Server worker threads (no
+    # pool fault site sits between a worker and its loop, so a POOL_TASK
+    # fault can only fail a forward that fans out on the global pool, and
+    # that request gets a definite answer), then the Fleet and its daemon.
     run_pair "$seed" "$build_dir/tests/plan_test" 600
+    run_pair "$seed" "$build_dir/tests/serve_test" 600
+    run_pair "$seed" "$build_dir/tests/fleet_test" 600
   done
 fi
 
