@@ -1,8 +1,9 @@
 // Bring-your-own-model: build a custom network with the nn API, train it
 // with the built-in trainer, and run the full MPQ pipeline (including QAT
 // fine-tuning) on it. Nothing in the pipeline is specific to the zoo —
-// any Sequential of Modules whose Conv2d/Linear layers are discoverable
-// works.
+// any Sequential of the nn module types the compiled plan runs (every type
+// the zoo uses, BatchNorm2d included) works; a module type it cannot
+// compile is refused when the pipeline is built, naming the type.
 #include <cstdio>
 #include <memory>
 

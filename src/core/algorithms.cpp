@@ -123,9 +123,6 @@ const std::vector<std::vector<double>>& MpqPipeline::hawq_values() {
       }
     }
     hawq_values_ = std::move(values);
-    // The HVP probes perturbed weights and ran forwards outside the engine,
-    // so the layers' input stashes no longer reflect the clean weights.
-    engine_.mark_stashes_dirty();
   }
   return *hawq_values_;
 }

@@ -8,16 +8,20 @@
 // assembled into the sensitivity matrix Ĝ ∈ R^{|B|I × |B|I} (Eq. 10),
 // optionally followed by the PSD projection.
 //
-// Cost reduction vs a naive implementation (same measured numbers):
-//   * prefix-activation caching — a pair (i, j) with i's stage s_i re-runs
-//     only stages >= s_j using the activation tail recorded while layer i
-//     alone was perturbed;
+// Every measurement runs on a serve::CompiledPlan, the executor that also
+// serves every zoo model, compiled over one Model::clone() replica per
+// worker thread. Cost reduction vs a naive implementation (same measured
+// numbers):
+//   * prefix-activation caching — the plan keeps every activation in its
+//     arena, so a measurement perturbing layer j re-runs only the steps from
+//     j's first one; a pair (i, j) reuses the activations its worker's tail
+//     pass left there while layer i alone was perturbed;
 //   * quantized weights Q(w, b_m) are computed once per (layer, bit).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
@@ -34,9 +38,10 @@ using clado::models::Model;
 using clado::tensor::Tensor;
 
 /// RAII weight restoration: snapshots a weight tensor on construction and
-/// writes the snapshot back on destruction. The sweep perturbs layer
-/// weights in place; the guard makes every mutation site exception-safe
-/// (a throwing progress callback or measurement leaves the model clean).
+/// writes the snapshot back on destruction. The sweep perturbs a replica's
+/// layer weights in place; the guard restores them when the layer's
+/// measurements end, on every path (a throwing progress callback or
+/// measurement included).
 class WeightRestoreGuard {
  public:
   explicit WeightRestoreGuard(Tensor& weight) : weight_(weight), original_(weight) {}
@@ -56,8 +61,8 @@ class WeightRestoreGuard {
 /// this engine's span durations.
 struct SensitivityStats {
   std::int64_t forward_measurements = 0;  ///< loss evaluations performed
-  std::int64_t stage_executions = 0;      ///< top-level stages actually run
-  std::int64_t stage_executions_naive = 0;///< stages a cache-less sweep would run
+  std::int64_t stage_executions = 0;      ///< plan steps actually run
+  std::int64_t stage_executions_naive = 0;///< plan steps a cache-less sweep would run
   double seconds = 0.0;
 };
 
@@ -79,7 +84,10 @@ class SensitivityEngine {
   /// quantization is desired (the paper quantizes activations to 8 bits
   /// for every algorithm). The batch is the sensitivity set.
   /// `num_threads` is the worker count of single_losses() (resolved as for
-  /// full_matrix: 0 = tensor::ThreadPool's count).
+  /// full_matrix: 0 = CLADO_NUM_THREADS / hardware). `model` is only read
+  /// (cloned per worker). Throws std::invalid_argument, naming the module
+  /// type, when the plan cannot compile the network, and when
+  /// Model::quant_layers is not in the order the plan first reads them.
   SensitivityEngine(Model& model, Batch batch, int num_threads = 0);
 
   /// L(w): clean loss on the sensitivity set.
@@ -89,11 +97,10 @@ class SensitivityEngine {
   const Tensor& delta(std::int64_t layer, std::int64_t bit_index) const;
 
   /// Single-layer losses L(w + Δw_m^(i)) for all (i, m): [I][|B|],
-  /// measured once and cached. With more than one worker, each worker
-  /// measures whole layers on its own Model::clone() replica, as
-  /// full_matrix does, so the losses are bit-identical to the serial
-  /// ones. A loss still non-finite on re-measurement throws; the weights
-  /// are restored and the singles stay unmeasured.
+  /// measured once and cached. Each worker measures whole layers on its
+  /// own replica, as full_matrix does, so the losses are bit-identical at
+  /// any worker count. A loss still non-finite on re-measurement throws and
+  /// the singles stay unmeasured.
   const std::vector<std::vector<double>>& single_losses();
 
   /// Layer-specific sensitivities Ω_ii (the diagonal of Ĝ): [I][|B|].
@@ -104,17 +111,18 @@ class SensitivityEngine {
   /// every 256 pair measurements and at completion; after an internally
   /// retried failure `done` may regress to the last committed row.
   ///
-  /// `num_threads` > 1 sweeps disjoint layer rows i concurrently, one
-  /// Model::clone() replica per worker; 0 resolves via
-  /// tensor::ThreadPool (CLADO_NUM_THREADS / hardware). Every Ĝ entry is
-  /// written exactly once by the worker owning its row with the same
-  /// Eq. (13) arithmetic as the serial sweep, so the result is
-  /// bit-identical at any thread count.
+  /// `num_threads` workers (0 = CLADO_NUM_THREADS / hardware) sweep
+  /// disjoint layer rows i concurrently, each on its own thread (the
+  /// calling thread runs one), Model::clone() replica and plan. Every Ĝ
+  /// entry is written exactly once by the worker owning its row with the
+  /// same Eq. (13) arithmetic, so the result is bit-identical at any
+  /// thread count.
   ///
   /// Fault tolerance: a non-finite measured loss is re-measured once (the
   /// forward is deterministic, so a transient corruption disappears and a
   /// persistent one is a real error); a sweep pass that still fails is
-  /// retried up to two more times, re-measuring only uncommitted rows.
+  /// retried up to two more times on fresh workers, re-measuring only
+  /// uncommitted rows.
   /// With checkpointing enabled (set_checkpoint, or the
   /// CLADO_CHECKPOINT_DIR / CLADO_CHECKPOINT_STRIDE environment
   /// variables), completed rows additionally survive process death and a
@@ -135,11 +143,6 @@ class SensitivityEngine {
 
   const SensitivityStats& stats() const { return stats_; }
 
-  /// Tells the engine the model's layer input stashes no longer reflect
-  /// the clean weights (e.g. after the pipeline ran HVP probes or a PTQ
-  /// forward outside the engine). mpqco_proxy() then rebuilds them.
-  void mark_stashes_dirty() { stashes_clean_ = false; }
-
   /// The sensitivity set this engine measures on.
   const Batch& batch() const { return batch_; }
 
@@ -153,56 +156,45 @@ class SensitivityEngine {
   /// file; defined in the .cpp (drags in serialization otherwise).
   struct SweepSink;
 
-  /// Loss of `model` re-run from stage `stage` with the given input,
-  /// counting measurements into `stats`. Parameterized over (model, stats)
-  /// so parallel workers evaluate on their own replica with their own
-  /// counters; only reads shared state (the batch). A non-finite loss is
-  /// re-measured once, then reported via std::runtime_error.
-  double eval_loss(Model& model, SensitivityStats& stats, std::size_t stage,
-                   const Tensor& input, std::vector<Tensor>* record) const;
+  /// One measuring thread's replica and plan; defined in the .cpp.
+  struct Worker;
 
-  /// Failures of one parallel phase: the first worker's, and a pool-level
-  /// one (a worker skipped before its body ran).
-  struct ReplicaErrors {
-    std::exception_ptr worker;
-    std::exception_ptr pool;
-  };
+  /// Loss of `worker`'s replica as weighted now, its plan run from
+  /// `layer`'s first step, counted into the worker's stats. A non-finite
+  /// loss is re-measured once, then reported via std::runtime_error.
+  double eval_loss(Worker& worker, std::int64_t layer) const;
 
-  /// Runs body(replica, stats) once on each of `workers` fresh
-  /// Model::clone() replicas in parallel, catching the bodies' failures,
-  /// and adds every replica's counters to stats_. Both the singles and the
-  /// sweep use it; the caller decides which failures to rethrow.
-  ReplicaErrors run_on_replicas(int workers,
-                                const std::function<void(Model&, SensitivityStats&)>& body);
+  /// Runs body(worker) on `workers` fresh workers, one per thread (the
+  /// calling thread runs the first), adds their counters to stats_ and,
+  /// after every thread joined, rethrows the first failure.
+  void run_workers(int workers, const std::function<void(Worker&)>& body);
 
-  /// Single-loss worker: claims layers i from `next_layer` and measures
-  /// L(w + Δw_m^(i)) for every bit on `model` into losses[i].
-  void measure_singles(Model& model, SensitivityStats& stats,
-                       std::atomic<std::int64_t>& next_layer,
+  /// Single-loss worker: claims layers i last-first from `next_layer` and
+  /// measures L(w + Δw_m^(i)) for every bit into losses[i].
+  void measure_singles(Worker& worker, std::atomic<std::int64_t>& next_layer,
                        std::vector<std::vector<double>>& losses) const;
 
-  /// Off-diagonal sweep worker: claims rows i from `next_row`, skips rows
-  /// the sink already holds (resume / retry passes), measures all pairs
-  /// (i, j > i) on `model` (the primary, or a per-worker replica) into a
-  /// local buffer, and commits each row atomically to the sink.
-  /// `report(pairs)` is invoked at every j-loop boundary with the pairs
-  /// finished since the previous call.
-  void sweep_rows(Model& model, SensitivityStats& stats, SweepSink& sink,
-                  std::atomic<std::int64_t>& next_row,
-                  const std::function<void(std::int64_t)>& report);
+  /// Off-diagonal sweep worker: claims rows i last-first from `next_row`,
+  /// skips rows the sink already holds (resume / retry passes), measures
+  /// all pairs (i, j > i) into a local buffer, and commits each row
+  /// atomically to the sink. `report(pairs)` is invoked at every j-loop
+  /// boundary with the pairs finished since the previous call.
+  void sweep_rows(Worker& worker, SweepSink& sink, std::atomic<std::int64_t>& next_row,
+                  const std::function<void(std::int64_t)>& report) const;
 
   /// Measures the singles on resolve(num_threads) workers unless cached.
   void ensure_single_losses(int num_threads);
 
   Model& model_;
   Batch batch_;
-  int num_threads_ = 0;  // single_losses() workers; 0 = ThreadPool's count
+  int num_threads_ = 0;  // single_losses() workers; 0 = CLADO_NUM_THREADS / hardware
   double base_loss_ = 0.0;
+  std::int64_t plan_steps_ = 0;          // steps of a worker's plan
+  std::vector<std::size_t> first_step_;  // [I] plan step first reading layer i
   std::vector<std::vector<Tensor>> quantized_;  // [I][|B|] quantized weights Q(w, b)
   std::vector<std::vector<Tensor>> deltas_;     // [I][|B|] Q(w, b) − w
   std::vector<std::vector<double>> single_losses_;
   bool singles_done_ = false;
-  bool stashes_clean_ = false;  // layer input stashes match clean weights
   std::optional<SweepCheckpointConfig> checkpoint_;  // nullopt = use env
   SensitivityStats stats_;
 };

@@ -4,23 +4,29 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "clado/fault/fault.h"
 #include "clado/nn/loss.h"
 #include "clado/obs/obs.h"
 #include "clado/quant/quantizer.h"
+#include "clado/serve/plan.h"
 #include "clado/tensor/check.h"
 #include "clado/tensor/env.h"
 #include "clado/tensor/serialize.h"
 #include "clado/tensor/thread_pool.h"
 
 namespace clado::core {
+
+using clado::serve::CompiledPlan;
+using clado::tensor::Shape;
 
 namespace {
 
@@ -47,13 +53,12 @@ Tensor encode_ckpt_meta(std::int64_t layers, std::int64_t bits, double base_loss
   return meta;
 }
 
-// Workers of a parallel phase: `num_threads` > 0 wins, else the global
-// pool's size (CLADO_NUM_THREADS / hardware); never more than `layers`,
-// since workers claim whole layers.
+// Workers of a phase: `num_threads` > 0 wins, else CLADO_NUM_THREADS /
+// hardware, as for tensor::ThreadPool; never more than `layers`, since
+// workers claim whole layers, and at least one.
 int resolve_workers(int num_threads, std::int64_t layers) {
-  const std::int64_t resolved =
-      num_threads > 0 ? num_threads : clado::tensor::ThreadPool::global().num_threads();
-  return static_cast<int>(std::min<std::int64_t>(resolved, layers));
+  const std::int64_t resolved = clado::tensor::ThreadPool::resolve_threads(num_threads);
+  return static_cast<int>(std::max<std::int64_t>(1, std::min(resolved, layers)));
 }
 
 bool ckpt_meta_matches(const Tensor& meta, std::int64_t layers, std::int64_t bits,
@@ -202,6 +207,34 @@ struct SensitivityEngine::SweepSink {
   }
 };
 
+// One thread's executor: a Model::clone() replica, whose weights the thread
+// perturbs, and a plan over it with the batch staged. The plan keeps every
+// activation, so its arena is the prefix cache: a run from layer i's first
+// step reuses what earlier runs left in the buffers before it. Layers are
+// claimed last-first, so each run starts no later than the worker's
+// previous one and every buffer it skips holds the clean activation (or,
+// inside sweep row i, the i-perturbed one).
+struct SensitivityEngine::Worker {
+  Worker(const Model& model, const Tensor& images, SensitivityStats& worker_stats)
+      : replica(model.clone()),
+        plan(*replica.net, Shape(images.shape().begin() + 1, images.shape().end()),
+             images.size(0), /*prepared=*/nullptr, /*keep_activations=*/true),
+        stats(worker_stats) {
+    std::memcpy(plan.input(), images.data(),
+                sizeof(float) * static_cast<std::size_t>(images.numel()));
+    plan.run(images.size(0), logits);  // the clean pass: fills the cache, measures nothing
+  }
+
+  Tensor& weight(std::int64_t layer) {
+    return replica.quant_layers[static_cast<std::size_t>(layer)].layer->weight_param().value;
+  }
+
+  Model replica;
+  CompiledPlan plan;
+  Tensor logits;
+  SensitivityStats& stats;
+};
+
 SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_threads)
     : model_(model), batch_(std::move(batch)), num_threads_(num_threads) {
   clado::obs::Span span("sensitivity/clean_pass");
@@ -224,15 +257,26 @@ SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_threads)
     }
   }
 
-  // Clean pass: caches every stage input and the final output, and leaves
-  // every layer's input stash consistent with the clean weights.
-  clado::nn::CrossEntropyLoss criterion;
-  const Tensor logits = model_.net->forward_cached(batch_.images);
-  base_loss_ = criterion.forward(logits, batch_.labels);
+  // L(w), on a worker like the measuring ones (its clean pass, counted here
+  // as the one measurement it is). Compiling its plan refuses a model the
+  // plan cannot run and fixes every layer's first step for all workers.
+  Worker clean(model_, batch_.images, stats_);
+  plan_steps_ = static_cast<std::int64_t>(clean.plan.steps().size());
+  for (std::size_t i = 0; i < model_.quant_layers.size(); ++i) {
+    // Workers perturb layer i of their replica, which lists its layers in
+    // module-tree order; the prefix cache needs that order to be the plan's.
+    const auto& ref = clean.replica.quant_layers[i];
+    const std::size_t step = clean.plan.first_step(*ref.layer);
+    if (ref.name != model_.quant_layers[i].name || (i > 0 && step < first_step_.back())) {
+      throw std::invalid_argument("SensitivityEngine: quant layer " +
+                                  model_.quant_layers[i].name + " is out of execution order");
+    }
+    first_step_.push_back(step);
+  }
+  base_loss_ = clado::nn::CrossEntropyLoss().forward(clean.logits, batch_.labels);
   ++stats_.forward_measurements;
-  stats_.stage_executions += static_cast<std::int64_t>(model_.net->size());
-  stats_.stage_executions_naive += static_cast<std::int64_t>(model_.net->size());
-  stashes_clean_ = true;
+  stats_.stage_executions += plan_steps_;
+  stats_.stage_executions_naive += plan_steps_;
   stats_.seconds += span.close();
 }
 
@@ -240,21 +284,20 @@ const Tensor& SensitivityEngine::delta(std::int64_t layer, std::int64_t bit_inde
   return deltas_.at(static_cast<std::size_t>(layer)).at(static_cast<std::size_t>(bit_index));
 }
 
-double SensitivityEngine::eval_loss(Model& model, SensitivityStats& stats, std::size_t stage,
-                                    const Tensor& input, std::vector<Tensor>* record) const {
+double SensitivityEngine::eval_loss(Worker& worker, std::int64_t layer) const {
+  const std::size_t first = first_step_[static_cast<std::size_t>(layer)];
+  const std::int64_t executed = plan_steps_ - static_cast<std::int64_t>(first);
   clado::nn::CrossEntropyLoss criterion;
   for (int attempt = 0;; ++attempt) {
-    // forward_span re-assigns `record` on entry, so a re-measurement
-    // rebuilds the activation tail from scratch.
-    const Tensor logits = model.net->forward_span(stage, input, record);
-    ++stats.forward_measurements;
-    stats.stage_executions += static_cast<std::int64_t>(model.net->size() - stage);
-    stats.stage_executions_naive += static_cast<std::int64_t>(model.net->size());
+    // A re-measurement reruns the same steps over the same cached prefix.
+    worker.plan.run_from(first, batch_.images.size(0), worker.logits);
+    ++worker.stats.forward_measurements;
+    worker.stats.stage_executions += executed;
+    worker.stats.stage_executions_naive += plan_steps_;
     clado::obs::counter("sensitivity.forward_measurements").add();
-    clado::obs::counter("sensitivity.stage_executions")
-        .add(static_cast<std::int64_t>(model.net->size() - stage));
+    clado::obs::counter("sensitivity.stage_executions").add(executed);
     const double loss = clado::fault::poison_nan(clado::fault::Site::kNanLoss,
-                                                 criterion.forward(logits, batch_.labels));
+                                                 criterion.forward(worker.logits, batch_.labels));
     if (std::isfinite(loss)) return loss;
     // A non-finite loss silently corrupts the whole sensitivity matrix and
     // only surfaces much later as solver nonsense. The forward pass is
@@ -268,38 +311,27 @@ double SensitivityEngine::eval_loss(Model& model, SensitivityStats& stats, std::
   }
 }
 
-SensitivityEngine::ReplicaErrors SensitivityEngine::run_on_replicas(
-    int workers, const std::function<void(Model&, SensitivityStats&)>& body) {
-  // A replica carries a deep copy of the weights AND the clean activation
-  // cache, so no additional clean pass is needed and per-measurement
-  // arithmetic is identical to the serial phase. The primary model is never
-  // touched.
-  std::vector<Model> replicas;
-  replicas.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) replicas.push_back(model_.clone());
+void SensitivityEngine::run_workers(int workers, const std::function<void(Worker&)>& body) {
   std::vector<SensitivityStats> worker_stats(static_cast<std::size_t>(workers));
-
-  ReplicaErrors errors;
-  std::mutex worker_error_mutex;
-  clado::tensor::ThreadPool pool(workers);
-  try {
-    // The worker body catches its own failures instead of throwing
-    // through the pool: the pool's chunk retry would re-enter the body,
-    // which claims *new* work from its counter — the interrupted item
-    // would be silently dropped and the phase would look clean. Catching
-    // here also lets the surviving workers drain every remaining item.
-    pool.parallel_for(0, workers, 1, [&](std::int64_t t, std::int64_t) {
-      try {
-        body(replicas[static_cast<std::size_t>(t)], worker_stats[static_cast<std::size_t>(t)]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(worker_error_mutex);
-        if (!errors.worker) errors.worker = std::current_exception();
-      }
-    });
-  } catch (...) {
-    // Only pool-level failures arrive here; worker failures were recorded
-    // above.
-    errors.pool = std::current_exception();
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  // Each thread builds its own worker (clone, compile, clean pass), so the
+  // setup runs in parallel too. A failure is recorded, not thrown through
+  // the thread, and the other workers drain the remaining items.
+  const auto run = [&](int t) {
+    try {
+      Worker worker(model_, batch_.images, worker_stats[static_cast<std::size_t>(t)]);
+      body(worker);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on scope exit, a throw included
+    threads.reserve(static_cast<std::size_t>(workers - 1));
+    for (int t = 1; t < workers; ++t) threads.emplace_back(run, t);
+    run(0);
   }
   // Merge measurement accounting whether or not the phase survived — the
   // forwards happened either way.
@@ -308,25 +340,20 @@ SensitivityEngine::ReplicaErrors SensitivityEngine::run_on_replicas(
     stats_.stage_executions += ws.stage_executions;
     stats_.stage_executions_naive += ws.stage_executions_naive;
   }
-  return errors;
+  if (error) std::rethrow_exception(error);
 }
 
-void SensitivityEngine::measure_singles(Model& model, SensitivityStats& stats,
-                                        std::atomic<std::int64_t>& next_layer,
+void SensitivityEngine::measure_singles(Worker& worker, std::atomic<std::int64_t>& next_layer,
                                         std::vector<std::vector<double>>& losses) const {
-  const std::int64_t layers = model.num_quant_layers();
   const std::int64_t bits = num_bits();
   for (;;) {
-    const std::int64_t i = next_layer.fetch_add(1, std::memory_order_relaxed);
-    if (i >= layers) return;
-    auto& ref = model.quant_layers[static_cast<std::size_t>(i)];
-    auto& w = ref.layer->weight_param().value;
+    const std::int64_t i = next_layer.fetch_sub(1, std::memory_order_relaxed);
+    if (i < 0) return;
+    auto& w = worker.weight(i);
     const WeightRestoreGuard guard(w);
-    const auto stage = static_cast<std::size_t>(ref.stage);
     for (std::int64_t m = 0; m < bits; ++m) {
       w = quantized_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      losses[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] =
-          eval_loss(model, stats, stage, model.net->cached_input(stage), nullptr);
+      losses[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] = eval_loss(worker, i);
     }
   }
 }
@@ -338,21 +365,9 @@ void SensitivityEngine::ensure_single_losses(int num_threads) {
   std::vector<std::vector<double>> losses(
       static_cast<std::size_t>(layers),
       std::vector<double>(static_cast<std::size_t>(num_bits()), 0.0));
-  std::atomic<std::int64_t> next_layer{0};
-  const int workers = resolve_workers(num_threads, layers);
-  if (workers <= 1) {
-    stashes_clean_ = false;
-    measure_singles(model_, stats_, next_layer, losses);
-  } else {
-    const ReplicaErrors errors =
-        run_on_replicas(workers, [&](Model& replica, SensitivityStats& stats) {
-          measure_singles(replica, stats, next_layer, losses);
-        });
-    if (errors.worker) std::rethrow_exception(errors.worker);
-    // A pool-level failure skipped a worker before it claimed anything;
-    // the others drain every layer unless all of them were skipped.
-    if (errors.pool && next_layer.load() < layers) std::rethrow_exception(errors.pool);
-  }
+  std::atomic<std::int64_t> next_layer{layers - 1};
+  run_workers(resolve_workers(num_threads, layers),
+              [&](Worker& worker) { measure_singles(worker, next_layer, losses); });
   single_losses_ = std::move(losses);
   singles_done_ = true;
   stats_.seconds += span.close();
@@ -372,49 +387,43 @@ std::vector<std::vector<double>> SensitivityEngine::diagonal_sensitivities() {
   return diag;
 }
 
-void SensitivityEngine::sweep_rows(Model& model, SensitivityStats& stats, SweepSink& sink,
+void SensitivityEngine::sweep_rows(Worker& worker, SweepSink& sink,
                                    std::atomic<std::int64_t>& next_row,
-                                   const std::function<void(std::int64_t)>& report) {
-  const std::int64_t layers = model.num_quant_layers();
+                                   const std::function<void(std::int64_t)>& report) const {
+  const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
-  std::vector<Tensor> tail;
   std::vector<float> row_buf;
   for (;;) {
-    const std::int64_t i = next_row.fetch_add(1, std::memory_order_relaxed);
-    if (i >= layers) return;
+    const std::int64_t i = next_row.fetch_sub(1, std::memory_order_relaxed);
+    if (i < 0) return;
     if (!sink.row_pending(i)) continue;  // resumed from checkpoint / retry pass
     row_buf.assign(static_cast<std::size_t>(sink.pairs_of_row(i)), 0.0F);
-    std::size_t k = 0;
-    auto& ref_i = model.quant_layers[static_cast<std::size_t>(i)];
-    auto& w_i = ref_i.layer->weight_param().value;
+    auto& w_i = worker.weight(i);
     const WeightRestoreGuard guard_i(w_i);
-    const auto stage_i = static_cast<std::size_t>(ref_i.stage);
 
     for (std::int64_t m = 0; m < bits; ++m) {
       w_i = quantized_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      // Tail pass (also re-measures L_i; the measurement is the cache build).
-      eval_loss(model, stats, stage_i, model.net->cached_input(stage_i), &tail);
+      // Tail pass: re-measures L_i and leaves the i-perturbed activations
+      // of every step from layer i's on in the arena.
+      eval_loss(worker, i);
       const double loss_i =
           single_losses_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
 
-      for (std::int64_t j = i + 1; j < layers; ++j) {
-        auto& ref_j = model.quant_layers[static_cast<std::size_t>(j)];
-        auto& w_j = ref_j.layer->weight_param().value;
+      // j runs last-first, so each pair run rewrites every buffer the
+      // previous one perturbed and reads the i-perturbed ones before it.
+      for (std::int64_t j = layers - 1; j > i; --j) {
+        auto& w_j = worker.weight(j);
         const WeightRestoreGuard guard_j(w_j);
-        const auto stage_j = static_cast<std::size_t>(ref_j.stage);
-        // Input to stage s_j of the i-perturbed network: the recorded tail
-        // when s_j > s_i; the clean prefix when both layers share a stage.
-        const Tensor& input =
-            stage_j > stage_i ? tail[stage_j] : model.net->cached_input(stage_j);
-
         for (std::int64_t nn = 0; nn < bits; ++nn) {
           w_j = quantized_[static_cast<std::size_t>(j)][static_cast<std::size_t>(nn)];
-          const double pair_loss = eval_loss(model, stats, stage_j, input, nullptr);
+          const double pair_loss = eval_loss(worker, j);
           const double loss_j =
               single_losses_[static_cast<std::size_t>(j)][static_cast<std::size_t>(nn)];
-          // Eq. (13): Ω_ij = L_pair + L(w) − L_i − L_j.
+          // Eq. (13): Ω_ij = L_pair + L(w) − L_i − L_j, stored at the
+          // [m][j > i][nn] slot commit_row reads.
           const double omega = pair_loss + base_loss_ - loss_i - loss_j;
-          row_buf[k++] = static_cast<float>(omega);
+          row_buf[static_cast<std::size_t>((m * (layers - 1 - i) + (j - i - 1)) * bits + nn)] =
+              static_cast<float>(omega);
         }
         report(bits);
       }
@@ -477,9 +486,8 @@ Tensor SensitivityEngine::full_matrix(
 
   const int workers = resolve_workers(num_threads, layers);
 
-  // Progress shared across passes; used by serial and parallel sweeps
-  // alike (one uncontended lock per j-loop boundary is noise next to a
-  // forward pass).
+  // Progress shared across passes and workers (one uncontended lock per
+  // j-loop boundary is noise next to a forward pass).
   std::atomic<std::int64_t> done_pairs{sink.committed_pairs()};
   std::atomic<bool> cancelled{false};
   std::mutex progress_mutex;
@@ -508,30 +516,18 @@ Tensor SensitivityEngine::full_matrix(
   };
 
   // Retry loop: a pass can die mid-row (a loss that stays non-finite on
-  // re-measurement, a twice-failing pool chunk). Committed rows survive in
-  // the sink, so later passes re-measure only what is missing; a failure
-  // that persists through kMaxSweepPasses is real and propagates — after a
-  // final checkpoint save so even that run's rows are not lost.
+  // re-measurement, a worker that cannot be built). Committed rows survive
+  // in the sink, so later passes re-measure only what is missing, on fresh
+  // workers; a failure that persists through kMaxSweepPasses is real and
+  // propagates — after a final checkpoint save so even that run's rows are
+  // not lost.
   for (int pass = 0; !sink.complete(); ++pass) {
-    std::atomic<std::int64_t> next_row{0};
+    std::atomic<std::int64_t> next_row{layers - 1};
     try {
-      if (workers <= 1) {
-        // Serial sweep on the primary model.
-        stashes_clean_ = false;
+      run_workers(workers, [&](Worker& worker) {
         const clado::obs::Span worker_span("sensitivity/sweep_worker");
-        sweep_rows(model_, stats_, sink, next_row, report);
-      } else {
-        // Parallel sweep: workers on replicas, each claiming whole rows i.
-        const ReplicaErrors errors =
-            run_on_replicas(workers, [&](Model& replica, SensitivityStats& stats) {
-              const clado::obs::Span worker_span("sensitivity/sweep_worker");
-              sweep_rows(replica, stats, sink, next_row, report);
-            });
-        // A pool-level failure (e.g. a twice-injected pool_task fault) fails
-        // the pass like a worker failure.
-        if (errors.pool) std::rethrow_exception(errors.pool);
-        if (errors.worker) std::rethrow_exception(errors.worker);
-      }
+        sweep_rows(worker, sink, next_row, report);
+      });
     } catch (const std::exception&) {
       if (cancelled.load(std::memory_order_relaxed) || pass + 1 >= kMaxSweepPasses) {
         sink.save_now();
@@ -559,16 +555,14 @@ std::vector<std::vector<double>> SensitivityEngine::mpqco_proxy() {
   clado::obs::Span span("sensitivity/mpqco_proxy");
   const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
-  // The constructor's clean pass already stashed each layer's input;
-  // re-run only if a sweep has since perturbed the stashes. The rebuild is
-  // a cache refresh, not a loss evaluation, so it counts stage executions
-  // but no forward measurement (Table 2 compares measurement costs).
-  if (!stashes_clean_) {
-    model_.net->forward(batch_.images);
-    stats_.stage_executions += static_cast<std::int64_t>(model_.net->size());
-    stats_.stage_executions_naive += static_cast<std::int64_t>(model_.net->size());
-    stashes_clean_ = true;
-  }
+  // The proxy reads each layer's input stash, which one eager forward on the
+  // model fills (the engine's own passes run on plans and never touch it).
+  // It fills caches, not a loss, so it counts a plan's worth of stage
+  // executions but no forward measurement (Table 2 compares measurement
+  // costs).
+  model_.net->forward(batch_.images);
+  stats_.stage_executions += plan_steps_;
+  stats_.stage_executions_naive += plan_steps_;
 
   const auto batch_n = static_cast<double>(batch_.images.size(0));
   std::vector<std::vector<double>> proxy(static_cast<std::size_t>(layers),

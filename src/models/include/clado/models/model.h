@@ -42,11 +42,10 @@ struct Model {
   /// and never after mutating the module tree.
   void finalize();
 
-  /// Deep copy: clones the module tree (weights, buffers, activation-quant
-  /// calibration, and cached activations included) and re-derives
-  /// quant_layers / act_quants against the copy, preserving layer order.
-  /// The parallel sensitivity sweep runs one clone per worker so replicas
-  /// can mutate weights and caches independently.
+  /// Deep copy: clones the module tree (weights, buffers and activation-
+  /// quant calibration included) and re-derives quant_layers / act_quants
+  /// against the copy in module-tree order. The sensitivity sweep runs one
+  /// clone per worker thread, whose weights that worker alone perturbs.
   Model clone() const;
 
   /// Mean loss of the network on a batch (eval mode, no caching).

@@ -63,6 +63,8 @@ class SEBlock : public Module {
 
   std::int64_t channels() const { return channels_; }
   std::int64_t reduced() const { return fc1_->out_features(); }
+  const Linear& fc1() const { return *fc1_; }
+  const Linear& fc2() const { return *fc2_; }
 
   /// True when either inner Linear carries a QAT weight transform.
   /// forward_into reads the raw weights, so the serving plan refuses to

@@ -150,6 +150,11 @@ class BatchNorm2d : public Module {
   const Tensor& running_mean() const { return running_mean_.value; }
   const Tensor& running_var() const { return running_var_.value; }
 
+  /// Allocation-free eval-mode forward: normalizes `n` samples of
+  /// [channels(), hw] from `in` into `out` with the running statistics,
+  /// bit-identical to forward() in eval mode, without the backward stash.
+  void forward_into(const float* in, std::int64_t n, std::int64_t hw, float* out) const;
+
  private:
   std::int64_t channels_;
   float momentum_, eps_;

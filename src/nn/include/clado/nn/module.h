@@ -82,8 +82,8 @@ class QuantizableLayer {
 };
 
 /// Reference to a quantizable layer with its name; `stage` is the index of
-/// the top-level stage that contains the layer (filled by Model; used for
-/// prefix-activation caching during sensitivity measurement).
+/// the top-level stage that contains the layer (filled by Model; the block
+/// id of the BRECQ-style block ablation).
 struct QuantLayerRef {
   std::string name;
   QuantizableLayer* layer = nullptr;

@@ -1,11 +1,7 @@
-// Sequential container with prefix-activation caching.
-//
-// The CLADO sensitivity sweep evaluates the network loss under O((|B|I)^2)
-// weight perturbations of *one or two* layers at a time. For a perturbation
-// whose earliest affected layer lives in top-level stage k, all activations
-// before stage k equal the clean forward pass. Sequential::forward_cached /
-// forward_span exploit that: the clean pass stores each stage's input, and
-// perturbed passes re-execute only stages >= k.
+// Sequential: an ordered container of named child modules. forward() runs
+// the children in order, backward() in reverse. It keeps no activations of
+// its own; the sensitivity sweep's prefix cache is the arena of the
+// keep_activations serve::CompiledPlan compiled over it.
 #pragma once
 
 #include <memory>
@@ -19,9 +15,8 @@ class Sequential : public Module {
  public:
   Sequential() = default;
 
-  /// Deep copy: clones every child and copies the activation cache, so a
-  /// copied container can serve cached_input immediately
-  /// (the parallel sensitivity sweep clones an already-cached model).
+  /// Deep copy: clones every child (the sensitivity sweep runs one copy of
+  /// the model per worker).
   Sequential(const Sequential& other);
 
   std::unique_ptr<Module> clone() const override { return std::make_unique<Sequential>(*this); }
@@ -47,7 +42,7 @@ class Sequential : public Module {
   void push_back(std::unique_ptr<Module> child, std::string name);
 
   /// Swaps out a child in place, keeping its name (graph transforms such
-  /// as BatchNorm folding). Invalidates the activation cache.
+  /// as BatchNorm folding).
   void replace_child(std::size_t index, std::unique_ptr<Module> child);
 
   std::size_t size() const { return children_.size(); }
@@ -57,23 +52,6 @@ class Sequential : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Clean forward pass that records each stage's input for later
-  /// cached_input calls. Returns the network output.
-  Tensor forward_cached(const Tensor& input);
-
-  /// Runs stages [start, end) from an explicit input (independent of the
-  /// forward_cached cache). When `record` is non-null it receives the input
-  /// of every executed stage at its absolute index (resized to size()+1;
-  /// record->at(size()) gets the final output). Used by the sensitivity
-  /// engine to cache the activation tail of a singly-perturbed network.
-  Tensor forward_span(std::size_t start, const Tensor& input, std::vector<Tensor>* record);
-
-  /// Input of stage `k` recorded by the last forward_cached call.
-  const Tensor& cached_input(std::size_t k) const;
-
-  /// Drops cached activations (frees memory between sweeps).
-  void clear_cache();
-
   void collect_params(const std::string& prefix, std::vector<ParamRef>& out) override;
   void collect_quant_layers(const std::string& prefix, std::vector<QuantLayerRef>& out) override;
   void set_training(bool training) override;
@@ -82,8 +60,6 @@ class Sequential : public Module {
  private:
   std::vector<std::unique_ptr<Module>> children_;
   std::vector<std::string> names_;
-  // cache_[k] is the input to stage k; cache_[size()] is the final output.
-  std::vector<Tensor> cache_;
 };
 
 }  // namespace clado::nn

@@ -352,6 +352,26 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
   return out;
 }
 
+void BatchNorm2d::forward_into(const float* in, std::int64_t n, std::int64_t hw,
+                               float* out) const {
+  // forward()'s eval branch, rounding point for rounding point; the
+  // normalized value stays in a register instead of the xhat_ stash.
+  for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t c = 0; c < channels_; ++c) {
+      const float* plane = in + (s * channels_ + c) * hw;
+      float* o = out + (s * channels_ + c) * hw;
+      const float mu = running_mean_.value[c];
+      const float is = 1.0F / std::sqrt(running_var_.value[c] + eps_);
+      const float g = gamma_.value[c];
+      const float b = beta_.value[c];
+      for (std::int64_t p = 0; p < hw; ++p) {
+        const float xh = (plane[p] - mu) * is;
+        o[p] = g * xh + b;
+      }
+    }
+  }
+}
+
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   const std::int64_t n = grad_output.size(0);
   const std::int64_t hw = grad_output.size(2) * grad_output.size(3);

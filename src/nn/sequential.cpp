@@ -5,7 +5,7 @@
 namespace clado::nn {
 
 Sequential::Sequential(const Sequential& other)
-    : Module(other), names_(other.names_), cache_(other.cache_) {
+    : Module(other), names_(other.names_) {
   children_.reserve(other.children_.size());
   for (const auto& child : other.children_) children_.push_back(child->clone());
 }
@@ -20,7 +20,6 @@ void Sequential::replace_child(std::size_t index, std::unique_ptr<Module> child)
     throw std::out_of_range("Sequential::replace_child: index out of range");
   }
   children_[index] = std::move(child);
-  cache_.clear();
 }
 
 Tensor Sequential::forward(const Tensor& input) {
@@ -34,44 +33,6 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   for (auto it = children_.rbegin(); it != children_.rend(); ++it) g = (*it)->backward(g);
   return g;
 }
-
-Tensor Sequential::forward_cached(const Tensor& input) {
-  cache_.assign(children_.size() + 1, Tensor{});
-  Tensor x = input;
-  for (std::size_t k = 0; k < children_.size(); ++k) {
-    cache_[k] = x;
-    x = children_[k]->forward(x);
-  }
-  cache_[children_.size()] = x;
-  return x;
-}
-
-Tensor Sequential::forward_span(std::size_t start, const Tensor& input,
-                                std::vector<Tensor>* record) {
-  if (start > children_.size()) {
-    throw std::out_of_range("Sequential::forward_span: start out of range");
-  }
-  if (record != nullptr) record->assign(children_.size() + 1, Tensor{});
-  Tensor x = input;
-  for (std::size_t k = start; k < children_.size(); ++k) {
-    if (record != nullptr) (*record)[k] = x;
-    x = children_[k]->forward(x);
-  }
-  if (record != nullptr) (*record)[children_.size()] = x;
-  return x;
-}
-
-const Tensor& Sequential::cached_input(std::size_t k) const {
-  if (cache_.size() != children_.size() + 1) {
-    throw std::logic_error("Sequential::cached_input: no cached forward pass");
-  }
-  if (k >= cache_.size()) {
-    throw std::out_of_range("Sequential::cached_input: stage out of range");
-  }
-  return cache_[k];
-}
-
-void Sequential::clear_cache() { cache_.clear(); }
 
 void Sequential::collect_params(const std::string& prefix, std::vector<ParamRef>& out) {
   for (std::size_t k = 0; k < children_.size(); ++k) {

@@ -29,7 +29,8 @@ bool resolve_backend(BackendMode mode) {
 
 }  // namespace
 
-Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(spec)) {
+Engine::Engine(clado::models::Model model, EngineSpec spec)
+    : spec_(std::move(spec)), model_(std::move(model)) {
   if (spec_.replicas < 1) {
     throw std::invalid_argument("Engine: replicas must be >= 1");
   }
@@ -38,48 +39,36 @@ Engine::Engine(clado::models::Model model, EngineSpec spec) : spec_(std::move(sp
   }
   backend_enabled_ = resolve_backend(spec_.backend);
   const clado::obs::Span span("serve/engine_load");
-  model.net->set_training(false);
-  model.net->clear_cache();
+  model_.net->set_training(false);
   std::vector<clado::quant::WeightCodes> codes;
-  const auto report = clado::quant::freeze_quantized(*model.net, model.quant_layers, spec_.bits,
-                                                     model.scheme,
+  const auto report = clado::quant::freeze_quantized(*model_.net, model_.quant_layers,
+                                                     spec_.bits, model_.scheme,
                                                      backend_enabled_ ? &codes : nullptr);
   weight_bytes_ = report.weight_bytes;
   batchnorms_folded_ = report.batchnorms_folded;
-  sample_shape_ = {model.channels, model.image_size, model.image_size};
+  sample_shape_ = {model_.channels, model_.image_size, model_.image_size};
 
+  PreparedMap prep_map;
   if (backend_enabled_) {
-    // The exact integer realization of the frozen weights, built once from
-    // the master (clones share the same frozen values bit for bit).
-    prepared_.reserve(model.quant_layers.size());
-    for (std::size_t i = 0; i < model.quant_layers.size(); ++i) {
-      auto* layer = model.quant_layers[i].layer;
+    // The exact integer realization of the frozen weights, keyed by module
+    // for the plan compiler (reserved up front: the map points into it).
+    prepared_.reserve(model_.quant_layers.size());
+    for (std::size_t i = 0; i < model_.quant_layers.size(); ++i) {
+      auto* layer = model_.quant_layers[i].layer;
       const std::int64_t rows = layer->quant_out_channels();
       const std::int64_t cols = layer->weight_param().value.numel() / rows;
       prepared_.push_back(clado::backend::prepare_layer(codes[i], rows, cols));
+      if (prepared_[i].precision == clado::backend::Precision::kFp32) continue;
+      const auto* mod = dynamic_cast<const clado::nn::Module*>(layer);
+      if (mod != nullptr) prep_map.emplace(mod, &prepared_[i]);
     }
   }
 
-  replicas_.reserve(static_cast<std::size_t>(spec_.replicas));
-  for (int r = 1; r < spec_.replicas; ++r) replicas_.push_back(model.clone());
-  replicas_.push_back(std::move(model));
-
   const clado::obs::Span compile_span("serve/plan_compile");
-  plans_.reserve(replicas_.size());
+  plans_.reserve(static_cast<std::size_t>(spec_.replicas));
   std::int64_t backend_layers = 0;
-  for (auto& replica : replicas_) {
-    PreparedMap prep_map;
-    if (backend_enabled_) {
-      // Key the shared PreparedLayers by this replica's own modules: the
-      // plan compiler walks the replica's tree, not the master's.
-      for (std::size_t i = 0; i < replica.quant_layers.size(); ++i) {
-        if (prepared_[i].precision == clado::backend::Precision::kFp32) continue;
-        const auto* mod = dynamic_cast<const clado::nn::Module*>(replica.quant_layers[i].layer);
-        if (mod != nullptr) prep_map.emplace(mod, &prepared_[i]);
-      }
-    }
-    plans_.push_back(std::make_unique<CompiledPlan>(*replica.net, sample_shape_,
-                                                    spec_.max_batch,
+  for (int r = 0; r < spec_.replicas; ++r) {
+    plans_.push_back(std::make_unique<CompiledPlan>(*model_.net, sample_shape_, spec_.max_batch,
                                                     prep_map.empty() ? nullptr : &prep_map));
     backend_layers += static_cast<std::int64_t>(plans_.back()->backend_steps());
   }

@@ -3,11 +3,11 @@
 // An Engine is the deployable form of a trained model plus an MPQ
 // assignment: at load time the network is frozen once (BatchNorm folded,
 // weights overwritten with Q(w, b_i) via clado::quant::freeze_quantized),
-// then each replica is compiled into a CompiledPlan — the one way an Engine
-// executes; no Module::forward runs while serving, and a network the plan
-// cannot compile is refused at construction. A plan's arena holds one
-// in-flight batch, so the Engine owns `replicas` independent copies, each
-// with its own plan: server worker w runs batched forwards on replica w, so
+// then compiled into CompiledPlans — the one way an Engine executes; no
+// Module::forward runs while serving, and a network the plan cannot compile
+// is refused at construction. A plan's arena holds one in-flight batch, so
+// the Engine compiles `replicas` plans over its one frozen model, which the
+// plans only read: server worker w runs batched forwards on plan w, so
 // workers never contend on arenas while the heavy GEMMs inside each forward
 // still fan out across the shared tensor::ThreadPool.
 #pragma once
@@ -45,7 +45,7 @@ struct EngineSpec {
   /// fp32); empty = all-fp32 engine. BatchNorm is folded either way, so
   /// fp32 and quantized engines run the same deployment graph.
   std::vector<int> bits;
-  int replicas = 1;   ///< independent forward contexts (>= server workers)
+  int replicas = 1;   ///< independent plans (arenas), >= server workers
   std::string label;  ///< display name, e.g. "int8", "mixed-0.375", "fp32"
   /// Largest batch each replica's compiled plan is sized for; infer()
   /// chunks bigger batches through the plan in pieces of this size.
@@ -60,17 +60,17 @@ struct EngineSpec {
 class Engine {
  public:
   /// Takes ownership of a pretrained (and, for quantized serving,
-  /// activation-calibrated) model, freezes it per `spec` and compiles every
-  /// replica. Throws std::invalid_argument on a bits/layer-count mismatch,
+  /// activation-calibrated) model, freezes it per `spec` and compiles
+  /// `spec.replicas` plans over it. Throws std::invalid_argument on a bits/layer-count mismatch,
   /// replicas < 1, max_batch < 1, a module the plan cannot compile (see
   /// CompiledPlan), or a network whose output is not [num_classes] per
   /// sample.
   Engine(clado::models::Model model, EngineSpec spec);
 
   const std::string& label() const { return spec_.label; }
-  const std::string& model_name() const { return replicas_.front().name; }
-  int replicas() const { return static_cast<int>(replicas_.size()); }
-  std::int64_t num_classes() const { return replicas_.front().num_classes; }
+  const std::string& model_name() const { return model_.name; }
+  int replicas() const { return static_cast<int>(plans_.size()); }
+  std::int64_t num_classes() const { return model_.num_classes; }
   const Shape& sample_shape() const { return sample_shape_; }  ///< [C, H, W]
   const std::vector<int>& bits() const { return spec_.bits; }
   /// Frozen weight storage (Σ |w_i| · b_i / 8; fp32 layers at 32 bits).
@@ -113,11 +113,13 @@ class Engine {
   CompiledPlan& checked_plan(int replica) const;
 
   EngineSpec spec_;
-  std::vector<clado::models::Model> replicas_;
+  /// The frozen network every plan reads; declared before plans_ so the
+  /// plans are destroyed first.
+  clado::models::Model model_;
   bool backend_enabled_ = false;
-  /// Integer codes per quant layer, built once from the frozen master and
-  /// shared (by pointer) with every replica's plan. Stable storage: never
-  /// resized after construction.
+  /// Integer codes per quant layer, built once from the frozen model and
+  /// shared (by pointer) with every plan. Stable storage: never resized
+  /// after construction.
   std::vector<clado::backend::PreparedLayer> prepared_;
   std::vector<std::unique_ptr<CompiledPlan>> plans_;  ///< one per replica
   Shape sample_shape_;

@@ -1,21 +1,25 @@
-// clado::serve::CompiledPlan — the serving graph compiler.
+// clado::serve::CompiledPlan — the graph compiler behind every serving
+// Engine and every sensitivity-sweep measurement.
 //
-// At Engine construction the frozen Sequential is walked once into a flat
-// list of typed PlanSteps over a single preplanned float arena:
-//   * conv→(folded BN)→activation chains collapse into one step (the
-//     activation is applied in-place on the conv's output buffer),
+// A Sequential is walked once into a flat list of typed PlanSteps over a
+// single preplanned float arena:
+//   * conv→(BN)→activation chains collapse into one step (the activation is
+//     applied in-place on the output buffer; an unfolded eval-mode BN, as
+//     the sweep runs it, is a step of its own),
 //   * a PatchEmbed becomes its conv step plus a tokens step, and a
 //     TransformerBlock becomes layernorm, q/k/v linear, attention, out-proj
 //     linear, residual-add, layernorm, fc1 (GELU fused), fc2 and
 //     residual-add steps,
 //   * every intermediate, workspace and batch-stacking buffer shape is
-//     precomputed for the engine's max_batch,
+//     precomputed for max_batch,
 //   * buffers get arena offsets via liveness-based first-fit, so two
-//     tensors share storage only when their live ranges are disjoint.
-// A module outside that vocabulary (un-folded BatchNorm, an observe-mode
-// fake-quant, a conv/linear/SE with a weight transform, an unknown type)
-// is refused at compile time, so no Module::forward ever runs while
-// serving and steady-state run() allocates no tensors. Integer-backend
+//     tensors share storage only when their live ranges are disjoint; with
+//     keep_activations every activation lives to the end of the run, so the
+//     arena is the sweep's prefix cache (run_from).
+// A module outside that vocabulary (a training-mode BatchNorm, an
+// observe-mode fake-quant, a conv/linear/SE with a weight transform, an
+// unknown type) is refused at compile time, so no Module::forward runs on a
+// plan and steady-state run() allocates no tensors. Integer-backend
 // conv/linear steps touch no heap at all (plan_alloc_test), but the fp32
 // blocked GEMM under fp32 conv/linear/attention steps still allocates its
 // packing buffers per call.
@@ -23,7 +27,7 @@
 // fp32 and fake-quant steps replay the exact kernel call sequence and
 // elementwise loop order of the eager forwards, so fp32 and fake-quant plan
 // logits are bit-identical to Sequential::forward — verified across the
-// model zoo in plan_test. Integer-backend steps run
+// model zoo, folded and unfolded, in plan_test. Integer-backend steps run
 // tensor::kernels::qconv2d_s8 instead, bit-identical to the tests' int8
 // reference chain (backend_test).
 #pragma once
@@ -66,6 +70,7 @@ enum class StepKind {
   kTakeToken,      ///< [N,T,D] -> [N,D] token readout
   kAttention,      ///< per-head softmax(QKᵀ)·V over projected q/k/v
   kTokens,         ///< PatchEmbed token assembly (class token + positions)
+  kBatchNorm,      ///< eval-mode BatchNorm2d (+ optional fused activation)
 };
 
 const char* step_kind_name(StepKind kind);
@@ -95,7 +100,7 @@ struct PlanBuffer {
 };
 
 /// One executable node of the compiled graph. Layer pointers alias the
-/// engine replica's module tree (which owns them).
+/// compiled network's module tree (which owns them); steps only read them.
 struct PlanStep {
   StepKind kind = StepKind::kConv;
   int in = -1;       ///< input buffer id (attention: q)
@@ -111,6 +116,7 @@ struct PlanStep {
   const clado::nn::GlobalAvgPool* gap = nullptr;
   const clado::nn::LayerNorm* ln = nullptr;
   const clado::nn::PatchEmbed* patch = nullptr;
+  const clado::nn::BatchNorm2d* bn = nullptr;
 
   bool has_act = false;  ///< fused pointwise activation applied in place
   clado::nn::Act act = clado::nn::Act::kRelu;
@@ -152,19 +158,20 @@ struct PlanStep {
   std::string label;  ///< span name, e.g. "plan/conv"
 };
 
-/// Compiled execution plan for one engine replica. Not thread-safe: calls
-/// on the same plan must not overlap (mirrors the replica contract).
+/// Compiled execution plan over one network, which it only reads (plans may
+/// share one). Not thread-safe: calls on the same plan must not overlap.
 class CompiledPlan {
  public:
-  /// Walks `net` (frozen: BatchNorm folded, no weight transforms) with
-  /// per-sample input shape `sample_shape` ([C, H, W]) and plans buffers
-  /// for up to `max_batch` samples. When `prepared` is non-null, conv/linear
-  /// steps whose module maps to an integer PreparedLayer execute on that
-  /// backend (consistency-checked against the layer geometry). Throws
+  /// Walks `net` (eval mode, no weight transforms) with per-sample input
+  /// shape `sample_shape` ([C, H, W]) and plans buffers for up to
+  /// `max_batch` samples. When `prepared` is non-null, conv/linear steps
+  /// whose module maps to an integer PreparedLayer execute on that backend
+  /// (consistency-checked against the layer geometry). `keep_activations`
+  /// keeps every activation buffer live to the end of the run. Throws
   /// std::invalid_argument on max_batch < 1 and on any module the plan
   /// cannot compile; the message names the module's type.
   CompiledPlan(clado::nn::Sequential& net, const Shape& sample_shape, std::int64_t max_batch,
-               const PreparedMap* prepared = nullptr);
+               const PreparedMap* prepared = nullptr, bool keep_activations = false);
 
   CompiledPlan(const CompiledPlan&) = delete;
   CompiledPlan& operator=(const CompiledPlan&) = delete;
@@ -177,7 +184,16 @@ class CompiledPlan {
   /// `out` ([n, num_classes]). `out` is reallocated only when its shape
   /// differs from the wanted one, so steady-state same-n calls allocate no
   /// tensors. Throws std::invalid_argument unless 1 <= n <= max_batch().
-  void run(std::int64_t n, Tensor& out);
+  void run(std::int64_t n, Tensor& out) { run_from(0, n, out); }
+
+  /// Executes steps [first, steps().size()) only, over what earlier runs
+  /// left in the buffers of the steps before: past step 0 that needs a
+  /// keep_activations plan (else std::invalid_argument) and the same `n`.
+  void run_from(std::size_t first, std::int64_t n, Tensor& out);
+
+  /// Index of the first step that reads `layer`'s weight (a conv, linear or
+  /// SE step). Throws std::invalid_argument when no step does.
+  std::size_t first_step(const clado::nn::QuantizableLayer& layer) const;
 
   // -- introspection (plan_test / diagnostics) ------------------------------
   std::int64_t max_batch() const { return max_batch_; }
@@ -222,6 +238,7 @@ class CompiledPlan {
   std::int64_t sample_numel_ = 0;
   std::int64_t input_offset_ = 0;
   const PreparedMap* prepared_ = nullptr;  ///< compile-time only; null after
+  bool keep_activations_ = false;
   int cur_buf_ = 0;    ///< buffer holding the activation during compile
   Shape cur_shape_;    ///< its per-sample shape during compile
   Shape output_shape_;

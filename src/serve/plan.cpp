@@ -21,6 +21,7 @@ namespace clado::serve {
 using clado::nn::Act;
 using clado::nn::act_forward_n;
 using clado::nn::Activation;
+using clado::nn::BatchNorm2d;
 using clado::nn::Conv2d;
 using clado::nn::Flatten;
 using clado::nn::GlobalAvgPool;
@@ -73,13 +74,14 @@ const char* step_kind_name(StepKind kind) {
     case StepKind::kTakeToken: return "taketoken";
     case StepKind::kAttention: return "attention";
     case StepKind::kTokens: return "tokens";
+    case StepKind::kBatchNorm: return "batchnorm";
   }
   return "?";
 }
 
 CompiledPlan::CompiledPlan(Sequential& net, const Shape& sample_shape, std::int64_t max_batch,
-                           const PreparedMap* prepared)
-    : max_batch_(max_batch), prepared_(prepared) {
+                           const PreparedMap* prepared, bool keep_activations)
+    : max_batch_(max_batch), prepared_(prepared), keep_activations_(keep_activations) {
   if (max_batch_ < 1) {
     throw std::invalid_argument("CompiledPlan: max_batch must be >= 1");
   }
@@ -94,11 +96,26 @@ CompiledPlan::CompiledPlan(Sequential& net, const Shape& sample_shape, std::int6
 
   output_shape_ = cur_shape_;
   // The logits buffer must survive past the final step so run() can copy it
-  // out; extending its interval keeps every intermediate off its storage.
-  buffers_[static_cast<std::size_t>(cur_buf_)].last_step =
-      static_cast<std::int64_t>(steps_.size());
+  // out; extending its interval keeps every intermediate off its storage. A
+  // kept plan extends every activation's the same way.
+  for (std::size_t id = 0; id < buffers_.size(); ++id) {
+    const bool kept = keep_activations_ && !buffers_[id].scratch;
+    if (kept || static_cast<int>(id) == cur_buf_) buffers_[id].last_step = std::ssize(steps_);
+  }
   assign_offsets();
   input_offset_ = buffers_[0].offset;
+}
+
+std::size_t CompiledPlan::first_step(const clado::nn::QuantizableLayer& layer) const {
+  const clado::nn::QuantizableLayer* want = &layer;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const PlanStep& s = steps_[i];
+    if (s.conv == want || s.linear == want ||
+        (s.se != nullptr && (&s.se->fc1() == want || &s.se->fc2() == want))) {
+      return i;
+    }
+  }
+  throw std::invalid_argument("CompiledPlan: no step reads this layer");
 }
 
 std::size_t CompiledPlan::backend_steps() const {
@@ -352,7 +369,8 @@ void CompiledPlan::compile_module(Module& module) {
     if (!steps_.empty()) {
       PlanStep& back = steps_.back();
       const bool fusable = back.kind == StepKind::kConv || back.kind == StepKind::kLinear ||
-                           back.kind == StepKind::kResidualAdd;
+                           back.kind == StepKind::kResidualAdd ||
+                           back.kind == StepKind::kBatchNorm;
       // Fusing mutates cur_buf_ in place, which is only sound when the
       // producing step is the buffer's sole reader — a pinned buffer has a
       // pending residual-branch read of the pre-activation values.
@@ -403,6 +421,25 @@ void CompiledPlan::compile_module(Module& module) {
       ob.fq_scale = fq->scale();
       ob.fq_zero_point = fq->zero_point();
     }
+    return;
+  }
+
+  if (auto* bn = dynamic_cast<BatchNorm2d*>(&module)) {
+    if (bn->training()) refuse(module, "it is in training mode (batch statistics)");
+    if (cur_shape_.size() != 3 || cur_shape_[0] != bn->channels()) {
+      refuse(module, "input " + shape_str(cur_shape_) + " is not [" +
+                         std::to_string(bn->channels()) + ", H, W]");
+    }
+    PlanStep step;
+    step.kind = StepKind::kBatchNorm;
+    step.bn = bn;
+    step.in = cur_buf_;
+    step.channels = cur_shape_[0];
+    step.hw = cur_shape_[1] * cur_shape_[2];
+    step.in_shape = cur_shape_;
+    step.out_shape = cur_shape_;
+    step.label = "plan/bn";
+    push_step(std::move(step));
     return;
   }
 
@@ -587,18 +624,22 @@ void CompiledPlan::assign_offsets() {
   arena_.assign(static_cast<std::size_t>(total), 0.0F);
 }
 
-void CompiledPlan::run(std::int64_t n, Tensor& out) {
+void CompiledPlan::run_from(std::size_t first, std::int64_t n, Tensor& out) {
   if (n < 1 || n > max_batch_) {
     throw std::invalid_argument("CompiledPlan::run: n " + std::to_string(n) +
                                 " out of [1, " + std::to_string(max_batch_) + "]");
   }
+  if (first > 0 && (!keep_activations_ || first > steps_.size())) {
+    throw std::invalid_argument("CompiledPlan::run_from: step " + std::to_string(first) +
+                                " needs a keep_activations plan of at least that many steps");
+  }
   const bool traced = clado::obs::trace_enabled();
-  for (auto& step : steps_) {
+  for (std::size_t i = first; i < steps_.size(); ++i) {
     if (traced) {
-      const clado::obs::Span span(step.label);
-      run_step(step, n);
+      const clado::obs::Span span(steps_[i].label);
+      run_step(steps_[i], n);
     } else {
-      run_step(step, n);
+      run_step(steps_[i], n);
     }
   }
 
@@ -702,6 +743,9 @@ void CompiledPlan::run_step(PlanStep& step, std::int64_t n) {
     }
     case StepKind::kTokens:
       step.patch->tokens_into(buf(step.in), n, buf(step.out));
+      break;
+    case StepKind::kBatchNorm:
+      step.bn->forward_into(buf(step.in), n, step.hw, buf(step.out));
       break;
   }
   if (step.has_act) act_forward_n(step.act, buf(step.out), buf(step.out), n * step.per_sample_out);

@@ -1,13 +1,12 @@
-// Shared-queue thread pool used by the parallel GEMM path and the parallel
-// sensitivity sweep.
+// Shared-queue thread pool used by the parallel GEMM path.
 //
 // Design constraints (why this is not a generic executor):
 //   * parallel_for chunking is deterministic, so callers that write disjoint
 //     output ranges per chunk produce bit-identical results at any thread
-//     count — the property the sensitivity sweep is tested against.
+//     count — the property the GEMM is tested against.
 //   * A parallel_for issued from inside a pool worker runs inline on that
-//     worker (no re-submission), so nested parallelism — e.g. a parallel
-//     GEMM inside a parallel sweep — cannot deadlock the pool.
+//     worker (no re-submission), so nested parallelism cannot deadlock the
+//     pool.
 //   * The calling thread participates in chunk execution instead of
 //     blocking, so a pool of N threads provides N-way parallelism with
 //     N − 1 spawned workers.

@@ -176,7 +176,7 @@ PipelineRun run_pipeline(const std::filesystem::path& ckpt_dir) {
   auto batch = clado::testing::make_noise_batch(rng);
   const double budget = 0.5 * m.uniform_size_bytes(8);
   clado::core::PipelineOptions opt;
-  opt.sweep_threads = 2;  // exercise the pool dispatch path
+  opt.sweep_threads = 2;  // exercise the multi-worker sweep
   clado::core::MpqPipeline pipe(m, std::move(batch), opt);
   pipe.engine().set_checkpoint({ckpt_dir.string(), 1});
   const auto a = pipe.assign(clado::core::Algorithm::kClado, budget);
@@ -195,9 +195,11 @@ TEST_F(FaultTest, PipelineSurvivesEverySiteArmedOnce) {
 
   // Only the sites the solver pipeline actually crosses; the serve-path
   // sites (accept, frame_decode, registry_swap) are exercised end-to-end
-  // by fleet_test and the live fault-soak drill instead.
+  // by fleet_test and the live fault-soak drill instead, and pool_task
+  // (the sweep's workers are plain threads, outside any pool) by
+  // thread_pool_test.
   const Site pipeline_sites[] = {Site::kIoWrite, Site::kIoRead, Site::kNanLoss,
-                                 Site::kPoolTask, Site::kSolverOracle};
+                                 Site::kSolverOracle};
   for (const Site site : pipeline_sites) {
     SCOPED_TRACE(site_name(site));
     std::filesystem::remove_all(dir);

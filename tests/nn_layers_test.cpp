@@ -488,53 +488,6 @@ TEST(Sgd, CosineScheduleEndpoints) {
   EXPECT_NEAR(opt.lr(), 0.0F, 1e-6);
 }
 
-TEST(Sequential, CachedInputWithoutCacheThrows) {
-  Sequential seq;
-  seq.emplace<Flatten>();
-  EXPECT_THROW(seq.cached_input(0), std::logic_error);
-}
-
-TEST(Sequential, ForwardSpanRecordsStageInputs) {
-  Rng rng(25);
-  Sequential seq;
-  seq.emplace<Linear>(4, 4)->init(rng);
-  seq.emplace<Activation>(Act::kRelu);
-  seq.emplace<Linear>(4, 2)->init(rng);
-
-  const Tensor x = Tensor::randn({2, 4}, rng);
-  const Tensor full = seq.forward_cached(x);
-
-  std::vector<Tensor> record;
-  const Tensor redo = seq.forward_span(0, x, &record);
-  ASSERT_EQ(record.size(), seq.size() + 1);
-  for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_FLOAT_EQ(redo[i], full[i]);
-  // record[k] must equal the cached input of stage k; record.back() is the
-  // final output.
-  for (std::size_t k = 0; k <= seq.size(); ++k) {
-    const Tensor& expect = k < seq.size() ? seq.cached_input(k) : full;
-    ASSERT_EQ(record[k].shape(), expect.shape()) << "stage " << k;
-    for (std::int64_t i = 0; i < expect.numel(); ++i) {
-      EXPECT_FLOAT_EQ(record[k][i], expect[i]) << "stage " << k;
-    }
-  }
-}
-
-TEST(Sequential, ForwardSpanPartialStart) {
-  Rng rng(26);
-  Sequential seq;
-  seq.emplace<Linear>(3, 3)->init(rng);
-  seq.emplace<Linear>(3, 3)->init(rng);
-  const Tensor x = Tensor::randn({1, 3}, rng);
-  const Tensor full = seq.forward_cached(x);
-  // Re-running from stage 1 with the cached stage-1 input reproduces the
-  // output; from size() it is a no-op on the given input.
-  const Tensor tail = seq.forward_span(1, seq.cached_input(1), nullptr);
-  for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_FLOAT_EQ(tail[i], full[i]);
-  const Tensor same = seq.forward_span(seq.size(), full, nullptr);
-  for (std::int64_t i = 0; i < full.numel(); ++i) EXPECT_FLOAT_EQ(same[i], full[i]);
-  EXPECT_THROW(seq.forward_span(seq.size() + 1, full, nullptr), std::out_of_range);
-}
-
 TEST(Identity, PassesThroughBothDirections) {
   Rng rng(27);
   Identity id;
@@ -554,10 +507,6 @@ TEST(Sequential, ReplaceChildSwapsModuleAndKeepsName) {
   EXPECT_EQ(seq.child(1).type_name(), "Identity");
   EXPECT_EQ(seq.child_name(1), "act");
   EXPECT_THROW(seq.replace_child(5, std::make_unique<Identity>()), std::out_of_range);
-  // Cache is invalidated by the swap.
-  seq.forward_cached(Tensor::randn({1, 4}, rng));
-  seq.replace_child(1, std::make_unique<Identity>());
-  EXPECT_THROW(seq.cached_input(0), std::logic_error);
 }
 
 TEST(Conv2d, FoldScaleShiftMatchesManualAffine) {

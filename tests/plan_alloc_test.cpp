@@ -97,7 +97,6 @@ std::unique_ptr<BackendPlan> make_backend_plan(const std::string& name, std::int
   for (std::int64_t i = 0; i < 8; ++i) calib.labels.push_back(i % model.num_classes);
   model.calibrate_activations(calib);
   model.net->set_training(false);
-  model.net->clear_cache();
 
   std::vector<int> bits(model.quant_layers.size());
   for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = i % 2 == 0 ? 4 : 8;

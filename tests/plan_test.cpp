@@ -1,13 +1,17 @@
 // clado::serve::CompiledPlan coverage: bit-identity of every Engine's
 // compiled plan with the eager forward of a frozen twin (freeze_reference)
-// across the whole model zoo (including activation-quantized engines),
-// grouped / strided / unpadded conv geometry, batches chunked beyond the
-// plan's capacity, vit_mini's attention and tokens steps, compile-time
-// refusal of modules outside the plan's vocabulary, the liveness property
-// of the arena planner (live buffers never share storage), and zero
-// steady-state tensor allocation on every zoo model.
+// across the whole model zoo (including activation-quantized engines), and
+// of the sensitivity sweep's kept-activation plans with the eager forward
+// of the unfolded zoo (eval-mode BatchNorm steps), run_from a layer's first
+// step against a full run, grouped / strided / unpadded conv geometry,
+// batches chunked beyond the plan's capacity, vit_mini's attention and
+// tokens steps, compile-time refusal of modules outside the plan's
+// vocabulary, the liveness property of the arena planner (live buffers
+// never share storage), and zero steady-state tensor allocation on every
+// zoo model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -21,6 +25,7 @@
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/quant/act_quant.h"
+#include "clado/quant/quantizer.h"
 #include "clado/serve/engine.h"
 #include "clado/serve/plan.h"
 #include "clado/tensor/rng.h"
@@ -30,11 +35,13 @@
 namespace {
 
 using clado::models::Model;
+using clado::serve::CompiledPlan;
 using clado::serve::Engine;
 using clado::serve::EngineSpec;
 using clado::serve::PlanBuffer;
 using clado::serve::StepKind;
 using clado::tensor::Rng;
+using clado::tensor::Shape;
 using clado::tensor::Tensor;
 
 /// An Engine and its eager reference: a bit-identical clone of the same
@@ -89,7 +96,90 @@ TEST(CompiledPlan, FusedMatchesEagerAcrossZoo) {
     EnginePair pair = make_engines(name, /*max_batch=*/4);
     expect_bit_identical(pair, /*n=*/3, /*seed=*/500);
     expect_bit_identical(pair, /*n=*/1, /*seed=*/501);
+    // The Engine folds every BatchNorm at freeze, so none is left to run.
+    EXPECT_EQ(pair.engine->plan(0)->dump().find("batchnorm"), std::string::npos)
+        << pair.engine->plan(0)->dump();
   }
+}
+
+/// A zoo model as the sensitivity sweep sees it: random init, BatchNorm
+/// running statistics moved off their init values by one training-mode
+/// forward, activations calibrated, eval mode, nothing folded.
+Model make_sweep_model(const std::string& name) {
+  Rng rng(202);
+  Model model = clado::models::build_by_name(name, rng, /*num_classes=*/10);
+  clado::data::Batch calib;
+  Rng data_rng(303);
+  calib.images = Tensor::randn({4, model.channels, model.image_size, model.image_size}, data_rng);
+  for (std::int64_t i = 0; i < 4; ++i) calib.labels.push_back(i % model.num_classes);
+  model.net->set_training(true);
+  model.net->forward(calib.images);
+  model.calibrate_activations(calib);
+  model.net->set_training(false);
+  return model;
+}
+
+Shape sample_shape(const Model& model) {
+  return {model.channels, model.image_size, model.image_size};
+}
+
+/// Compiles the sweep's plan shape over `model`, stages a random batch of
+/// `n` samples and returns it.
+std::unique_ptr<CompiledPlan> make_kept_plan(Model& model, std::int64_t n, Tensor& batch) {
+  auto plan = std::make_unique<CompiledPlan>(*model.net, sample_shape(model), n,
+                                             /*prepared=*/nullptr, /*keep_activations=*/true);
+  Rng rng(510);
+  batch = Tensor::randn({n, model.channels, model.image_size, model.image_size}, rng);
+  std::memcpy(plan->input(), batch.data(), sizeof(float) * static_cast<std::size_t>(batch.numel()));
+  return plan;
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  for (std::int64_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]) << "logit " << i;
+}
+
+TEST(CompiledPlan, KeptActivationPlanMatchesUnfoldedEagerAcrossZoo) {
+  std::size_t bn_steps = 0;
+  for (const std::string& name : clado::models::model_names()) {
+    SCOPED_TRACE(name);
+    Model model = make_sweep_model(name);
+    Tensor batch;
+    const auto plan = make_kept_plan(model, 3, batch);
+    for (const auto& step : plan->steps()) bn_steps += step.kind == StepKind::kBatchNorm ? 1 : 0;
+    Tensor out;
+    plan->run(3, out);
+    expect_same_bits(out, model.net->forward(batch));
+  }
+  EXPECT_GT(bn_steps, 0u) << "no zoo model ran an un-folded BatchNorm step";
+}
+
+TEST(CompiledPlan, RunFromLayerFirstStepEqualsFullRun) {
+  for (const std::string& name : clado::models::model_names()) {
+    SCOPED_TRACE(name);
+    Model model = make_sweep_model(name);
+    Tensor batch;
+    const auto plan = make_kept_plan(model, 2, batch);
+    Tensor full;
+    plan->run(2, full);
+    for (const auto& ref : model.quant_layers) {
+      SCOPED_TRACE(ref.name);
+      Tensor& w = ref.layer->weight_param().value;
+      const Tensor saved = w;
+      w = clado::quant::quantize_weight(saved, model.candidate_bits.front(), model.scheme);
+      Tensor partial;
+      plan->run_from(plan->first_step(*ref.layer), 2, partial);
+      plan->run(2, full);
+      expect_same_bits(partial, full);
+      w = saved;
+      plan->run(2, full);  // the clean activations again, for the next layer
+    }
+  }
+  // Only a kept-activation plan can start past step 0.
+  Model model = make_sweep_model("resnet_a");
+  CompiledPlan plain(*model.net, sample_shape(model), /*max_batch=*/2);
+  Tensor out;
+  EXPECT_THROW(plain.run_from(1, 2, out), std::invalid_argument);
 }
 
 std::size_t count_steps(const Engine& engine, StepKind kind) {
@@ -142,31 +232,44 @@ TEST(CompiledPlan, FusedMatchesEagerOnGroupedStridedUnpaddedConvs) {
   expect_bit_identical(pair, 1, 601);
 }
 
+void expect_live_buffers_disjoint(const CompiledPlan* plan, bool kept) {
+  const std::vector<PlanBuffer>& bufs = plan->buffers();
+  ASSERT_GT(bufs.size(), 1u);
+  for (const PlanBuffer& b : bufs) {
+    EXPECT_GE(b.offset, 0);
+    EXPECT_LE(b.offset + b.numel, plan->arena_numel());
+  }
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    for (std::size_t j = i + 1; j < bufs.size(); ++j) {
+      const PlanBuffer& a = bufs[i];
+      const PlanBuffer& b = bufs[j];
+      const bool live_overlap = a.def_step <= b.last_step && b.def_step <= a.last_step;
+      if (!live_overlap) continue;
+      const bool storage_disjoint =
+          a.offset + a.numel <= b.offset || b.offset + b.numel <= a.offset;
+      EXPECT_TRUE(storage_disjoint)
+          << "buffers " << i << " and " << j << " are simultaneously live at overlapping "
+          << "arena ranges [" << a.offset << ", " << a.offset + a.numel << ") and ["
+          << b.offset << ", " << b.offset + b.numel << ")";
+    }
+  }
+  if (!kept) return;
+  // Kept: every activation stays live to the end of the run.
+  for (const PlanBuffer& b : bufs) {
+    if (!b.scratch) {
+      EXPECT_EQ(b.last_step, static_cast<std::int64_t>(plan->steps().size()));
+    }
+  }
+}
+
 TEST(CompiledPlan, LiveArenaBuffersNeverOverlap) {
-  for (const std::string name : {"resnet_a", "mobilenet_v3_mini"}) {
+  for (const std::string name : {"resnet_a", "mobilenet_v3_mini", "vit_mini"}) {
     SCOPED_TRACE(name);
     EnginePair pair = make_engines(name, 3);
-    const auto* plan = pair.engine->plan(0);
-    const std::vector<PlanBuffer>& bufs = plan->buffers();
-    ASSERT_GT(bufs.size(), 1u);
-    for (const PlanBuffer& b : bufs) {
-      EXPECT_GE(b.offset, 0);
-      EXPECT_LE(b.offset + b.numel, plan->arena_numel());
-    }
-    for (std::size_t i = 0; i < bufs.size(); ++i) {
-      for (std::size_t j = i + 1; j < bufs.size(); ++j) {
-        const PlanBuffer& a = bufs[i];
-        const PlanBuffer& b = bufs[j];
-        const bool live_overlap = a.def_step <= b.last_step && b.def_step <= a.last_step;
-        if (!live_overlap) continue;
-        const bool storage_disjoint =
-            a.offset + a.numel <= b.offset || b.offset + b.numel <= a.offset;
-        EXPECT_TRUE(storage_disjoint)
-            << "buffers " << i << " and " << j << " are simultaneously live at overlapping "
-            << "arena ranges [" << a.offset << ", " << a.offset + a.numel << ") and ["
-            << b.offset << ", " << b.offset + b.numel << ")";
-      }
-    }
+    expect_live_buffers_disjoint(pair.engine->plan(0), /*kept=*/false);
+    Model model = make_sweep_model(name);
+    Tensor batch;
+    expect_live_buffers_disjoint(make_kept_plan(model, 3, batch).get(), /*kept=*/true);
   }
 }
 
@@ -283,7 +386,8 @@ TEST(CompiledPlan, UncompilableModulesAreRefusedAtCompile) {
     std::function<void(Sequential&, Rng&)> build;  ///< appends after a 3->8 conv stem
   };
   const std::vector<Case> cases = {
-      {"BatchNorm2d", [](Sequential& net, Rng&) { net.emplace<BatchNorm2d>(8); }},
+      {"BatchNorm2d",
+       [](Sequential& net, Rng&) { net.emplace<BatchNorm2d>(8)->set_training(true); }},
       {"ActFakeQuant",
        [](Sequential& net, Rng&) {
          net.emplace<ActFakeQuant>(8)->set_mode(clado::quant::ActQuantMode::kObserve);
@@ -335,6 +439,38 @@ TEST(CompiledPlan, UncompilableModulesAreRefusedAtCompile) {
   Model model = make_geometry_model(rng);
   model.net->emplace<Doubler>();
   EXPECT_THROW(Engine(std::move(model), EngineSpec{}), std::invalid_argument);
+}
+
+TEST(CompiledPlan, EvalBatchNormCompilesAndMatchesEager) {
+  using namespace clado::nn;
+  Rng rng(175);
+  Sequential net;
+  net.emplace_named<Conv2d>("stem", 3, 8, 3, 1, 1, 1, /*bias=*/false)->init(rng);
+  auto* bn = net.emplace_named<BatchNorm2d>("bn", 8);
+  net.emplace_named<Activation>("act", Act::kHardSwish);
+  net.emplace_named<GlobalAvgPool>("gap");
+  net.emplace_named<Linear>("fc", 8, 4)->init(rng);
+  // Off-identity statistics and affine, as after training.
+  std::vector<ParamRef> params;
+  bn->collect_params("bn", params);
+  for (const ParamRef& p : params) {
+    for (auto& v : p.param->value.flat()) v = static_cast<float>(rng.normal());
+  }
+  for (auto& v : params.back().param->value.flat()) v = std::abs(v) + 0.1F;  // running_var
+  net.set_training(false);
+
+  CompiledPlan plan(net, {3, 8, 8}, /*max_batch=*/3);
+  std::size_t bn_steps = 0;
+  for (const auto& step : plan.steps()) {
+    EXPECT_NE(step.kind, StepKind::kAct) << "the activation fuses onto the batchnorm step";
+    bn_steps += step.kind == StepKind::kBatchNorm && step.has_act ? 1 : 0;
+  }
+  EXPECT_EQ(bn_steps, 1u) << plan.dump();
+  const Tensor x = Tensor::randn({3, 3, 8, 8}, rng);
+  std::memcpy(plan.input(), x.data(), sizeof(float) * static_cast<std::size_t>(x.numel()));
+  Tensor out;
+  plan.run(3, out);
+  expect_same_bits(out, net.forward(x));
 }
 
 TEST(CompiledPlan, ResidualBranchShapeMismatchThrowsAtCompile) {

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "clado/models/builders.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
 #include "clado/nn/loss.h"
 #include "clado/quant/qat.h"
+#include "clado/quant/quantizer.h"
 
 namespace clado::core {
 namespace {
@@ -151,6 +156,119 @@ TEST(SensitivityEngine, FullMatrixMatchesUncachedReference) {
       }
     }
   }
+}
+
+/// The uncached eager reference of full_matrix: Q(w, b) swapped in
+/// directly and one full Sequential::forward per measurement, with the
+/// engine's Eq. (12)/(13) arithmetic.
+clado::nn::Tensor eager_reference_matrix(Model& m, const clado::data::Batch& batch) {
+  const auto layers = static_cast<std::size_t>(m.num_quant_layers());
+  const std::size_t bits = m.candidate_bits.size();
+  const auto n = static_cast<std::int64_t>(layers * bits);
+  std::vector<std::vector<clado::nn::Tensor>> q(layers);
+  for (std::size_t i = 0; i < layers; ++i) {
+    for (const int b : m.candidate_bits) {
+      q[i].push_back(clado::quant::quantize_weight(m.quant_layers[i].layer->weight_param().value,
+                                                   b, m.scheme));
+    }
+  }
+  const auto weight = [&](std::size_t i) -> clado::nn::Tensor& {
+    return m.quant_layers[i].layer->weight_param().value;
+  };
+  const double base = full_loss(m, batch);
+  std::vector<std::vector<double>> singles(layers, std::vector<double>(bits));
+  for (std::size_t i = 0; i < layers; ++i) {
+    const clado::nn::Tensor saved = weight(i);
+    for (std::size_t a = 0; a < bits; ++a) {
+      weight(i) = q[i][a];
+      singles[i][a] = full_loss(m, batch);
+    }
+    weight(i) = saved;
+  }
+  clado::nn::Tensor g({n, n});
+  const auto at = [&](std::size_t i, std::size_t a) {
+    return flat_index(static_cast<std::int64_t>(i), static_cast<std::int64_t>(a),
+                      static_cast<std::int64_t>(bits));
+  };
+  for (std::size_t i = 0; i < layers; ++i) {
+    for (std::size_t a = 0; a < bits; ++a) {
+      g.data()[at(i, a) * n + at(i, a)] = static_cast<float>(2.0 * (singles[i][a] - base));
+    }
+    for (std::size_t j = i + 1; j < layers; ++j) {
+      const clado::nn::Tensor si = weight(i);
+      const clado::nn::Tensor sj = weight(j);
+      for (std::size_t a = 0; a < bits; ++a) {
+        for (std::size_t b = 0; b < bits; ++b) {
+          weight(i) = q[i][a];
+          weight(j) = q[j][b];
+          const double pair = full_loss(m, batch);
+          const auto omega = static_cast<float>(pair + base - singles[i][a] - singles[j][b]);
+          g.data()[at(i, a) * n + at(j, b)] = omega;
+          g.data()[at(j, b) * n + at(i, a)] = omega;
+        }
+      }
+      weight(i) = si;
+      weight(j) = sj;
+    }
+  }
+  return g;
+}
+
+// The zoo-wide oracle of the prefix-cached, multi-worker sweep: every Ĝ
+// entry of every zoo model, swept unfolded and calibrated at 1 and 3
+// workers, equals the uncached eager reference bit for bit.
+TEST(SensitivityEngine, ZooFullMatrixMatchesUncachedEagerReference) {
+  for (const std::string& name : clado::models::model_names()) {
+    SCOPED_TRACE(name);
+    Rng rng(212);
+    Model m = clado::models::build_by_name(name, rng, /*num_classes=*/10);
+    clado::data::Batch batch;
+    batch.images = clado::nn::Tensor::randn({2, m.channels, m.image_size, m.image_size}, rng);
+    batch.labels = {3, 7};
+    // Move BatchNorm statistics off their init values, then calibrate.
+    m.net->set_training(true);
+    m.net->forward(batch.images);
+    m.calibrate_activations(batch);
+    const clado::nn::Tensor want = eager_reference_matrix(m, batch);
+    for (const int threads : {1, 3}) {
+      SensitivityEngine engine(m, batch, threads);
+      const clado::nn::Tensor got = engine.full_matrix({}, threads);
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t k = 0; k < got.numel(); ++k) {
+        ASSERT_EQ(got[k], want[k]) << threads << " threads, entry " << k;
+      }
+    }
+  }
+}
+
+/// A module type the sweep's plan has no step for.
+class Doubler : public clado::nn::Module {
+ public:
+  clado::nn::Tensor forward(const clado::nn::Tensor& x) override { return x * 2.0F; }
+  clado::nn::Tensor backward(const clado::nn::Tensor& g) override { return g * 2.0F; }
+  std::string type_name() const override { return "Doubler"; }
+  std::unique_ptr<Module> clone() const override { return std::make_unique<Doubler>(*this); }
+};
+
+TEST(SensitivityEngine, UncompilableModelIsRefusedAtConstruction) {
+  Rng rng(12);
+  Model m = make_tiny_model(rng);
+  m.net->emplace<Doubler>();
+  try {
+    SensitivityEngine engine(m, make_batch(rng));
+    ADD_FAILURE() << "a model holding a Doubler was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("Doubler"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SensitivityEngine, LayersOutOfExecutionOrderAreRefused) {
+  // The prefix cache claims layers last-first, which is sound only when no
+  // layer is first read before the one preceding it.
+  Rng rng(13);
+  Model m = make_tiny_model(rng);
+  std::swap(m.quant_layers[0], m.quant_layers[3]);
+  EXPECT_THROW(SensitivityEngine(m, make_batch(rng)), std::invalid_argument);
 }
 
 TEST(SensitivityEngine, MatrixIsSymmetricWithZeroSameLayerBlocks) {

@@ -68,13 +68,12 @@ inline double full_loss(Model& m, const clado::data::Batch& batch) {
 }
 
 /// Freezes `model` in place exactly as serve::Engine's constructor does
-/// (eval mode, caches cleared, BatchNorm folded, weights overwritten with
-/// Q(w, bits[i])), so the frozen twin's eager Sequential::forward — the
-/// same forward ptq_top1 and the sensitivity sweep run — is the reference
-/// a compiled Engine must match bit for bit.
+/// (eval mode, BatchNorm folded, weights overwritten with Q(w, bits[i])),
+/// so the frozen twin's eager Sequential::forward — the same forward
+/// ptq_top1 runs — is the reference a compiled Engine must match bit for
+/// bit.
 inline void freeze_reference(Model& model, const std::vector<int>& bits) {
   model.net->set_training(false);
-  model.net->clear_cache();
   clado::quant::freeze_quantized(*model.net, model.quant_layers, bits, model.scheme);
 }
 
