@@ -97,10 +97,10 @@ class SensitivityEngine {
   const Tensor& delta(std::int64_t layer, std::int64_t bit_index) const;
 
   /// Single-layer losses L(w + Δw_m^(i)) for all (i, m): [I][|B|],
-  /// measured once and cached. Each worker measures whole layers on its
-  /// own replica, as full_matrix does, so the losses are bit-identical at
-  /// any worker count. A loss still non-finite on re-measurement throws and
-  /// the singles stay unmeasured.
+  /// measured once and cached. Each worker measures whole layers, claimed
+  /// in ascending order, on its own replica, as full_matrix does, so the
+  /// losses are bit-identical at any worker count. A loss still non-finite
+  /// on re-measurement throws and the singles stay unmeasured.
   const std::vector<std::vector<double>>& single_losses();
 
   /// Layer-specific sensitivities Ω_ii (the diagonal of Ĝ): [I][|B|].
@@ -113,10 +113,11 @@ class SensitivityEngine {
   ///
   /// `num_threads` workers (0 = CLADO_NUM_THREADS / hardware) sweep
   /// disjoint layer rows i concurrently, each on its own thread (the
-  /// calling thread runs one), Model::clone() replica and plan. Every Ĝ
-  /// entry is written exactly once by the worker owning its row with the
-  /// same Eq. (13) arithmetic, so the result is bit-identical at any
-  /// thread count.
+  /// calling thread runs one), Model::clone() replica and plan. Rows are
+  /// claimed heaviest-first (ascending i), so the workers finish together.
+  /// Every Ĝ entry is written exactly once by the worker owning its row
+  /// with the same Eq. (13) arithmetic, so the result is bit-identical at
+  /// any thread count, and stats() counts the same measurements.
   ///
   /// Fault tolerance: a non-finite measured loss is re-measured once (the
   /// forward is deterministic, so a transient corruption disappears and a
@@ -160,8 +161,11 @@ class SensitivityEngine {
   struct Worker;
 
   /// Loss of `worker`'s replica as weighted now, its plan run from
-  /// `layer`'s first step, counted into the worker's stats. A non-finite
-  /// loss is re-measured once, then reported via std::runtime_error.
+  /// `layer`'s first step, counted into the worker's stats. The first run
+  /// of a unit starts earlier when the worker's previous unit left earlier
+  /// steps perturbed; those catch-up steps go to the obs counter
+  /// "sensitivity.catchup_steps", never into the stats. A non-finite loss
+  /// is re-measured once, then reported via std::runtime_error.
   double eval_loss(Worker& worker, std::int64_t layer) const;
 
   /// Runs body(worker) on `workers` fresh workers, one per thread (the
@@ -169,16 +173,17 @@ class SensitivityEngine {
   /// after every thread joined, rethrows the first failure.
   void run_workers(int workers, const std::function<void(Worker&)>& body);
 
-  /// Single-loss worker: claims layers i last-first from `next_layer` and
-  /// measures L(w + Δw_m^(i)) for every bit into losses[i].
+  /// Single-loss worker: claims layers i in ascending order from
+  /// `next_layer` and measures L(w + Δw_m^(i)) for every bit into
+  /// losses[i].
   void measure_singles(Worker& worker, std::atomic<std::int64_t>& next_layer,
                        std::vector<std::vector<double>>& losses) const;
 
-  /// Off-diagonal sweep worker: claims rows i last-first from `next_row`,
-  /// skips rows the sink already holds (resume / retry passes), measures
-  /// all pairs (i, j > i) into a local buffer, and commits each row
-  /// atomically to the sink. `report(pairs)` is invoked at every j-loop
-  /// boundary with the pairs finished since the previous call.
+  /// Off-diagonal sweep worker: claims rows i in ascending order (heaviest
+  /// first) from `next_row`, skips rows the sink already holds (resume /
+  /// retry passes), measures all pairs (i, j > i) into a local buffer, and
+  /// commits each row atomically to the sink. `report(pairs)` is invoked at
+  /// every j-loop boundary with the pairs finished since the previous call.
   void sweep_rows(Worker& worker, SweepSink& sink, std::atomic<std::int64_t>& next_row,
                   const std::function<void(std::int64_t)>& report) const;
 

@@ -67,8 +67,8 @@ class CandidateEvaluator {
       model_.quant_layers[i].layer->weight_param().value =
           quantized_[i][static_cast<std::size_t>(choice[i])];
     }
-    clado::nn::CrossEntropyLoss criterion;
-    const double loss = criterion.forward(model_.net->forward(batch_.images), batch_.labels);
+    const double loss =
+        clado::nn::cross_entropy(model_.net->forward(batch_.images), batch_.labels);
     restore();
     return loss;
   }

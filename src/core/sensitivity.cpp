@@ -33,6 +33,9 @@ namespace {
 // Pair-measurement count between progress callbacks.
 constexpr std::int64_t kProgressStride = 256;
 
+// Worker::stale_from when every kept activation matches the clean weights.
+constexpr std::size_t kCleanCache = static_cast<std::size_t>(-1);
+
 // Sweep passes before a persistent failure propagates: the original
 // attempt plus two retries over the uncommitted rows.
 constexpr int kMaxSweepPasses = 3;
@@ -210,10 +213,13 @@ struct SensitivityEngine::SweepSink {
 // One thread's executor: a Model::clone() replica, whose weights the thread
 // perturbs, and a plan over it with the batch staged. The plan keeps every
 // activation, so its arena is the prefix cache: a run from layer i's first
-// step reuses what earlier runs left in the buffers before it. Layers are
-// claimed last-first, so each run starts no later than the worker's
-// previous one and every buffer it skips holds the clean activation (or,
-// inside sweep row i, the i-perturbed one).
+// step reuses what earlier runs left in the buffers before it. Workers
+// claim units (a singles layer, a sweep row) heaviest-first, in ascending
+// layer order, so a worker's next unit may start later in the plan than
+// the first buffer its previous unit perturbed. `stale_from` marks that
+// buffer; the next unit's first run starts no later than it, so every
+// buffer a later run skips holds the clean activation (or, inside sweep
+// row i, the i-perturbed one) whatever the claim order.
 struct SensitivityEngine::Worker {
   Worker(const Model& model, const Tensor& images, SensitivityStats& worker_stats)
       : replica(model.clone()),
@@ -229,10 +235,15 @@ struct SensitivityEngine::Worker {
     return replica.quant_layers[static_cast<std::size_t>(layer)].layer->weight_param().value;
   }
 
+  // Called when a unit's measurements end; `step` is the first step of the
+  // unit's layer i, the earliest buffer its runs rewrote.
+  void finish_unit(std::size_t step) { stale_from = std::min(stale_from, step); }
+
   Model replica;
   CompiledPlan plan;
   Tensor logits;
   SensitivityStats& stats;
+  std::size_t stale_from = kCleanCache;  // first buffer a past unit left perturbed
 };
 
 SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_threads)
@@ -273,7 +284,7 @@ SensitivityEngine::SensitivityEngine(Model& model, Batch batch, int num_threads)
     }
     first_step_.push_back(step);
   }
-  base_loss_ = clado::nn::CrossEntropyLoss().forward(clean.logits, batch_.labels);
+  base_loss_ = clado::nn::cross_entropy(clean.logits, batch_.labels);
   ++stats_.forward_measurements;
   stats_.stage_executions += plan_steps_;
   stats_.stage_executions_naive += plan_steps_;
@@ -287,17 +298,22 @@ const Tensor& SensitivityEngine::delta(std::int64_t layer, std::int64_t bit_inde
 double SensitivityEngine::eval_loss(Worker& worker, std::int64_t layer) const {
   const std::size_t first = first_step_[static_cast<std::size_t>(layer)];
   const std::int64_t executed = plan_steps_ - static_cast<std::int64_t>(first);
-  clado::nn::CrossEntropyLoss criterion;
+  // A unit's first run also re-executes the steps the worker's previous
+  // unit left perturbed. That catch-up is cache upkeep, like the worker's
+  // clean pass: it stays out of the stats, which must not depend on how
+  // units were scheduled.
+  std::size_t from = std::min(first, std::exchange(worker.stale_from, kCleanCache));
+  if (from < first) clado::obs::counter("sensitivity.catchup_steps").add(first - from);
   for (int attempt = 0;; ++attempt) {
-    // A re-measurement reruns the same steps over the same cached prefix.
-    worker.plan.run_from(first, batch_.images.size(0), worker.logits);
+    worker.plan.run_from(from, batch_.images.size(0), worker.logits);
+    from = first;  // a re-measurement reruns the same steps over the same prefix
     ++worker.stats.forward_measurements;
     worker.stats.stage_executions += executed;
     worker.stats.stage_executions_naive += plan_steps_;
     clado::obs::counter("sensitivity.forward_measurements").add();
     clado::obs::counter("sensitivity.stage_executions").add(executed);
-    const double loss = clado::fault::poison_nan(clado::fault::Site::kNanLoss,
-                                                 criterion.forward(worker.logits, batch_.labels));
+    const double loss = clado::fault::poison_nan(
+        clado::fault::Site::kNanLoss, clado::nn::cross_entropy(worker.logits, batch_.labels));
     if (std::isfinite(loss)) return loss;
     // A non-finite loss silently corrupts the whole sensitivity matrix and
     // only surfaces much later as solver nonsense. The forward pass is
@@ -345,16 +361,18 @@ void SensitivityEngine::run_workers(int workers, const std::function<void(Worker
 
 void SensitivityEngine::measure_singles(Worker& worker, std::atomic<std::int64_t>& next_layer,
                                         std::vector<std::vector<double>>& losses) const {
+  const std::int64_t layers = model_.num_quant_layers();
   const std::int64_t bits = num_bits();
   for (;;) {
-    const std::int64_t i = next_layer.fetch_sub(1, std::memory_order_relaxed);
-    if (i < 0) return;
+    const std::int64_t i = next_layer.fetch_add(1, std::memory_order_relaxed);
+    if (i >= layers) return;
     auto& w = worker.weight(i);
     const WeightRestoreGuard guard(w);
     for (std::int64_t m = 0; m < bits; ++m) {
       w = quantized_[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
       losses[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] = eval_loss(worker, i);
     }
+    worker.finish_unit(first_step_[static_cast<std::size_t>(i)]);
   }
 }
 
@@ -365,7 +383,7 @@ void SensitivityEngine::ensure_single_losses(int num_threads) {
   std::vector<std::vector<double>> losses(
       static_cast<std::size_t>(layers),
       std::vector<double>(static_cast<std::size_t>(num_bits()), 0.0));
-  std::atomic<std::int64_t> next_layer{layers - 1};
+  std::atomic<std::int64_t> next_layer{0};
   run_workers(resolve_workers(num_threads, layers),
               [&](Worker& worker) { measure_singles(worker, next_layer, losses); });
   single_losses_ = std::move(losses);
@@ -394,8 +412,8 @@ void SensitivityEngine::sweep_rows(Worker& worker, SweepSink& sink,
   const std::int64_t bits = num_bits();
   std::vector<float> row_buf;
   for (;;) {
-    const std::int64_t i = next_row.fetch_sub(1, std::memory_order_relaxed);
-    if (i < 0) return;
+    const std::int64_t i = next_row.fetch_add(1, std::memory_order_relaxed);
+    if (i >= layers) return;
     if (!sink.row_pending(i)) continue;  // resumed from checkpoint / retry pass
     row_buf.assign(static_cast<std::size_t>(sink.pairs_of_row(i)), 0.0F);
     auto& w_i = worker.weight(i);
@@ -428,6 +446,7 @@ void SensitivityEngine::sweep_rows(Worker& worker, SweepSink& sink,
         report(bits);
       }
     }
+    worker.finish_unit(first_step_[static_cast<std::size_t>(i)]);
     sink.commit_row(i, row_buf);
   }
 }
@@ -522,7 +541,7 @@ Tensor SensitivityEngine::full_matrix(
   // propagates — after a final checkpoint save so even that run's rows are
   // not lost.
   for (int pass = 0; !sink.complete(); ++pass) {
-    std::atomic<std::int64_t> next_row{layers - 1};
+    std::atomic<std::int64_t> next_row{0};
     try {
       run_workers(workers, [&](Worker& worker) {
         const clado::obs::Span worker_span("sensitivity/sweep_worker");

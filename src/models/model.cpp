@@ -49,8 +49,7 @@ Model Model::clone() const {
 
 double Model::loss(const Batch& batch) {
   net->set_training(false);
-  clado::nn::CrossEntropyLoss criterion;
-  return criterion.forward(net->forward(batch.images), batch.labels);
+  return clado::nn::cross_entropy(net->forward(batch.images), batch.labels);
 }
 
 double Model::accuracy(const Batch& batch) {

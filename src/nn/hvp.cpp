@@ -23,8 +23,7 @@ double loss_and_backward(Sequential& net, const Tensor& inputs,
 
 double loss_only(Sequential& net, const Tensor& inputs,
                  const std::vector<std::int64_t>& labels) {
-  CrossEntropyLoss criterion;
-  return criterion.forward(net.forward(inputs), labels);
+  return cross_entropy(net.forward(inputs), labels);
 }
 
 namespace {

@@ -10,12 +10,18 @@
 
 namespace clado::nn {
 
+/// Mean softmax cross-entropy of logits [N, K] against `labels`, accumulated
+/// in double — sensitivity measurements subtract losses that agree to
+/// several significant digits. Keeps nothing for a backward pass and
+/// allocates nothing: every caller that needs only the loss (each sweep
+/// measurement, Model::loss) uses it.
+double cross_entropy(const Tensor& logits, const std::vector<std::int64_t>& labels);
+
 /// Mean softmax cross-entropy over a batch of logits [N, K].
 class CrossEntropyLoss {
  public:
-  /// Returns the mean loss; stashes softmax probabilities for backward().
-  /// Accumulated in double — sensitivity measurements subtract losses that
-  /// agree to several significant digits.
+  /// Returns cross_entropy(logits, labels); stashes softmax probabilities
+  /// for backward().
   double forward(const Tensor& logits, const std::vector<std::int64_t>& labels);
 
   /// d(mean loss)/d(logits); call after forward().

@@ -8,29 +8,31 @@
 
 namespace clado::nn {
 
-double CrossEntropyLoss::forward(const Tensor& logits, const std::vector<std::int64_t>& labels) {
-  if (logits.dim() != 2) throw std::invalid_argument("CrossEntropyLoss: logits must be [N, K]");
+double cross_entropy(const Tensor& logits, const std::vector<std::int64_t>& labels) {
+  if (logits.dim() != 2) throw std::invalid_argument("cross_entropy: logits must be [N, K]");
   const std::int64_t n = logits.size(0);
   const std::int64_t k = logits.size(1);
   if (static_cast<std::int64_t>(labels.size()) != n) {
-    throw std::invalid_argument("CrossEntropyLoss: label count mismatch");
+    throw std::invalid_argument("cross_entropy: label count mismatch");
   }
-
-  std::vector<float> log_probs(static_cast<std::size_t>(n * k));
-  clado::tensor::log_softmax_rows(logits.data(), n, k, log_probs.data());
-
   double loss = 0.0;
   for (std::int64_t r = 0; r < n; ++r) {
     const std::int64_t y = labels[static_cast<std::size_t>(r)];
-    if (y < 0 || y >= k) throw std::invalid_argument("CrossEntropyLoss: label out of range");
-    loss -= log_probs[static_cast<std::size_t>(r * k + y)];
+    if (y < 0 || y >= k) throw std::invalid_argument("cross_entropy: label out of range");
+    const float* row = logits.data() + r * k;
+    const float log_prob = row[y] - clado::tensor::log_sum_exp(row, k);
+    loss -= log_prob;
   }
-  loss /= static_cast<double>(n);
+  return loss / static_cast<double>(n);
+}
 
+double CrossEntropyLoss::forward(const Tensor& logits, const std::vector<std::int64_t>& labels) {
+  const double loss = cross_entropy(logits, labels);
+  const std::int64_t n = logits.size(0);
+  const std::int64_t k = logits.size(1);
   probs_ = Tensor({n, k});
-  for (std::int64_t i = 0; i < n * k; ++i) {
-    probs_.data()[i] = std::exp(log_probs[static_cast<std::size_t>(i)]);
-  }
+  clado::tensor::log_softmax_rows(logits.data(), n, k, probs_.data());
+  for (std::int64_t i = 0; i < n * k; ++i) probs_.data()[i] = std::exp(probs_.data()[i]);
   labels_ = labels;
   return loss;
 }

@@ -67,7 +67,12 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel, std::int64_t st
 /// attention kernel's softmax (kernels::attend_f32) is this, at every level.
 void softmax_rows(float* data, std::int64_t rows, std::int64_t cols);
 
-/// Row-wise log-softmax (stable) into `out` (may alias `data`).
+/// log Σ exp(x) over one row, in the stable form: m = the row's maximum,
+/// Σ exp(x − m) summed in double in column order, float(log Σ) + m.
+float log_sum_exp(const float* row, std::int64_t cols);
+
+/// Row-wise log-softmax (stable) into `out` (may alias `data`):
+/// x − log_sum_exp(row).
 void log_softmax_rows(const float* data, std::int64_t rows, std::int64_t cols, float* out);
 
 /// y += x (spans of equal length).

@@ -194,14 +194,18 @@ void softmax_rows(float* data, std::int64_t rows, std::int64_t cols) {
   }
 }
 
+float log_sum_exp(const float* row, std::int64_t cols) {
+  const float mx = *std::max_element(row, row + cols);
+  double denom = 0.0;
+  for (std::int64_t j = 0; j < cols; ++j) denom += std::exp(static_cast<double>(row[j]) - mx);
+  return static_cast<float>(std::log(denom)) + mx;
+}
+
 void log_softmax_rows(const float* data, std::int64_t rows, std::int64_t cols, float* out) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = data + r * cols;
     float* orow = out + r * cols;
-    const float mx = *std::max_element(row, row + cols);
-    double denom = 0.0;
-    for (std::int64_t j = 0; j < cols; ++j) denom += std::exp(static_cast<double>(row[j]) - mx);
-    const float log_denom = static_cast<float>(std::log(denom)) + mx;
+    const float log_denom = log_sum_exp(row, cols);
     for (std::int64_t j = 0; j < cols; ++j) orow[j] = row[j] - log_denom;
   }
 }

@@ -117,11 +117,12 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, SerialKillAndResumeIsBitIdentical) {
   const Tensor ref = reference_matrix();
 
-  // Rows are claimed last-first: hit 21 lands mid-row-1 of the serial sweep
-  // (8 single-loss evals, then rows 3/2/1/0 of 2/6/10/14 evals), so exactly
-  // rows 3 and 2 are committed.
+  // Rows are claimed in ascending order: hit 35 lands mid-row-2 of the
+  // serial sweep (8 single-loss evals, then rows 0/1/2/3 of 14/10/6/2 evals
+  // at hits 9–22, 23–32, 33–38 and 39–40), so exactly rows 0 and 1 are
+  // committed.
   const std::int64_t resumed_before = counter_value("sensitivity.checkpoint_rows_resumed");
-  killed_run(21, 1);
+  killed_run(35, 1);
   ASSERT_TRUE(std::filesystem::exists(ckpt_file()));
 
   const Tensor g = resumed_run(1);

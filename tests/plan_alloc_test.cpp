@@ -5,11 +5,13 @@
 // Tensor::alloc_count, the count sees std::vector and every other heap
 // user, so a steady-state run() that allocates anywhere fails here at any
 // kernel level (the scalar-kernels CI job runs this binary with
-// CLADO_KERNEL=scalar).
+// CLADO_KERNEL=scalar). The sweep's per-measurement loss is held to the
+// same count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "clado/data/synthcv.h"
 #include "clado/models/builders.h"
 #include "clado/models/model.h"
+#include "clado/nn/loss.h"
 #include "clado/nn/module.h"
 #include "clado/quant/freeze.h"
 #include "clado/serve/plan.h"
@@ -145,5 +148,21 @@ TEST_P(PlanAllocations, SteadyStateRunsNeverTouchTheHeap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BackendOn, PlanAllocations, ::testing::Values("resnet_a", "resnet_b"));
+
+// Every sensitivity measurement ends in cross_entropy: it allocates nothing
+// and returns CrossEntropyLoss::forward's loss bit for bit.
+TEST(LossAllocations, CrossEntropyAllocatesNothingAndMatchesForward) {
+  Rng rng(17);
+  Tensor logits = Tensor::randn({32, 10}, rng);
+  logits *= 4.0F;  // spread the rows so every softmax term matters
+  std::vector<std::int64_t> labels;
+  for (std::int64_t r = 0; r < 32; ++r) labels.push_back((r * 7) % 10);
+  const double want = clado::nn::CrossEntropyLoss().forward(logits, labels);
+
+  const std::int64_t before = g_allocations.load();
+  const double got = clado::nn::cross_entropy(logits, labels);
+  EXPECT_EQ(g_allocations.load() - before, 0) << "cross_entropy allocated";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want));
+}
 
 }  // namespace

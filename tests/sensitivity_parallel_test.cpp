@@ -10,6 +10,8 @@
 #include "clado/models/builders.h"
 #include "clado/nn/blocks.h"
 #include "clado/nn/layers.h"
+#include "clado/obs/obs.h"
+#include "clado/serve/plan.h"
 
 namespace clado::core {
 namespace {
@@ -105,6 +107,38 @@ TEST(ParallelSweep, StatsMatchSerialExactly) {
   SensitivityEngine serial(ma, make_batch(batch_a));
   SensitivityEngine parallel(mb, make_batch(batch_b));
   const Tensor gs = serial.full_matrix({}, 1);
+  const Tensor gp = parallel.full_matrix({}, 4);
+  for (std::int64_t i = 0; i < gs.numel(); ++i) ASSERT_EQ(gp[i], gs[i]);
+  EXPECT_EQ(parallel.stats().forward_measurements, serial.stats().forward_measurements);
+  EXPECT_EQ(parallel.stats().stage_executions, serial.stats().stage_executions);
+  EXPECT_EQ(parallel.stats().stage_executions_naive, serial.stats().stage_executions_naive);
+}
+
+TEST(ParallelSweep, CatchUpStepsStayOutOfTheStats) {
+  // Units are claimed in ascending layer order and each one's first run
+  // re-executes the steps its worker's previous unit left perturbed. On one
+  // worker that catch-up telescopes to first_step(I−1) − first_step(0) per
+  // phase; it is cache upkeep, so the stats still match four workers'.
+  Rng rng(30);
+  Model m = make_tiny_model(rng);
+  const auto batch = make_batch(rng);
+  m.net->set_training(false);
+  const clado::serve::CompiledPlan plan(*m.net, {3, 8, 8}, batch.images.size(0));
+  const auto first_step = [&](std::size_t i) {
+    return static_cast<std::int64_t>(plan.first_step(*m.quant_layers[i].layer));
+  };
+  const std::int64_t per_phase = first_step(m.quant_layers.size() - 1) - first_step(0);
+  ASSERT_GT(per_phase, 0);
+
+  const clado::obs::Counter& catchup = clado::obs::counter("sensitivity.catchup_steps");
+  SensitivityEngine serial(m, batch, 1);
+  const std::int64_t before = catchup.value();
+  serial.single_losses();
+  EXPECT_EQ(catchup.value() - before, per_phase) << "singles";
+  const Tensor gs = serial.full_matrix({}, 1);
+  EXPECT_EQ(catchup.value() - before, 2 * per_phase) << "singles + sweep";
+
+  SensitivityEngine parallel(m, batch, 4);
   const Tensor gp = parallel.full_matrix({}, 4);
   for (std::int64_t i = 0; i < gs.numel(); ++i) ASSERT_EQ(gp[i], gs[i]);
   EXPECT_EQ(parallel.stats().forward_measurements, serial.stats().forward_measurements);

@@ -230,7 +230,7 @@ TEST(SensitivityEngine, ZooFullMatrixMatchesUncachedEagerReference) {
     m.net->forward(batch.images);
     m.calibrate_activations(batch);
     const clado::nn::Tensor want = eager_reference_matrix(m, batch);
-    for (const int threads : {1, 3}) {
+    for (const int threads : {1, 3, 4}) {
       SensitivityEngine engine(m, batch, threads);
       const clado::nn::Tensor got = engine.full_matrix({}, threads);
       ASSERT_EQ(got.shape(), want.shape());
@@ -263,8 +263,8 @@ TEST(SensitivityEngine, UncompilableModelIsRefusedAtConstruction) {
 }
 
 TEST(SensitivityEngine, LayersOutOfExecutionOrderAreRefused) {
-  // The prefix cache claims layers last-first, which is sound only when no
-  // layer is first read before the one preceding it.
+  // A sweep row runs its pairs last-first over the prefix cache, which is
+  // sound only when no layer is first read before the one preceding it.
   Rng rng(13);
   Model m = make_tiny_model(rng);
   std::swap(m.quant_layers[0], m.quant_layers[3]);
